@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
@@ -137,11 +136,6 @@ class EpsilonPeriodReport:
     grid_size: int
 
 
-def evaluate(f, x):
-    """Value of the trigonometric polynomial f at x."""
-    return f.evaluate(x)
-
-
 def bohr_mean_exact(f):
     """Bohr mean of a trigonometric polynomial: its frequency-0 coefficient."""
     for freq, coeff in f.terms:
@@ -226,28 +220,11 @@ def weyl_equidistribution_defect(p, x, modulus, N, max_harmonic=20):
         raise ValueError("modulus must be positive")
     if N < 1:
         raise ValueError("N must be >= 1")
-    beta = getattr(p, "beta", p)
-    degree = getattr(p, "degree", 1 if float(beta).is_integer() else 0)
-    fracs = np.empty(N)
-    if degree == 1 and float(beta).is_integer():
-        B = int(round(beta))
-        cur = Fraction(x) / Fraction(modulus)
-        num = cur.numerator % cur.denominator
-        den = cur.denominator
-        for n in range(N):
-            fracs[n] = num / den
-            num = (B * num) % den
-    else:
-        if N > 5000:
-            raise ValueError("N capped at 5000 for non-integer beta")
-        dps = int(N * math.log10(float(beta))) + 30
-        with mp.workdps(dps):
-            b = p.beta_mp(dps) if hasattr(p, "beta_mp") else mp.mpf(beta)
-            q = Fraction(x) / Fraction(modulus)
-            z = mp.mpf(q.numerator) / mp.mpf(q.denominator)
-            for n in range(N):
-                fracs[n] = float(z - mp.floor(z))
-                z *= b
+    from .cocycle import orbit_fractions  # cocycle imports this module
+
+    if N > 5000 and not float(getattr(p, "beta", p)).is_integer():
+        raise ValueError("N capped at 5000 for non-integer beta")
+    fracs = orbit_fractions(p, Fraction(x) / Fraction(modulus), N)
     worst = 0.0
     for h in range(1, max_harmonic + 1):
         s = np.abs(np.mean(np.exp(2j * math.pi * h * fracs)))

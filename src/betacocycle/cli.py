@@ -72,7 +72,6 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
     seed: int = 0
-    threads: int = 1
 
     def to_dict(self):
         return {
@@ -84,7 +83,6 @@ class ExperimentConfig:
             "params": dict(self.params),
             "output": dict(self.output),
             "seed": self.seed,
-            "threads": self.threads,
         }
 
     @classmethod
@@ -105,7 +103,6 @@ class ExperimentConfig:
             params=dict(data.get("params") or {}),
             output=dict(data.get("output") or {}),
             seed=int(data.get("seed", 0)),
-            threads=int(data.get("threads", 1)),
         )
         fmt = cfg.output.get("format", "json")
         if fmt not in ("csv", "json"):
@@ -527,13 +524,16 @@ def _atomic_write(path, text):
         raise
 
 
-def write_report(report, path, fmt):
+def _report_text(report, fmt):
+    """The whole report as JSON, or its first series (by name) as CSV."""
     if fmt == "json":
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True, default=str)
-    else:
-        name = next(iter(sorted(report.series)), None)
-        text = emit_plot_data(report, name) if name else ""
-    _atomic_write(path, text)
+        return json.dumps(report.to_dict(), indent=2, sort_keys=True, default=str)
+    name = next(iter(sorted(report.series)), None)
+    return emit_plot_data(report, name) if name else ""
+
+
+def write_report(report, path, fmt):
+    _atomic_write(path, _report_text(report, fmt))
 
 
 def _build_parser():
@@ -549,7 +549,6 @@ def _build_parser():
         cmd.add_argument("--out", help="report output path (default: stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), default=None)
         cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--threads", type=int, default=None)
         cmd.add_argument(
             "--series", help="emit only this series as CSV (overrides --format)"
         )
@@ -571,8 +570,6 @@ def main(argv=None):
             data["base"] = args.minpoly
         if args.seed is not None:
             data["seed"] = args.seed
-        if args.threads is not None:
-            data["threads"] = args.threads
         if args.format is not None:
             data.setdefault("output", {})["format"] = args.format
         config = ExperimentConfig.from_dict(data)
@@ -598,11 +595,8 @@ def main(argv=None):
     try:
         if args.series:
             text = emit_plot_data(report, args.series)
-        elif fmt == "json":
-            text = json.dumps(report.to_dict(), indent=2, sort_keys=True, default=str)
         else:
-            name = next(iter(sorted(report.series)), None)
-            text = emit_plot_data(report, name) if name else ""
+            text = _report_text(report, fmt)
     except UnknownSeries as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1

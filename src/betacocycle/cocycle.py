@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath as mp
 import numpy as np
 
-from .apcore import TrigPolynomial, constant, trig_poly
+from .apcore import TrigPolynomial, constant
 from .errors import (
     CertificateViolated,
     DegenerateSVD,
@@ -121,23 +121,34 @@ class BetaAdaptedMatrix:
     def entries_one_periodic(self):
         return all(poly.is_one_periodic for row in self.entries for poly, _ in row)
 
-    def evaluate(self, x):
-        """M(x) as a complex matrix, arguments beta^l x taken directly."""
-        beta = self.beta
-        out = np.empty((self.dim, self.dim), dtype=complex)
+    @cached_property
+    def _split_entries(self):
+        """(constant entries as a d x d array, [(i, j, poly, scale)] of the rest)."""
+        constants = np.zeros((self.dim, self.dim), dtype=complex)
+        varying = []
         for i, row in enumerate(self.entries):
             for j, (poly, scale) in enumerate(row):
-                out[i, j] = poly.evaluate((beta**scale) * x)
+                if poly.max_frequency == 0.0:
+                    constants[i, j] = poly.evaluate(0.0)
+                else:
+                    varying.append((i, j, poly, scale))
+        return constants, varying
+
+    def _fill(self, count, argument):
+        """count matrices; a varying entry (i, j) is read at argument(scale_ij)."""
+        constants, varying = self._split_entries
+        out = constants[None].repeat(count, axis=0)
+        for i, j, poly, scale in varying:
+            out[:, i, j] = poly.evaluate(argument(scale))
         return out
+
+    def evaluate(self, x):
+        """M(x) as a complex matrix, arguments beta^l x taken directly."""
+        return self._fill(1, lambda scale: (self.beta**scale) * x)[0]
 
     def evaluate_batch(self, xs):
         xs = np.asarray(xs, dtype=float)
-        beta = self.beta
-        out = np.empty((xs.size, self.dim, self.dim), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, (poly, scale) in enumerate(row):
-                out[:, i, j] = poly.evaluate((beta**scale) * xs)
-        return out
+        return self._fill(xs.size, lambda scale: (self.beta**scale) * xs)
 
     def eval_args(self, args, k):
         """Batched M at step k from an argument table.
@@ -145,11 +156,7 @@ class BetaAdaptedMatrix:
         args[s, m] holds beta^m x_s (modulo 1 is fine: entries are
         1-periodic).  Entry (i, j) at step k reads column k + scale_ij.
         """
-        out = np.empty((args.shape[0], self.dim, self.dim), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, (poly, scale) in enumerate(row):
-                out[:, i, j] = poly.evaluate(args[:, k + scale])
-        return out
+        return self._fill(args.shape[0], lambda scale: args[:, k + scale])
 
 
 def beta_adapted_matrix(
@@ -242,10 +249,6 @@ class NormalizedProduct:
         return self.log_norm + math.log(np.linalg.norm(self.unit_matrix @ v))
 
 
-def _op_norm(A):
-    return np.linalg.norm(A, 2)
-
-
 def _argument_table(M, x, n):
     """Arguments beta^m x for one point, m = 0..n-1+max_scale.
 
@@ -269,24 +272,15 @@ def product(M, x, n):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    acc = np.eye(M.dim, dtype=complex)
+    eye = np.eye(M.dim, dtype=complex)
     if n == 0:
-        return NormalizedProduct(0.0, acc, 0)
+        return NormalizedProduct(0.0, eye, 0)
     args = _argument_table(M, x, n)
-    logn = 0.0
-    for k in range(n):
-        A = M.eval_args(args, k)[0]
-        if not np.all(np.isfinite(A)):
-            raise NonFinite("factor at step %d is not finite" % k)
-        if _op_norm(A) == 0.0:
-            raise SingularFactor("factor at step %d has zero norm" % k)
-        acc = A @ acc
-        s = _op_norm(acc)
-        if s == 0.0 or not math.isfinite(s):
-            raise SingularFactor("product norm degenerate at step %d" % k)
-        acc /= s
-        logn += math.log(s)
-    return NormalizedProduct(logn, acc, n)
+    _, logs, acc = _batched_cocycle(_factors(M, args, n), eye[None])
+    if logs[0] == -math.inf:
+        raise SingularFactor("product P_%d vanishes" % n)
+    s = _opnorm(acc[0])
+    return NormalizedProduct(float(logs[0]) + math.log(s), acc[0] / s, n)
 
 
 def exterior_power(A, q):
@@ -313,36 +307,77 @@ def exterior_power(A, q):
     return out
 
 
-def _batched_cocycle(M, q, args, checkpoints):
-    """f_n^{(q)} over a batch of argument tables, at the given checkpoints.
+def _opnorm(A):
+    """Operator 2-norm of each matrix in a stack (..., m, n).
 
-    Renormalizes with the Frobenius norm each step and converts to the
-    operator norm (largest singular value) only at checkpoints, so the
-    reported values are exact log operator norms.
+    |a| for 1 x 1; for 2 x 2 the square root of the largest eigenvalue of
+    the Gram matrix A^H A in closed form; an SVD otherwise.
     """
-    checkpoints = sorted(set(checkpoints))
-    n_max = checkpoints[-1]
-    N = args.shape[0]
-    A0 = M.eval_args(args, 0)
-    Q = math.comb(M.dim, q)
-    acc = np.broadcast_to(np.eye(Q, dtype=complex), (N, Q, Q)).copy()
-    logs = np.zeros(N)
-    out = {}
-    for k in range(n_max):
-        A = A0 if k == 0 else M.eval_args(args, k)
-        if not np.all(np.isfinite(A)):
-            raise NonFinite("factor at step %d is not finite" % k)
-        Aq = exterior_power(A, q) if q > 1 else A
-        acc = Aq @ acc
-        fro = np.linalg.norm(acc, axis=(1, 2))
-        if np.any(fro == 0.0) or not np.all(np.isfinite(fro)):
-            raise SingularFactor("product norm degenerate at step %d" % k)
-        acc /= fro[:, None, None]
-        logs += np.log(fro)
-        if k + 1 in checkpoints:
-            sv = np.linalg.svd(acc, compute_uv=False)
-            out[k + 1] = logs + np.log(sv[:, 0])
-    return out
+    if A.shape[-2:] == (1, 1):
+        return np.abs(A[..., 0, 0])
+    if A.shape[-2:] == (2, 2):
+        a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+        p = a.real**2 + a.imag**2 + c.real**2 + c.imag**2  # Gram diagonal
+        s = b.real**2 + b.imag**2 + d.real**2 + d.imag**2
+        r = np.abs(np.conj(a) * b + np.conj(c) * d)  # Gram off-diagonal
+        return np.sqrt((p + s) / 2.0 + np.hypot((p - s) / 2.0, r))
+    return np.linalg.svd(A, compute_uv=False)[..., 0]
+
+
+def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
+    """The renormalized product engine; every cocycle product runs here.
+
+    factors yields (N, m, m) stacks, step 0 first, applied to start: (N, m, m)
+    matrices or (N, m, 1) column vectors.  Each step divides the product by
+    its Frobenius norm and adds the log of that scale to logs, so the product
+    is exp(logs) * acc; a vanished row keeps acc = 0 and logs = -inf, a
+    non-finite scale raises.  Returns (at, logs, acc) after the last step,
+    with at[n] = logs + log(norm(acc)) after step n for each checkpoint n.
+    """
+    checkpoints = set(checkpoints)
+    acc = np.asarray(start)
+    scalar = acc.shape[1:] == (1, 1)
+    logs = np.zeros(acc.shape[0])
+    at = {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, A in enumerate(factors, start=1):
+            acc = A * acc if scalar else A @ acc  # 1 x 1: a product of scalars
+            if scalar:
+                fro = np.abs(acc[:, 0, 0])
+            else:  # real and imaginary parts side by side
+                parts = acc.view(np.float64)
+                fro = np.sqrt(np.einsum("nij,nij->n", parts, parts))
+            step = np.log(fro)
+            total = np.add.reduce(step)
+            if not total < math.inf:  # an inf or nan scale
+                if not np.isfinite(A).all():
+                    raise NonFinite("factor at step %d is not finite" % (k - 1))
+                raise SingularFactor("product norm degenerate at step %d" % (k - 1))
+            if total == -math.inf:  # a vanished row keeps acc = 0
+                fro[fro == 0.0] = 1.0
+            acc /= fro[:, None, None]
+            logs += step
+            if k in checkpoints:
+                at[k] = logs + np.log(norm(acc))
+    return at, logs, acc
+
+
+def _factors(M, args, n, q=1):
+    """M^{wedge q} at steps 0..n-1 of an argument table, one step at a time."""
+    for k in range(n):
+        A = M.eval_args(args, k)
+        yield exterior_power(A, q) if q > 1 else A
+
+
+def _log_norms(M, q, args, checkpoints):
+    """{n: log ||P_n^{wedge q}||} at the checkpoints, one value per row of args."""
+    eye = np.eye(math.comb(M.dim, q), dtype=complex)
+    start = np.broadcast_to(eye, (args.shape[0],) + eye.shape)
+    factors = _factors(M, args, max(checkpoints), q)
+    at, logs, _ = _batched_cocycle(factors, start, checkpoints)
+    if np.isneginf(logs).any():
+        raise SingularFactor("product of wedge power %d vanishes" % q)
+    return at
 
 
 def subadditive_sequence(M, q, x, n_max):
@@ -350,7 +385,7 @@ def subadditive_sequence(M, q, x, n_max):
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     args = _argument_table(M, x, n_max)
-    res = _batched_cocycle(M, q, args, range(1, n_max + 1))
+    res = _log_norms(M, q, args, range(1, n_max + 1))
     return np.array([res[n][0] for n in range(1, n_max + 1)])
 
 
@@ -437,7 +472,7 @@ def lyapunov_top(M, q, cfg=None):
     ladder = sorted(set(cfg.n_ladder))
     n_max = ladder[-1]
     args = _sample_argument_tables(M, cfg, n_max)
-    res = _batched_cocycle(M, q, args, ladder)
+    res = _log_norms(M, q, args, ladder)
     per_n = {n: float(np.mean(res[n] / n)) for n in ladder}
     per_n_std = {n: float(np.std(res[n] / n)) for n in ladder}
     estimate = min(per_n.values())
@@ -479,7 +514,7 @@ def lyapunov_spectrum(M, cfg=None):
     args = _sample_argument_tables(M, cfg, n_max)
     sums = [0.0]
     for q in range(1, M.dim + 1):
-        res = _batched_cocycle(M, q, args, ladder)
+        res = _log_norms(M, q, args, ladder)
         sums.append(min(float(np.mean(res[n] / n)) for n in ladder))
     mus = [sums[q] - sums[q - 1] for q in range(1, M.dim + 1)]
     for q in range(1, len(mus)):
@@ -565,8 +600,8 @@ def _grid_norm_constants(M, grid=10000):
     xs = np.linspace(0.0, 1.0, grid, endpoint=False)
     Ms = M.evaluate_batch(xs)
     inv = np.linalg.inv(Ms)
-    two = np.linalg.svd(Ms, compute_uv=False)[:, 0]
-    two_inv = np.linalg.svd(inv, compute_uv=False)[:, 0]
+    two = _opnorm(Ms)
+    two_inv = _opnorm(inv)
     inf_n = np.abs(Ms).sum(axis=2).max(axis=1)
     inf_inv = np.abs(inv).sum(axis=2).max(axis=1)
     return (
@@ -586,16 +621,14 @@ def distortion_bound(M, xs, ys, v, d_cap=1e6):
     C = sup ||M^-1|| and D = sup ||M|| ||M^-1||, theta-corrected).
     Factors are applied right to left: xs[0] is the leftmost factor.
     """
-    xs = list(xs)
-    ys = list(ys)
-    if len(xs) != len(ys):
+    mats_x = M.evaluate_batch(list(xs))
+    mats_y = M.evaluate_batch(list(ys))
+    if mats_x.shape != mats_y.shape:
         raise ValueError("xs and ys must have equal length")
     v = np.asarray(v, dtype=complex)
     if np.linalg.norm(v) == 0:
         raise ValueError("v must be nonzero")
-    mats_x = [M.evaluate(t) for t in xs]
-    mats_y = [M.evaluate(t) for t in ys]
-    thetas = [np.linalg.norm(A - B, 2) for A, B in zip(mats_x, mats_y)]
+    diff = mats_x - mats_y
 
     positive = (
         M.positivity_delta is not None
@@ -603,17 +636,14 @@ def distortion_bound(M, xs, ys, v, d_cap=1e6):
         and np.all(v.real >= 0)
     )
     if positive:
-        for A in mats_x + mats_y:
-            if np.max(np.abs(A.imag)) > 1e-12 or np.min(A.real) < -1e-12:
-                raise NegativeEntries("positive path needs nonnegative matrices")
+        both = np.concatenate([mats_x, mats_y])
+        if np.any(np.abs(both.imag) > 1e-12) or np.any(both.real < -1e-12):
+            raise NegativeEntries("positive path needs nonnegative matrices")
         delta = float(M.positivity_delta)
         # the L1 operator norm (max column sum) is what perturbs L1 lengths
-        thetas = [
-            float(np.max(np.abs(A - B).sum(axis=0))) * 1.01
-            for A, B in zip(mats_x, mats_y)
-        ]
-        bound = math.exp(min(sum(thetas) / delta, 700.0))
-        if sum(thetas) / delta >= 700.0:
+        thetas = np.abs(diff).sum(axis=1).max(axis=1) * 1.01
+        bound = math.exp(min(thetas.sum() / delta, 700.0))
+        if thetas.sum() / delta >= 700.0:
             bound = math.inf
         norm = lambda w: float(np.sum(np.abs(w)))
     else:
@@ -629,7 +659,7 @@ def distortion_bound(M, xs, ys, v, d_cap=1e6):
         # factors at different points) for every factor to its left.
         amp = 1.0
         total = 0.0
-        for th in thetas:  # thetas[0] belongs to the leftmost factor
+        for th in _opnorm(diff).tolist():  # the leftmost factor's theta first
             total += c_inv * th * amp
             amp *= d_two + c_inv * th
             if not math.isfinite(amp) or amp > 1e300:
@@ -639,16 +669,11 @@ def distortion_bound(M, xs, ys, v, d_cap=1e6):
         norm = lambda w: float(np.linalg.norm(w))
 
     def log_product_norm(mats):
-        w = v.astype(complex)
-        acc = 0.0
-        for A in reversed(mats):
-            w = A @ w
-            s = norm(w)
-            if s == 0.0:
-                raise SingularFactor("vector annihilated inside the product")
-            w = w / s
-            acc += math.log(s)
-        return acc
+        # mats[0] is the leftmost factor, so the engine takes them reversed
+        _, logs, w = _batched_cocycle(mats[::-1, None], v[None, :, None])
+        if logs[0] == -math.inf:
+            raise SingularFactor("vector annihilated inside the product")
+        return float(logs[0]) + math.log(norm(w[0, :, 0]))
 
     actual_ratio = math.exp(log_product_norm(mats_x) - log_product_norm(mats_y))
     return bound, actual_ratio
@@ -763,13 +788,13 @@ def joint_period_verify(M, q, cert, m, n_list, grid=256, max_tau=64):
     beta = M.beta
     powers = beta ** np.arange(n_max + M.max_scale + 1)
     base_args = xs[:, None] * powers[None, :]
-    base_res = _batched_cocycle(M, q, base_args, n_list)
+    base_res = _log_norms(M, q, base_args, n_list)
     worst = 0.0
     for tau in taus:
         if tau == 0.0:
             continue
         shifted = (xs + tau)[:, None] * powers[None, :]
-        res = _batched_cocycle(M, q, shifted, n_list)
+        res = _log_norms(M, q, shifted, n_list)
         for n in n_list:
             worst = max(worst, float(np.max(np.abs(res[n] - base_res[n]))))
     if worst > cert.script_C * 1.1:

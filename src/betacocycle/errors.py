@@ -75,6 +75,10 @@ class NotPrimitive(BetaCocycleError):
     """The 0/1 pattern matrix of the equation is not primitive."""
 
 
+class QuadratureLevelExceeded(BetaCocycleError):
+    """The requested quadrature level is deeper than the affordable one."""
+
+
 # --- CLI ---
 
 class ConfigInvalid(BetaCocycleError):

@@ -13,17 +13,18 @@ G(beta^n x) = P_n(x) G(x) is propagated with renormalized products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .apcore import TrigPolynomial
 from .cocycle import (
-    BetaAdaptedMatrix,
     _batched_cocycle,
     _beta_value,
+    _factors,
     _is_integer_beta,
+    _log_norms,
     beta_adapted_matrix,
     orbit_fractions,
 )
@@ -31,6 +32,7 @@ from .errors import (
     NonPositiveEigenvector,
     NotPrimitive,
     NotSimpleEigenvalue,
+    QuadratureLevelExceeded,
     ZeroVector,
 )
 from .pisot import PisotNumber, admissible_strings, beta_interval
@@ -127,19 +129,6 @@ def check_simple_eigenvalue(eq):
     return derivative > 1e-12, float(derivative)
 
 
-def _companion_eval_batch(eq, xs):
-    """M(x) for an array of x: first row f_j(x/beta^{j-1}), subdiagonal 1."""
-    xs = np.asarray(xs, dtype=float)
-    d = eq.d
-    beta = eq.beta
-    out = np.zeros((xs.size, d, d), dtype=complex)
-    for j in range(d):
-        out[:, 0, j] = np.atleast_1d(eq.fs[j].evaluate(xs / beta**j))
-    for i in range(1, d):
-        out[:, i, i - 1] = 1.0
-    return out
-
-
 class SolutionEvaluator:
     """Evaluates G (and F = G_1) via the truncated infinite product.
 
@@ -151,13 +140,14 @@ class SolutionEvaluator:
     def __init__(self, eq, tol=1e-10):
         self.eq = eq
         self.tol = float(tol)
+        self.M = companion_matrix(eq)
         self.v = np.ones(eq.d, dtype=complex)
         self._check_eigenvector()
         self.c_prime = self._measure_c_prime()
         self._cache = {}
 
     def _check_eigenvector(self):
-        M0 = _companion_eval_batch(self.eq, np.array([0.0]))[0]
+        M0 = self.M.evaluate(0.0)
         if np.max(np.abs(M0 @ self.v - self.v)) > 1e-9:
             # perturbed inputs: fall back to power iteration toward the
             # eigenvalue-1 eigenvector
@@ -184,15 +174,22 @@ class SolutionEvaluator:
         xs = xs[np.abs(xs) > 1e-9]
         beta = self.eq.beta
         worst = 0.0
-        prev = np.broadcast_to(self.v, (xs.size, self.eq.d)).copy()
-        acc = np.broadcast_to(np.eye(self.eq.d, dtype=complex), (xs.size, self.eq.d, self.eq.d)).copy()
+        prev = self.v
         for n in range(1, 13):
-            acc = acc @ _companion_eval_batch(self.eq, xs / beta**n)
-            cur = acc @ self.v
+            cur = self._truncated(xs, n)
             diff = np.abs(cur - prev).sum(axis=1)
             worst = max(worst, float(np.max(diff * beta**n / np.abs(xs))))
             prev = cur
         return max(worst * 2.0, 1e-6)
+
+    def _truncated(self, xs, n):
+        """Q_n v = M(x/beta) ... M(x/beta^n) v at each x, shape (len(xs), d)."""
+        d = self.eq.d
+        # run from the right: table column m holds x beta^(m - n - (d-1))
+        args = xs[:, None] * self.eq.beta ** (np.arange(n + d - 1.0) - n - (d - 1))
+        start = np.broadcast_to(self.v[:, None], (xs.size, d, 1))
+        _, logs, acc = _batched_cocycle(_factors(self.M, args, n), start)
+        return np.exp(logs)[:, None] * acc[:, :, 0]
 
     def depth(self, x):
         """Truncation depth making the product tail smaller than tol at x."""
@@ -204,13 +201,8 @@ class SolutionEvaluator:
 
     def G_batch(self, xs):
         """G at an array of points, shape (len(xs), d)."""
-        xs = np.asarray(xs, dtype=float)
-        n = max(self.depth(x) for x in np.atleast_1d(xs))
-        beta = self.eq.beta
-        w = np.broadcast_to(self.v, (xs.size, self.eq.d)).copy()
-        for k in range(n, 0, -1):
-            w = np.einsum("sij,sj->si", _companion_eval_batch(self.eq, xs / beta**k), w)
-        return w
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        return self._truncated(xs, max(self.depth(x) for x in xs))
 
     def G(self, x):
         x = float(x)
@@ -231,12 +223,9 @@ class SolutionEvaluator:
         beta = self.eq.beta
         rhs = sum(
             f.evaluate(x / beta**j) * self.F(x / beta**j)
-            for j, f in enumerate(self.fs_pairs(), start=1)
+            for j, f in enumerate(self.eq.fs, start=1)
         )
         return abs(self.F(x) - rhs)
-
-    def fs_pairs(self):
-        return self.eq.fs
 
 
 def solve(eq, tol=1e-10):
@@ -252,19 +241,17 @@ def solve(eq, tol=1e-10):
 def asymptotic_exponent(eq, x, n_max, solution=None):
     """h_n = (1/n) log |G(beta^n x)| for n = 1..n_max, plus the estimate.
 
-    Uses the identity G(beta^n x) = P_n(x) G(x): the cocycle product acts on
-    the solved G(x) with per-step renormalization (L1 vector norm), so no
-    huge argument is ever formed.  Returns (h sequence, h_{n_max}).
+    Uses the identity G(beta^n x) = P_n(x) G(x): the renormalized product
+    acts on the solved G(x), reading the L1 norm of G(beta^n x) each step,
+    so no huge argument is ever formed.  Returns (h sequence, h_{n_max}).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     sol = solution if solution is not None else solve(eq)
     g = sol.G(float(x) if not isinstance(x, Fraction) else x)
-    norm = float(np.abs(g).sum())
-    if norm <= 1e-14:
+    if np.abs(g).sum() <= 1e-14:
         raise ZeroVector("G(x) vanishes at x = %s; rate undefined" % (x,))
     d = eq.d
-    M = companion_matrix(eq)
     # argument table: column m holds beta^(m+1-d) x, so the companion entry
     # with scale d-j at step k reads beta^(k+1-j) x as required
     L = n_max + d - 1
@@ -272,18 +259,15 @@ def asymptotic_exponent(eq, x, n_max, solution=None):
         args = orbit_fractions(eq.base, x, L, shift=1 - d)[None, :]
     else:
         args = (float(x) * eq.beta ** (np.arange(L) + 1.0 - d))[None, :]
-    w = g / norm
-    logs = math.log(norm)
-    h = np.empty(n_max)
-    for k in range(n_max):
-        A = M.eval_args(args, k)[0]
-        w = A @ w
-        s = float(np.abs(w).sum())
-        if s == 0.0 or not math.isfinite(s):
-            raise ZeroVector("propagated G vanished at step %d" % (k + 1))
-        w /= s
-        logs += math.log(s)
-        h[k] = logs / (k + 1)
+    at, logs, _ = _batched_cocycle(
+        _factors(sol.M, args, n_max),
+        g[None, :, None],
+        range(1, n_max + 1),
+        norm=lambda w: np.abs(w).sum(axis=(1, 2)),
+    )
+    if logs[0] == -math.inf:
+        raise ZeroVector("propagated G vanished")
+    h = np.array([at[n][0] / n for n in range(1, n_max + 1)])
     return h, float(h[-1])
 
 
@@ -333,20 +317,31 @@ def _logsumexp(values):
     return m + math.log(float(np.sum(np.exp(values - m))))
 
 
-def _beta_quadrature(base, level, max_nodes=600000):
+MAX_QUADRATURE_NODES = 600000  # sets the deepest level for integer beta
+MAX_ADMISSIBLE_LEVEL = 12  # the deepest level otherwise
+
+
+def _beta_quadrature(base, level):
     """Gauss-Legendre nodes/weights aligned to the beta-intervals of a level.
 
     8 points per interval; weights sum to 1 (the intervals partition [0,1)).
+    Raises QuadratureLevelExceeded beyond the deepest level affordable.
     """
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
     beta = _beta_value(base)
-    if _is_integer_beta(base):
-        B = int(round(beta))
-        cap = int(math.log(max_nodes / 8) / math.log(B))
-        level = min(level, cap)
+    B = int(round(beta))
+    integer = _is_integer_beta(base)
+    cap = MAX_ADMISSIBLE_LEVEL
+    if integer:
+        cap = int(math.log(MAX_QUADRATURE_NODES / 8) / math.log(B))
+    if level > cap:
+        raise QuadratureLevelExceeded(
+            "quadrature level %d exceeds the deepest level %d for beta = %.6g"
+            % (level, cap, beta)
+        )
+    if integer:
         edges = np.arange(B**level + 1) / B**level
     else:
-        level = min(level, 12)
         strings = admissible_strings(base, level)
         ivals = [beta_interval(base, s) for s in strings]
         edges = np.array([iv.left for iv in ivals] + [1.0])
@@ -358,22 +353,23 @@ def _beta_quadrature(base, level, max_nodes=600000):
     return nodes, weights
 
 
-def moment_growth(M, q, n_max, max_nodes=600000):
+def moment_growth(M, q, n_max):
     """z_n = log of the n-th moment integral of the cocycle, n = 1..n_max.
 
     Z_n = int_0^1 ||P_n(x)||^q dx, computed with quadrature aligned to the
-    beta-intervals of the deepest level (the integrand oscillates exactly at
-    that scale) and log-domain accumulation.  Returns (z sequence, rate
-    dict) with the Fekete-style min of z_n/n and the last difference.
+    beta-intervals of level n_max (the integrand oscillates exactly at that
+    scale) and log-domain accumulation; an n_max beyond the deepest
+    quadrature level raises QuadratureLevelExceeded.  Returns (z sequence,
+    rate dict) with the Fekete-style min of z_n/n and the last difference.
     """
     if q < 0:
         raise ValueError("q must be >= 0")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    nodes, weights = _beta_quadrature(M.base, n_max, max_nodes)
+    nodes, weights = _beta_quadrature(M.base, n_max)
     powers = M.beta ** np.arange(n_max + M.max_scale + 1)
     args = nodes[:, None] * powers[None, :]
-    res = _batched_cocycle(M, 1, args, range(1, n_max + 1))
+    res = _log_norms(M, 1, args, range(1, n_max + 1))
     log_w = np.log(weights)
     zs = np.array([_logsumexp(q * res[n] + log_w) for n in range(1, n_max + 1)])
     rate = {
@@ -429,24 +425,31 @@ def moment_integral_F(eq, q, n_ladder, solution=None, nodes=64):
     u0 = 0.5 + 0.5 * gl_x
     w0 = 0.5 * gl_w
     total = float(np.sum(w0 * np.abs(sol.F(u0)) ** q))
-    # propagated blocks [beta^k, beta^(k+1)], u in [1, beta]
+    # propagated blocks [beta^k, beta^(k+1)], u in [1, beta]: the companion
+    # matrix at step k reads column k + scale, and column m holds
+    # beta^(m-(d-1)) u, so step k multiplies by M(beta^k u)
     mid, half = (1.0 + beta) / 2.0, (beta - 1.0) / 2.0
     u = mid + half * gl_x
     wu = half * gl_w
-    W = sol.G_batch(u)
+    G = sol.G_batch(u)
+    args = u[:, None] * beta ** (np.arange(n_max + eq.d - 2.0) - (eq.d - 1))
+    # log_F[k] = log |F(beta^k u)| for k = 0..n_max-1
+    log_F, _, _ = _batched_cocycle(
+        _factors(sol.M, args, n_max - 1),
+        G[:, :, None],
+        range(1, n_max),
+        norm=lambda w: np.abs(w[:, 0, 0]),
+    )
+    with np.errstate(divide="ignore"):  # log 0 = -inf where F vanishes
+        log_F[0] = np.log(np.abs(G[:, 0]))
     rows = []
-    values = []
     for k in range(n_max):
-        total += beta**k * float(np.sum(wu * np.abs(W[:, 0]) ** q))
+        F_q = np.exp(q * log_F[k]) if q else 1.0  # |F|^0 = 1, also where F = 0
+        total += beta**k * float(np.sum(wu * F_q))
         n = k + 1
         if n in n_ladder:
-            value = total / (n * math.log(beta))
-            rows.append((n, beta**n, value))
-            values.append(value)
-        if k + 1 < n_max:
-            W = np.einsum(
-                "sij,sj->si", _companion_eval_batch(eq, beta**k * u), W
-            )
+            rows.append((n, beta**n, total / (n * math.log(beta))))
+    values = [value for _, _, value in rows]
     diagnostics = {"stabilized": False, "last_rel_change": math.inf}
     if len(values) >= 2 and values[-1] != 0:
         rel = abs(values[-1] - values[-2]) / abs(values[-1])

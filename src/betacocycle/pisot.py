@@ -91,7 +91,7 @@ class BetaDigits:
         return _digits_value(self.base, self.digits)
 
     def value(self):
-        return _to_float(self.base, self.value_exact())
+        return float(self.value_exact())
 
 
 @dataclass(frozen=True)
@@ -207,10 +207,6 @@ class FieldElement:
 
     def __float__(self):
         return float(self.evaluate_mp())
-
-
-def _to_float(base, elem):
-    return float(elem)
 
 
 @lru_cache(maxsize=None)

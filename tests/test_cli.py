@@ -254,6 +254,13 @@ def test_main_exit_2_on_computation_error(tmp_path, capsys):
     assert "computation error" in capsys.readouterr().err
 
 
+def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"matrix": SCALAR_MATRIX, "params": {"n_max": 17}}))
+    assert cli.main(["moments", "--config", str(cfg)]) == 2
+    assert "quadrature level 17" in capsys.readouterr().err
+
+
 def test_main_exit_3_on_certificate_violation(tmp_path, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise CertificateViolated("measured discrepancy exceeds script C")

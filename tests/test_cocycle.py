@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from betacocycle.apcore import constant, cosine, harmonic
 from betacocycle.cocycle import (
     EstimationSpec,
+    _batched_cocycle,
+    _opnorm,
     beta_adapted_matrix,
     constant_matrix,
     distortion_bound,
@@ -27,7 +29,7 @@ from betacocycle.cocycle import (
     scalar_matrix,
     subadditive_sequence,
 )
-from betacocycle.errors import NoCertificate
+from betacocycle.errors import NoCertificate, SingularFactor
 from betacocycle.pisot import make_pisot
 
 TWO_PI = 2 * math.pi
@@ -112,6 +114,81 @@ def test_renormalization_matches_naive_product():
     rebuilt = math.exp(out.log_norm) * out.unit_matrix
     rel = np.max(np.abs(rebuilt - naive)) / np.max(np.abs(naive))
     assert rel < n * 1e-12
+
+
+# --- the product engine ----------------------------------------------------
+
+
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_opnorm_matches_svd(m):
+    rng = np.random.default_rng(40 + m)
+    A = _complex_normal(rng, (600, m, m))
+    if m == 2:
+        # rank-one members u v^H, and unitary ones (equal singular values)
+        u, v = _complex_normal(rng, (2, 100, 2, 1))
+        A[:100] = u @ v.conj().transpose(0, 2, 1)
+        A[100:200] = np.linalg.qr(A[100:200])[0]
+    want = np.linalg.svd(A, compute_uv=False)[:, 0]
+    assert np.max(np.abs(_opnorm(A) - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("columns", [3, 1])
+def test_batched_cocycle_matches_naive_product(columns):
+    # columns = 3: a matrix start; columns = 1: a column-vector start
+    rng = np.random.default_rng(12)
+    A = _complex_normal(rng, (3, 3))
+    start = _complex_normal(rng, (1, 3, columns))
+    n = 30
+    at, logs, acc = _batched_cocycle(
+        itertools.repeat(A[None], n), start, range(1, n + 1)
+    )
+    naive = start[0]
+    for k in range(1, n + 1):
+        naive = A @ naive  # never renormalized
+        opnorm = np.linalg.svd(naive, compute_uv=False)[0]
+        assert abs(math.exp(at[k][0]) / opnorm - 1.0) < n * 1e-12
+    rebuilt = math.exp(logs[0]) * acc[0]
+    assert np.max(np.abs(rebuilt - naive)) / np.max(np.abs(naive)) < n * 1e-12
+
+
+def test_batched_cocycle_keeps_vanishing_rows():
+    # row 1 meets a zero factor at step 2; row 0 runs on unaffected
+    B = np.array([[[3.0]], [[5.0]]], dtype=complex)
+    A = np.array([[[2.0]], [[0.0]]], dtype=complex)
+    start = np.ones((2, 1, 1), dtype=complex)
+    at, logs, acc = _batched_cocycle([B, A, B], start, [1, 3])
+    assert np.allclose(at[1], np.log([3.0, 5.0]))
+    assert at[3][0] == pytest.approx(math.log(18.0)) and at[3][1] == -math.inf
+    assert logs[1] == -math.inf and acc[1, 0, 0] == 0.0
+
+
+def test_product_raises_when_it_vanishes():
+    # cos^2(pi y) is exactly 0 at y = 1/2
+    M = scalar_matrix(constant(0.5) + cosine(TWO_PI, 0.5), BASE2)
+    with pytest.raises(SingularFactor):
+        product(M, Fraction(1, 2), 3)
+
+
+def test_matrix_evaluation_paths_agree_with_entrywise_values():
+    M = beta_adapted_matrix(
+        [[(cosine(TWO_PI), 1), 0.5], [constant(1.0), (harmonic(2, 0.3), 0)]],
+        GOLDEN,
+    )
+    xs = np.array([0.1, 0.37, 1.9])
+    beta = GOLDEN.beta
+    want = np.empty((3, 2, 2), dtype=complex)
+    want[:, 0, 0] = cosine(TWO_PI).evaluate(beta * xs)
+    want[:, 0, 1] = 0.5
+    want[:, 1, 0] = 1.0
+    want[:, 1, 1] = harmonic(2, 0.3).evaluate(xs)
+    args = xs[:, None] * beta ** np.arange(2)[None, :]
+    assert np.array_equal(M.evaluate_batch(xs), want)
+    assert np.array_equal(M.eval_args(args, 0), want)
+    assert np.array_equal(M.evaluate(xs[1]), want[1])
 
 
 # --- exterior powers -------------------------------------------------------

@@ -14,6 +14,7 @@ from betacocycle.cocycle import EstimationSpec, lyapunov_top, scalar_matrix
 from betacocycle.errors import (
     NotPrimitive,
     NotSimpleEigenvalue,
+    QuadratureLevelExceeded,
     ZeroVector,
 )
 from betacocycle.multiperiodic import (
@@ -209,6 +210,16 @@ def test_asymptotic_exponent_validates_n():
         asymptotic_exponent(viete_equation(), 1.0, 0)
 
 
+def test_solution_is_zero_where_a_factor_vanishes():
+    # cos^2(pi y) is exactly 0 at y = 1/2, so F(1) = F(2) = 0
+    eq = multiperiodic_equation([constant(0.5) + cosine(TWO_PI, 0.5)], BASE2)
+    sol = solve(eq)
+    assert sol.F(1.0) == 0.0
+    F = sol.F(np.array([0.5, 1.0, 2.0]))
+    assert F[0] != 0.0 and F[1] == 0.0 and F[2] == 0.0
+    assert sol.residual(2.0) < 1e-12
+
+
 # --- gates ------------------------------------------------------------------
 
 
@@ -301,6 +312,17 @@ def test_moment_growth_validates_inputs():
         moment_growth(M, -1, 8)
     with pytest.raises(ValueError):
         moment_growth(M, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "base, n_max", [(BASE2, 17), (GOLDEN, 13)], ids=["base2", "golden"]
+)
+def test_moment_growth_refuses_levels_beyond_the_quadrature(base, n_max):
+    # base 2 affords 600k nodes (level 16), the golden base level 12; every
+    # z_n past that level would be wrong, so the request is refused
+    M = scalar_matrix(constant(2.0) + cosine(TWO_PI), base)
+    with pytest.raises(QuadratureLevelExceeded, match="level %d" % n_max):
+        moment_growth(M, 1, n_max)
 
 
 # --- moment integrals of the solution ---------------------------------------
