@@ -212,9 +212,8 @@ def epsilon_period_check(f, tau, grid=None):
 def weyl_equidistribution_defect(p, x, modulus, N, max_harmonic=20):
     """Max Weyl-sum modulus over harmonics h = 1..20 for (beta^n x mod modulus).
 
-    Small values certify approximate equidistribution of the orbit.  The
-    orbit is computed exactly for integer beta (rational arithmetic) and in
-    high-precision floating point otherwise; the latter caps N at 5000.
+    Small values certify approximate equidistribution of the orbit, which
+    comes from orbit_fractions; N is capped at 5000 for non-integer beta.
     """
     if modulus <= 0:
         raise ValueError("modulus must be positive")

@@ -320,6 +320,7 @@ def _run_lyapunov(cfg, report):
         "richardson": diag.get("richardson"),
         "dispersion": diag["dispersion"],
         "q": q,
+        "orbit": diag["orbit"],
     }
     report.series["per_n"] = [
         {"n": n, "mean": diag["per_n"][n], "std": diag["per_n_std"][n]}
@@ -435,21 +436,21 @@ def _run_bernoulli(cfg, report):
     p = float(cfg.params.get("p", 0.5))
     a = int(cfg.params.get("a", 1))
     b = int(cfg.params.get("b", 1))
+    n_max = int(cfg.params.get("n_max", 200))
+    n_points = int(cfg.params.get("n_points", 50))
+    if n_points < 1:
+        raise ConfigInvalid("bernoulli: n_points must be >= 1")
     eq = mpq.bernoulli_convolution(p, a, b, base)
     report.summary = {"p": p, "a": a, "b": b, "recorded_D": eq.recorded_D}
     M = mpq.companion_matrix(eq)
     cert = _try_certificate(M, 1, report)
     sol = mpq.solve(eq)
-    n_max = int(cfg.params.get("n_max", 200))
-    n_points = int(cfg.params.get("n_points", 50))
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
-    for i in range(n_points):
-        x = 1.0 + rng.random()
-        _, estimate = mpq.asymptotic_exponent(eq, x, n_max, solution=sol)
-        rows.append({"i": i, "x": x, "lambda_estimate": estimate})
-    report.series["lambda_samples"] = rows
-    estimates = [r["lambda_estimate"] for r in rows]
+    xs = 1.0 + np.random.default_rng(cfg.seed).random(n_points)
+    _, estimates = mpq.asymptotic_exponent(eq, xs, n_max, solution=sol)
+    report.series["lambda_samples"] = [
+        {"i": i, "x": float(x), "lambda_estimate": float(e)}
+        for i, (x, e) in enumerate(zip(xs, estimates))
+    ]
     est = _parse_estimation(cfg)
     lyap, diag = lyapunov_top(M, 1, est)
     report.summary.update(

@@ -7,10 +7,13 @@ ordered products
     P_n(x) = M(beta^{n-1} x) ... M(beta x) M(x).
 
 Products are stored as (accumulated log norm, unit-norm matrix) so that
-nothing overflows.  Arguments beta^k x are reduced modulo 1 *exactly*
-(integer beta) or in high-precision floating point (general beta) before
-any 1-periodic entry is evaluated; plain float powers of beta would lose
-the orbit after ~50 steps.
+nothing overflows.  Arguments beta^k x are reduced modulo 1 before any
+1-periodic entry is evaluated, by orbit_fractions: for a Pisot or integer
+beta and rational x = a/D, the integer trace recurrence Tr(beta^k) mod D
+gives the orbit exactly up to a float term that decays like rho^k, batched
+over sample points; only a plain float beta, which has no minimal
+polynomial, walks it in mpmath.  Plain float powers of beta would lose the
+orbit after ~50 steps.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import (
     SingularFactor,
     UnboundedD,
 )
-from .pisot import PisotNumber, translation_lattice
+from .pisot import PisotNumber, _lattice_points, trace_power, translation_lattice
 
 
 def _beta_value(base):
@@ -47,37 +50,111 @@ def _is_integer_beta(base):
     return abs(b - round(b)) < 1e-12
 
 
+def _pisot_of(base):
+    """The base as a PisotNumber, an integer beta as the degree-1 case
+    (minimal polynomial x - B, no conjugates); None for a plain float beta."""
+    if isinstance(base, PisotNumber):
+        return base
+    if _is_integer_beta(base):
+        B = int(round(_beta_value(base)))
+        return PisotNumber(
+            minpoly=(1, -B), beta=float(B), conjugates=(), rho=0.0, degree=1
+        )
+    return None
+
+
+def _mpmath_dps(base, length, shift):
+    return int((length + abs(shift)) * math.log10(_beta_value(base))) + 30
+
+
+def _orbit_info(base, denominators, length):
+    """How orbit_fractions computes an orbit: {"mode": "trace",
+    "denominator_bits": ...} for a Pisot or integer beta, {"mode":
+    "mpmath", "dps": ...} for a plain float beta."""
+    if _pisot_of(base) is None:
+        return {"mode": "mpmath", "dps": _mpmath_dps(base, length, 0)}
+    return {"mode": "trace", "denominator_bits": max(denominators).bit_length()}
+
+
 def orbit_fractions(base, x, length, shift=0):
     """Fractional parts of beta^(k+shift) x for k = 0..length-1.
 
-    Exact modular arithmetic when beta is an integer (x is converted to a
-    Fraction), high-precision floating point otherwise, with the working
-    precision scaled to beta^length.  A negative shift starts the orbit a
-    few division steps before x, which companion-matrix cocycles need.
+    x is one point (Fraction, float or int, taken as the exact rational it
+    is) or a 1-D batch of them; a batch returns an (N, length) table.  For
+    a Pisot beta with conjugates sigma and x = a/D the orbit is exact up to
+    a decaying float term: Tr(beta^k) = beta^k + sum sigma^k is an integer,
+    so
+
+        frac(beta^k x) = frac((a Tr(beta^k) mod D) / D - x sum sigma^k),
+
+    and the residues u_k = a Tr(beta^k) mod D obey the minimal polynomial's
+    recurrence u_k = a_1 u_{k-1} + ... + a_r u_{k-r} mod D.  An integer
+    beta is the degree-1 case, u_k = B u_{k-1} mod D.  The recurrence runs
+    in int64 when D * sum|a_i| < 2^63 and on exact Python ints otherwise.
+    A negative shift starts the orbit a few division steps before x, which
+    companion-matrix cocycles need; those columns x beta^j (j < 0) never
+    grow and are taken in plain float.  Only a plain float beta, which has
+    no minimal polynomial, walks the orbit in mpmath, at a working precision
+    scaled to beta^length.
     """
-    beta = _beta_value(base)
+    batch = np.ndim(x) == 1
+    points = [Fraction(v) for v in (x if batch else [x])]
+    p = _pisot_of(base)
+    if p is None:
+        out = np.stack([_mpmath_orbit(base, v, length, shift) for v in points])
+    else:
+        out = _trace_orbit(p, points, length, shift)
+    return out if batch else out[0]
+
+
+def _trace_orbit(p, points, length, shift):
+    """(N, length) table of frac(beta^(k+shift) x) by the trace recurrence."""
+    out = np.empty((len(points), length), order="F")  # columns are filled
+    xs = np.array([float(v) for v in points])
+    head = min(max(-shift, 0), length)  # columns with a negative exponent
+    for j in range(head):
+        y = xs * p.beta ** (shift + j)
+        out[:, j] = y - np.floor(y)
+    if head == length:
+        return out
+    a = [-c for c in p.minpoly[1:]]  # u_k = a_1 u_{k-1} + ... + a_r u_{k-r}
+    r = p.degree
+    dens = [v.denominator for v in points]
+    exact = max(dens) * sum(abs(c) for c in a) >= 2**63
+    dtype = object if exact else np.int64
+    D = np.array(dens, dtype=dtype)
+    traces = [trace_power(p, k) for k in range(r)]  # Tr(beta^0 .. beta^(r-1))
+    window = [  # u_0 .. u_{r-1} = a Tr(beta^k) mod D
+        np.array([v.numerator * t % v.denominator for v in points], dtype=dtype)
+        for t in traces
+    ]
+    first = max(shift, 0)  # exponent of column head
+    ks = np.arange(first, first + length - head)
+    conj = np.array(p.conjugates, dtype=complex)
+    drift = (conj[:, None] ** ks[None, :]).real.sum(axis=0)  # sum sigma^k
+    for k in range(first + length - head):
+        u = window[0]
+        if k >= first:
+            col = u / D
+            if exact:
+                col = col.astype(float)
+            if r > 1:
+                col -= xs * drift[k - first]
+            np.subtract(col, np.floor(col), out=out[:, head + k - first])
+        nxt = a[0] * window[-1]
+        for i in range(1, r):
+            nxt = nxt + a[i] * window[r - 1 - i]
+        window = window[1:] + [nxt % D]
+    return out
+
+
+def _mpmath_orbit(base, x, length, shift):
+    """frac(beta^(k+shift) x) in mpmath for a plain float beta."""
     out = np.empty(length)
-    if length == 0:
-        return out
-    if _is_integer_beta(base):
-        B = int(round(beta))
-        q = Fraction(x) * Fraction(B) ** shift
-        num, den = q.numerator % q.denominator, q.denominator
-        for k in range(length):
-            out[k] = num / den
-            num = (B * num) % den
-        return out
-    dps = int((length + abs(shift)) * math.log10(beta)) + 30
+    dps = _mpmath_dps(base, length, shift)
     with mp.workdps(dps):
-        if isinstance(base, PisotNumber):
-            b = base.beta_mp(dps)
-        else:
-            b = mp.mpf(beta)
-        if isinstance(x, Fraction):
-            z = mp.mpf(x.numerator) / mp.mpf(x.denominator)
-        else:
-            z = mp.mpf(x)
-        z *= b**shift
+        b = mp.mpf(_beta_value(base))
+        z = mp.mpf(x.numerator) / mp.mpf(x.denominator) * b**shift
         for k in range(length):
             out[k] = float(z - mp.floor(z))
             z *= b
@@ -410,53 +487,33 @@ class EstimationSpec:
     cluster_tol: object = None
 
 
-def _rand_big_fraction(rng, bits, lo, hi):
-    chunks = rng.integers(0, 1 << 30, size=(bits // 30 + 1))
-    big = 0
-    for c in chunks:
-        big = (big << 30) | int(c)
-    big &= (1 << bits) - 1
-    span = Fraction(hi) - Fraction(lo)
-    return Fraction(lo) + span * Fraction(big, 1 << bits)
-
-
 def _sample_argument_tables(M, cfg, n_max):
-    """Argument tables (N, n_max + max_scale + 1) for random sample points."""
+    """Argument tables (N, n_max + max_scale + 1) for random sample points,
+    and how their orbits were computed (_orbit_info; "float" for raw powers,
+    "none" for a constant matrix)."""
     L = n_max + M.max_scale + 1
     if M.is_constant:
-        return np.zeros((1, L))
+        return np.zeros((1, L)), {"mode": "none"}
     rng = np.random.default_rng(cfg.seed)
     N = cfg.n_samples
     lo, hi = cfg.window
-    beta = M.beta
     if not M.entries_one_periodic:
         xs = rng.uniform(lo, hi, size=N)
-        return xs[:, None] * (beta ** np.arange(L))[None, :]
-    if _is_integer_beta(M.base):
-        B = int(round(beta))
-        # odd denominators coprime to B keep the doubling orbit alive
-        dens = np.empty(N, dtype=np.int64)
-        filled = 0
-        while filled < N:
-            cand = rng.integers(1 << 39, 1 << 40, size=N - filled) | 1
-            cand = cand[np.gcd(cand, B) == 1]
-            dens[filled : filled + cand.size] = cand
-            filled += cand.size
-        nums = np.array(
-            [int(rng.integers(int(lo * d), int(hi * d))) for d in dens],
-            dtype=np.int64,
-        )
-        args = np.empty((N, L))
-        for k in range(L):
-            args[:, k] = nums / dens
-            nums = (B * nums) % dens
-        return args
-    bits = int(L * math.log2(beta)) + 64
-    args = np.empty((N, L))
-    for s in range(N):
-        x = _rand_big_fraction(rng, bits, lo, hi)
-        args[s] = orbit_fractions(M.base, x, L)
-    return args
+        return xs[:, None] * (M.beta ** np.arange(L))[None, :], {"mode": "float"}
+    # x = a/D with D odd and coprime to the minimal polynomial's constant
+    # term, so the orbit of x never dies
+    p = _pisot_of(M.base)
+    c = p.minpoly[-1] if p is not None else 1
+    dens = np.empty(N, dtype=np.int64)
+    filled = 0
+    while filled < N:
+        cand = rng.integers(1 << 39, 1 << 40, size=N - filled) | 1
+        cand = cand[np.gcd(cand, c) == 1]
+        dens[filled : filled + cand.size] = cand
+        filled += cand.size
+    dens = dens.tolist()
+    xs = [Fraction(int(rng.integers(int(lo * d), int(hi * d))), d) for d in dens]
+    return orbit_fractions(M.base, xs, L), _orbit_info(M.base, dens, L)
 
 
 def lyapunov_top(M, q, cfg=None):
@@ -471,7 +528,7 @@ def lyapunov_top(M, q, cfg=None):
     cfg = cfg or EstimationSpec()
     ladder = sorted(set(cfg.n_ladder))
     n_max = ladder[-1]
-    args = _sample_argument_tables(M, cfg, n_max)
+    args, orbit = _sample_argument_tables(M, cfg, n_max)
     res = _log_norms(M, q, args, ladder)
     per_n = {n: float(np.mean(res[n] / n)) for n in ladder}
     per_n_std = {n: float(np.std(res[n] / n)) for n in ladder}
@@ -483,6 +540,7 @@ def lyapunov_top(M, q, cfg=None):
         "seed": cfg.seed,
         "window": tuple(cfg.window),
         "n_samples": int(args.shape[0]),
+        "orbit": orbit,
     }
     if len(ladder) >= 2 and ladder[-1] == 2 * ladder[-2]:
         diagnostics["richardson"] = 2 * per_n[ladder[-1]] - per_n[ladder[-2]]
@@ -511,7 +569,7 @@ def lyapunov_spectrum(M, cfg=None):
     ladder = sorted(set(cfg.n_ladder))
     n_max = ladder[-1]
     tol = cfg.cluster_tol if cfg.cluster_tol is not None else 5.0 / n_max
-    args = _sample_argument_tables(M, cfg, n_max)
+    args, _ = _sample_argument_tables(M, cfg, n_max)
     sums = [0.0]
     for q in range(1, M.dim + 1):
         res = _log_norms(M, q, args, ladder)
@@ -775,25 +833,34 @@ def joint_period_verify(M, q, cert, m, n_list, grid=256, max_tau=64):
     """Empirical check of a joint-period certificate.
 
     Returns the maximum of |f_n^{(q)}(x+tau) - f_n^{(q)}(x)| over lattice
-    translations of level m, the requested n values, and a grid of x;
+    translations of level m, the requested n values, and the grid x = j/grid;
     raises CertificateViolated when it exceeds script_C by more than 10%.
+    Both orbits are exact: the grid orbit comes from orbit_fractions, and
+    tau in Z[beta] moves it by frac(-Re sum_sigma sigma(tau) sigma^k), since
+    beta^k tau + sum_sigma sigma(tau) sigma^k is an integer trace.
     """
+    if not (isinstance(M.base, PisotNumber) and M.entries_one_periodic):
+        raise NoCertificate(
+            "verification requires a PisotNumber base and 1-periodic entries"
+        )
     n_list = sorted(set(int(n) for n in n_list))
-    n_max = n_list[-1]
-    taus = translation_lattice(M.base, m)
+    L = n_list[-1] + M.max_scale + 1
+    taus = _lattice_points(M.base, m)
     if len(taus) > max_tau:
         idx = np.linspace(0, len(taus) - 1, max_tau).astype(int)
         taus = [taus[i] for i in idx]
-    xs = np.linspace(0.0, 1.0, grid, endpoint=False)
-    beta = M.beta
-    powers = beta ** np.arange(n_max + M.max_scale + 1)
-    base_args = xs[:, None] * powers[None, :]
+    base_args = orbit_fractions(M.base, [Fraction(j, grid) for j in range(grid)], L)
     base_res = _log_norms(M, q, base_args, n_list)
+    conj = np.array(M.base.conjugates, dtype=complex)
+    sigma_pows = conj[:, None] ** np.arange(max(L, M.base.degree))  # (r - 1, L)
+    shifted = np.empty_like(base_args)
     worst = 0.0
-    for tau in taus:
+    for tau, coords in taus:
         if tau == 0.0:
             continue
-        shifted = (xs + tau)[:, None] * powers[None, :]
+        sigma_tau = sigma_pows[:, : M.base.degree] @ np.array(coords, dtype=float)
+        np.subtract(base_args, (sigma_tau @ sigma_pows[:, :L]).real, out=shifted)
+        shifted -= np.floor(shifted)
         res = _log_norms(M, q, shifted, n_list)
         for n in n_list:
             worst = max(worst, float(np.max(np.abs(res[n] - base_res[n]))))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -243,32 +242,42 @@ def asymptotic_exponent(eq, x, n_max, solution=None):
 
     Uses the identity G(beta^n x) = P_n(x) G(x): the renormalized product
     acts on the solved G(x), reading the L1 norm of G(beta^n x) each step,
-    so no huge argument is ever formed.  Returns (h sequence, h_{n_max}).
+    so no huge argument is ever formed.  Returns (h sequence, h_{n_max});
+    x may also be a 1-D array of points, which run as one batch and return
+    (h table (N, n_max), estimates (N,)).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     sol = solution if solution is not None else solve(eq)
-    g = sol.G(float(x) if not isinstance(x, Fraction) else x)
-    if np.abs(g).sum() <= 1e-14:
-        raise ZeroVector("G(x) vanishes at x = %s; rate undefined" % (x,))
+    batch = np.ndim(x) == 1
+    xs = list(x) if batch else [x]
+    xf = np.array([float(v) for v in xs])
+    g = sol.G_batch(xf)
+    vanished = np.abs(g).sum(axis=1) <= 1e-14
+    if vanished.any():
+        raise ZeroVector(
+            "G(x) vanishes at x = %s; rate undefined" % (xs[int(np.argmax(vanished))],)
+        )
     d = eq.d
     # argument table: column m holds beta^(m+1-d) x, so the companion entry
     # with scale d-j at step k reads beta^(k+1-j) x as required
     L = n_max + d - 1
     if eq.coefficients_one_periodic:
-        args = orbit_fractions(eq.base, x, L, shift=1 - d)[None, :]
+        args = orbit_fractions(eq.base, xs, L, shift=1 - d)
     else:
-        args = (float(x) * eq.beta ** (np.arange(L) + 1.0 - d))[None, :]
+        args = xf[:, None] * eq.beta ** (np.arange(L) + 1.0 - d)
     at, logs, _ = _batched_cocycle(
         _factors(sol.M, args, n_max),
-        g[None, :, None],
+        g[:, :, None],
         range(1, n_max + 1),
         norm=lambda w: np.abs(w).sum(axis=(1, 2)),
     )
-    if logs[0] == -math.inf:
+    if np.isneginf(logs).any():
         raise ZeroVector("propagated G vanished")
-    h = np.array([at[n][0] / n for n in range(1, n_max + 1)])
-    return h, float(h[-1])
+    h = np.stack([at[n] / n for n in range(1, n_max + 1)], axis=1)
+    if batch:
+        return h, h[:, -1].copy()
+    return h[0], float(h[0, -1])
 
 
 def theoremB_gate(eq, grid=4096):

@@ -474,6 +474,12 @@ def translation_lattice(p, m, cap=10**6, rng=None):
     samples cap of them uniformly.  Returns sorted distinct floats; gaps
     between consecutive values never exceed beta.
     """
+    return [value for value, _ in _lattice_points(p, m, cap, rng)]
+
+
+def _lattice_points(p, m, cap=10**6, rng=None):
+    """translation_lattice as sorted (float value, integer power-basis
+    coordinates) pairs."""
     if m < 0:
         raise ValueError("m must be >= 0")
     top = p.digit_max
@@ -492,7 +498,7 @@ def translation_lattice(p, m, cap=10**6, rng=None):
         powers = [float(b**i) for i in range(p.degree)]
     uniq = {tuple(int(c) for c in row) for row in coords}
     return sorted(
-        float(sum(c * powers[i] for i, c in enumerate(row))) for row in uniq
+        (float(sum(c * powers[i] for i, c in enumerate(row))), row) for row in uniq
     )
 
 

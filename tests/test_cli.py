@@ -108,6 +108,22 @@ def test_run_lyapunov_identity_uncertified_base():
     assert report.certificates == []
 
 
+def test_run_lyapunov_reports_orbit_mode():
+    report = cli.run(
+        {
+            "command": "lyapunov",
+            "matrix": dict(SCALAR_MATRIX, base=GOLDEN_SPEC),
+            "estimation": {"n_ladder": [8, 16], "n_samples": 8},
+        }
+    )
+    assert report.summary["orbit"] == {"mode": "trace", "denominator_bits": 40}
+
+
+def test_run_bernoulli_rejects_no_points():
+    with pytest.raises(ConfigInvalid):
+        cli.run({"command": "bernoulli", "base": GOLDEN_SPEC, "params": {"n_points": 0}})
+
+
 def test_run_certify_attaches_certificate():
     report = cli.run(
         {

@@ -5,16 +5,19 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betacocycle import cocycle
 from betacocycle.apcore import constant, cosine, harmonic
 from betacocycle.cocycle import (
     EstimationSpec,
     _batched_cocycle,
     _opnorm,
+    _sample_argument_tables,
     beta_adapted_matrix,
     constant_matrix,
     distortion_bound,
@@ -63,11 +66,93 @@ def test_orbit_fractions_survive_long_doubling():
     assert fr[199] == pytest.approx(2 / 3, abs=1e-12)
 
 
+def mpmath_orbit(p, x, length, shift=0, tau=()):
+    """Independent reference: frac(beta^(k+shift) (x + tau)) walked in
+    mpmath; tau holds power-basis coordinates, tau_0 + tau_1 beta + ..."""
+    x = Fraction(x)
+    dps = int((length + abs(shift)) * math.log10(p.beta)) + 40
+    with mp.workdps(dps):
+        b = p.beta_mp(dps)
+        z = mp.mpf(x.numerator) / x.denominator
+        z = (z + sum(c * b**i for i, c in enumerate(tau))) * b**shift
+        out = []
+        for _ in range(length):
+            out.append(float(z - mp.floor(z)))
+            z *= b
+    return np.array(out)
+
+
+def circle_distance(a, b):
+    """Largest distance between two arrays of fractional parts, mod 1."""
+    return float(np.max(np.abs((np.asarray(a) - b + 0.5) % 1.0 - 0.5)))
+
+
 def test_orbit_fractions_golden_precision():
-    fr = orbit_fractions(GOLDEN, Fraction(7, 5), 120)
-    # cross-check the tail against a longer-precision recomputation
-    fr2 = orbit_fractions(GOLDEN, Fraction(7, 5), 160)
-    assert np.max(np.abs(fr - fr2[:120])) < 1e-10
+    fr = orbit_fractions(GOLDEN, Fraction(7, 5), 160)
+    assert circle_distance(fr, mpmath_orbit(GOLDEN, Fraction(7, 5), 160)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "minpoly", [[1, -1, -1], [1, -1, 0, -1], [1, -2, -1], [1, -1, -1, -1]]
+)
+@pytest.mark.parametrize("shift", [0, -1, -2])
+def test_orbit_fractions_trace_matches_mpmath(minpoly, shift):
+    # golden, x^3 - x^2 - 1, 1 + sqrt 2 and tribonacci at L = 2000
+    p = make_pisot(minpoly)
+    xs = [Fraction(987654321, 3**21), Fraction(1234567890123, 1 << 40 | 1)]
+    table = orbit_fractions(p, xs, 2000, shift=shift)
+    assert table.shape == (2, 2000)
+    for row, x in zip(table, xs):
+        assert circle_distance(row, mpmath_orbit(p, x, 2000, shift)) <= 1e-12
+
+
+@pytest.mark.parametrize("D", [3 * 2**61 + 1, 2**70 + 1])
+def test_orbit_fractions_exact_path_beyond_int64(D):
+    # D * sum|a_i| = 2 D >= 2^63: in int64, u_{k-1} + u_{k-2} would wrap
+    x = Fraction(D + 987654321987654322, D)
+    assert x.denominator == D
+    fr = orbit_fractions(GOLDEN, x, 400)
+    assert circle_distance(fr, mpmath_orbit(GOLDEN, x, 400)) <= 1e-12
+
+
+def test_orbit_fractions_batch_equals_scalar_rows():
+    xs = [Fraction(7, 5), 1.25, 3, Fraction(2**70 + 1, 2**69 + 7)]
+    for base in (GOLDEN, BASE2, 3, 2.5):
+        table = orbit_fractions(base, xs, 120, shift=-1)
+        rows = [orbit_fractions(base, x, 120, shift=-1) for x in xs]
+        assert np.array_equal(table, np.array(rows))
+
+
+def test_orbit_fractions_plain_float_beta_uses_mpmath():
+    fr = orbit_fractions(2.5, Fraction(1, 3), 60)
+    with mp.workdps(80):
+        expected = [float(mp.frac(mp.mpf(1) / 3 * mp.mpf(2.5) ** k)) for k in range(60)]
+    assert circle_distance(fr, expected) < 1e-15
+
+
+def test_integer_base_sample_table_unchanged():
+    """The base-2 sample table against the modular loop it replaced."""
+    cfg = EstimationSpec(n_ladder=(256,), n_samples=300, seed=11)
+    L = 256 + SCALAR.max_scale + 1
+    args, orbit = _sample_argument_tables(SCALAR, cfg, 256)
+    rng = np.random.default_rng(cfg.seed)
+    dens = np.empty(cfg.n_samples, dtype=np.int64)
+    filled = 0
+    while filled < cfg.n_samples:
+        cand = rng.integers(1 << 39, 1 << 40, size=cfg.n_samples - filled) | 1
+        cand = cand[np.gcd(cand, 2) == 1]
+        dens[filled : filled + cand.size] = cand
+        filled += cand.size
+    nums = np.array([int(rng.integers(int(1.0 * d), int(2.0 * d))) for d in dens])
+    old = np.empty((cfg.n_samples, L))
+    for k in range(L):
+        old[:, k] = nums / dens
+        nums = (2 * nums) % dens
+    # the loop left column 0 unreduced (x in [1, 2)); every later column is
+    # reproduced bit for bit
+    assert np.array_equal(args[:, 1:], old[:, 1:])
+    assert np.max(np.abs(args[:, 0] - (old[:, 0] - 1.0))) <= 2.0**-52
+    assert orbit == {"mode": "trace", "denominator_bits": 40}
 
 
 def test_orbit_fractions_negative_shift():
@@ -281,6 +366,24 @@ def test_lyapunov_top_scalar_oracle_quick():
     assert est == pytest.approx(math.log((2 + math.sqrt(3)) / 2), abs=2e-2)
 
 
+def test_lyapunov_reports_orbit_mode():
+    cfg = EstimationSpec(n_ladder=(4, 8), n_samples=4)
+    f = constant(2.0) + harmonic(1, 0.5)
+    modes = [
+        (scalar_matrix(f, GOLDEN), {"mode": "trace", "denominator_bits": 40}),
+        (scalar_matrix(f, 3), {"mode": "trace", "denominator_bits": 40}),
+        (scalar_matrix(f, 2.5), {"mode": "mpmath", "dps": 33}),  # 9 log10(2.5) + 30
+        (
+            beta_adapted_matrix([[cosine(1.0)]], GOLDEN, allow_nonperiodic=True),
+            {"mode": "float"},
+        ),
+        (constant_matrix(np.eye(2), GOLDEN), {"mode": "none"}),
+    ]
+    for M, orbit in modes:
+        _, diag = lyapunov_top(M, 1, cfg)
+        assert diag["orbit"] == orbit
+
+
 def test_kingman_estimate_is_ladder_minimum():
     cfg = EstimationSpec(n_ladder=(4, 8, 16), n_samples=100, seed=1)
     est, diag = lyapunov_top(SCALAR, 1, cfg)
@@ -464,6 +567,34 @@ def test_verify_certified_bernoulli():
     cert = joint_period_certificate(M, q=1)
     worst = joint_period_verify(M, 1, cert, m=8, n_list=range(1, 41), grid=256)
     assert worst <= cert.script_C
+
+
+def test_verify_long_golden_orbits_stay_certified():
+    # float tables x beta^k left the golden orbit near k = 58; exact orbits
+    # keep the comparison meaningful at n = 80
+    M = bernoulli_companion(0.2)
+    cert = joint_period_certificate(M, q=1)
+    worst = joint_period_verify(M, 1, cert, m=8, n_list=range(1, 81), grid=256)
+    assert 0.0 < worst <= cert.script_C
+
+
+def test_verify_shifted_orbit_is_the_exact_orbit(monkeypatch):
+    tables = []
+
+    def record(M, q, args, checkpoints):
+        tables.append(args.copy())
+        return {n: np.zeros(args.shape[0]) for n in checkpoints}
+
+    monkeypatch.setattr(cocycle, "_log_norms", record)
+    M = scalar_matrix(constant(2.0) + harmonic(1, 0.5), GOLDEN)
+    cert = joint_period_certificate(M, q=1)
+    joint_period_verify(M, 1, cert, m=1, n_list=[100], grid=8)
+    # level-1 lattice, sorted: tau = 0 (skipped), 1, beta, 1 + beta
+    assert len(tables) == 4
+    for table, tau in zip(tables, [(), (1,), (0, 1), (1, 1)]):
+        for j in range(8):
+            want = mpmath_orbit(GOLDEN, Fraction(j, 8), 101, tau=tau)
+            assert circle_distance(table[j], want) < 1e-12
 
 
 # --- construction validation ----------------------------------------------

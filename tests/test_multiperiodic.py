@@ -199,6 +199,24 @@ def test_asymptotic_exponent_consistent_with_lyapunov():
     assert est == pytest.approx(lam, abs=0.05)
 
 
+def test_asymptotic_exponent_batch_matches_pointwise():
+    eq = bernoulli_convolution(0.2, 1, 1, GOLDEN)
+    sol = solve(eq)
+    xs = 1.0 + np.random.default_rng(4).random(6)
+    h, est = asymptotic_exponent(eq, xs, 200, solution=sol)
+    assert h.shape == (6, 200) and est.shape == (6,)
+    for i, x in enumerate(xs):
+        h_i, est_i = asymptotic_exponent(eq, x, 200, solution=sol)
+        assert h_i.shape == (200,) and isinstance(est_i, float)
+        assert np.max(np.abs(h[i] - h_i)) <= 1e-12
+        assert abs(est[i] - est_i) <= 1e-12
+
+
+def test_asymptotic_exponent_batch_rejects_a_vanishing_start():
+    with pytest.raises(ZeroVector, match="3.14159"):
+        asymptotic_exponent(viete_equation(), [1.0, math.pi], 10)
+
+
 def test_asymptotic_exponent_rejects_vanishing_start():
     # sin(pi)/pi = 0: the propagated vector has no mass to grow
     with pytest.raises(ZeroVector):
