@@ -213,16 +213,18 @@ def weyl_equidistribution_defect(p, x, modulus, N, max_harmonic=20):
     """Max Weyl-sum modulus over harmonics h = 1..20 for (beta^n x mod modulus).
 
     Small values certify approximate equidistribution of the orbit, which
-    comes from orbit_fractions; N is capped at 5000 for non-integer beta.
+    comes from orbit_fractions.  A Pisot or integer beta runs the exact
+    trace orbit at any N; a plain float beta, whose mpmath orbit needs
+    working precision growing with N, is capped at N = 5000.
     """
     if modulus <= 0:
         raise ValueError("modulus must be positive")
     if N < 1:
         raise ValueError("N must be >= 1")
-    from .cocycle import orbit_fractions  # cocycle imports this module
+    from .cocycle import _pisot_of, orbit_fractions  # cocycle imports this module
 
-    if N > 5000 and not float(getattr(p, "beta", p)).is_integer():
-        raise ValueError("N capped at 5000 for non-integer beta")
+    if N > 5000 and _pisot_of(p) is None:
+        raise ValueError("N capped at 5000 for a plain float beta")
     fracs = orbit_fractions(p, Fraction(x) / Fraction(modulus), N)
     worst = 0.0
     for h in range(1, max_harmonic + 1):

@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -74,16 +74,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def to_dict(self):
-        return {
-            "command": self.command,
-            "base": self.base,
-            "matrix": self.matrix,
-            "equation": self.equation,
-            "estimation": dict(self.estimation),
-            "params": dict(self.params),
-            "output": dict(self.output),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data):
@@ -122,14 +113,7 @@ class RunReport:
     summary: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "config": self.config,
-            "series": self.series,
-            "certificates": self.certificates,
-            "warnings": self.warnings,
-            "timings": self.timings,
-            "summary": self.summary,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +248,6 @@ def _certificate_dict(cert):
 
 def _try_certificate(M, q, report):
     """Attach a certificate or an explicit 'uncertified' warning."""
-    if not isinstance(M.base, PisotNumber):
-        report.warnings.append("uncertified: base is not a PisotNumber")
-        return None
     try:
         cert = joint_period_certificate(M, q=q)
     except NoCertificate as exc:
@@ -378,21 +359,12 @@ def _run_solve(cfg, report):
     tol = float(cfg.params.get("tol", 1e-10))
     sol = mpq.solve(eq, tol=tol)
     queries = cfg.params.get("x", [1.0])
-    if not isinstance(queries, list):
-        queries = [queries]
-    rows = []
-    for x in queries:
-        x = float(x)
-        value = sol.F(x)
-        rows.append(
-            {
-                "x": x,
-                "F_re": value.real,
-                "F_im": value.imag,
-                "residual": float(sol.residual(x)),
-            }
-        )
-    report.series["F"] = rows
+    xs = np.array(queries if isinstance(queries, list) else [queries], dtype=float)
+    values, residuals = sol.F(xs), sol.residual(xs)
+    report.series["F"] = [
+        {"x": float(x), "F_re": v.real, "F_im": v.imag, "residual": float(r)}
+        for x, v, r in zip(xs, values.tolist(), residuals)
+    ]
     report.summary = {"tol": tol, "c_prime": sol.c_prime}
 
 
@@ -488,8 +460,10 @@ def run(config):
         _RUNNERS[config.command](config, report)
     except (ConfigInvalid, CertificateViolated):
         raise
-    except BetaCocycleError as exc:
+    except (BetaCocycleError, np.linalg.LinAlgError) as exc:
         raise ComputationError("%s: %s" % (config.command, exc)) from exc
+    except ValueError as exc:  # a library parameter check
+        raise ConfigInvalid("%s: %s" % (config.command, exc)) from exc
     report.timings["wall_seconds"] = time.perf_counter() - start
     return report
 

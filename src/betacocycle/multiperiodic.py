@@ -34,7 +34,7 @@ from .errors import (
     QuadratureLevelExceeded,
     ZeroVector,
 )
-from .pisot import PisotNumber, admissible_strings, beta_interval
+from .pisot import PisotNumber, admissible_strings
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ class SolutionEvaluator:
 
     The truncation depth is chosen per x from the Cauchy tail bound
     C' |x| beta^{-n} / (beta - 1) < tol, with C' measured on [-1, 1] and
-    inflated by 2x.  Scalar G values are cached.
+    inflated by 2x; a batch runs at the depth of its largest point.
     """
 
     def __init__(self, eq, tol=1e-10):
@@ -143,7 +143,6 @@ class SolutionEvaluator:
         self.v = np.ones(eq.d, dtype=complex)
         self._check_eigenvector()
         self.c_prime = self._measure_c_prime()
-        self._cache = {}
 
     def _check_eigenvector(self):
         M0 = self.M.evaluate(0.0)
@@ -201,15 +200,11 @@ class SolutionEvaluator:
     def G_batch(self, xs):
         """G at an array of points, shape (len(xs), d)."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return self._truncated(xs, max(self.depth(x) for x in xs))
+        return self._truncated(xs, max((self.depth(x) for x in xs), default=1))
 
     def G(self, x):
         x = float(x)
-        if x == 0.0:
-            return self.v.copy()
-        if x not in self._cache:
-            self._cache[x] = self.G_batch(np.array([x]))[0]
-        return self._cache[x].copy()
+        return self.v.copy() if x == 0.0 else self.G_batch(np.array([x]))[0]
 
     def F(self, x):
         """First component of G; accepts a scalar or an array."""
@@ -334,12 +329,19 @@ def _beta_quadrature(base, level):
     """Gauss-Legendre nodes/weights aligned to the beta-intervals of a level.
 
     8 points per interval; weights sum to 1 (the intervals partition [0,1)).
-    Raises QuadratureLevelExceeded beyond the deepest level affordable.
+    Raises QuadratureLevelExceeded beyond the deepest level affordable, and
+    ValueError for a plain non-integer float beta, which has no minimal
+    polynomial to decide which digit strings are admissible.
     """
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
     beta = _beta_value(base)
     B = int(round(beta))
     integer = _is_integer_beta(base)
+    if not integer and not isinstance(base, PisotNumber):
+        raise ValueError(
+            "beta-interval quadrature for beta = %.6g needs a PisotNumber or "
+            "an integer base" % beta
+        )
     cap = MAX_ADMISSIBLE_LEVEL
     if integer:
         cap = int(math.log(MAX_QUADRATURE_NODES / 8) / math.log(B))
@@ -350,10 +352,9 @@ def _beta_quadrature(base, level):
         )
     if integer:
         edges = np.arange(B**level + 1) / B**level
-    else:
-        strings = admissible_strings(base, level)
-        ivals = [beta_interval(base, s) for s in strings]
-        edges = np.array([iv.left for iv in ivals] + [1.0])
+    else:  # each left edge is the value of its digit string
+        strings = np.array(admissible_strings(base, level))
+        edges = np.append(strings @ beta ** -np.arange(1.0, level + 1), 1.0)
     lefts, rights = edges[:-1], edges[1:]
     mid = (lefts + rights) / 2.0
     half = (rights - lefts) / 2.0

@@ -389,34 +389,45 @@ def beta_expand(p, x, n):
     return BetaDigits(tuple(_greedy_digits(p, elem, n)), p)
 
 
+@lru_cache(maxsize=256)
+def _quasi_greedy_one(p, n):
+    """First n digits of d*_beta(1), the quasi-greedy expansion of 1.
+
+    Each digit is ceil(beta r) - 1, the largest that leaves a positive
+    remainder r, so a finite greedy expansion of 1 comes out periodic.
+    """
+    digits = []
+    r = FieldElement.from_rational(p, 1)
+    for _ in range(n):
+        r = r.times_beta()
+        d = -r.scale(-1).floor() - 1
+        digits.append(d)
+        r = r - d
+    return tuple(digits)
+
+
 def is_admissible(p, digits):
-    """True when the greedy algorithm on the digits' value reproduces them."""
+    """Parry's test: the digits begin a greedy expansion exactly when none
+    is negative and every suffix is lexicographically at most the prefix of
+    d*_beta(1) of the same length."""
     digits = tuple(digits)
-    if not digits:
-        return True
-    if any(d < 0 or d > p.digit_max for d in digits):
+    if any(d < 0 for d in digits):
         return False
-    value = _digits_value(p, digits)
-    lo = value.floor()
-    if lo < 0 or lo >= 1:
-        return False
-    return tuple(_greedy_digits(p, value, len(digits))) == digits
+    n = len(digits)
+    star = _quasi_greedy_one(p, n)
+    return all(digits[k:] <= star[: n - k] for k in range(n))
 
 
 def admissible_strings(p, n):
     """All greedy-admissible digit strings of length n, in lexicographic order."""
-    out = []
-
-    def extend(prefix):
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for e in range(p.digit_max + 1):
-            cand = prefix + (e,)
-            if is_admissible(p, cand):
-                extend(cand)
-
-    extend(())
+    out = [()]
+    for _ in range(n):
+        out = [
+            s + (e,)
+            for s in out
+            for e in range(p.digit_max + 1)
+            if is_admissible(p, s + (e,))
+        ]
     return out
 
 

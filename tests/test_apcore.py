@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,30 @@ def test_weyl_defect_golden_rational_concentrates():
     # so the orbit concentrates on {0, 1/2} instead of equidistributing
     defect = weyl_equidistribution_defect(GOLDEN, Fraction(1, 2), 1.0, 500)
     assert defect > 0.8
+
+
+def test_weyl_defect_golden_runs_past_5000_on_the_exact_orbit():
+    # the trace orbit has no precision budget to outgrow; the reference keeps
+    # beta^n x whole in mpmath, with 40 digits beyond its integer part
+    x, N = Fraction(987654321987, 3**25), 6000
+    defect = weyl_equidistribution_defect(GOLDEN, x, 1.0, N)
+    with mp.workdps(int(N * math.log10(GOLDEN.beta)) + 40):
+        beta = GOLDEN.beta_mp(mp.mp.dps)
+        y = mp.mpf(x.numerator) / x.denominator
+        fracs = []
+        for _ in range(N):
+            fracs.append(float(mp.frac(y)))
+            y *= beta
+    fracs = np.array(fracs)
+    reference = max(
+        abs(np.mean(np.exp(2j * math.pi * h * fracs))) for h in range(1, 21)
+    )
+    assert abs(defect - reference) <= 1e-9
+
+
+def test_weyl_defect_caps_a_plain_float_beta():
+    with pytest.raises(ValueError, match="capped"):
+        weyl_equidistribution_defect(2.5, Fraction(1, 3), 1.0, 5001)
 
 
 @given(

@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from betacocycle import cli
@@ -148,6 +149,27 @@ def test_run_solve_sinc_value():
     assert row["residual"] < 1e-9
 
 
+def test_run_solve_batch_matches_pointwise():
+    # the command evaluates its points as one batch at the depth of the
+    # largest; the extra Viete factors cos(x/2^k) round to 1, so each row
+    # equals the single-point value
+    xs = [0.0] + [0.37 * k for k in range(1, 20)]
+    cfg = cli.ExperimentConfig.from_dict(
+        {"command": "solve", "equation": VIETE_EQUATION, "params": {"x": xs}}
+    )
+    rows = cli.run(cfg).series["F"]
+    sol = cli.mpq.solve(cli._parse_equation(cfg))
+    assert [row["x"] for row in rows] == xs
+    for x, row in zip(xs, rows):
+        assert abs(complex(row["F_re"], row["F_im"]) - sol.F(x)) <= 1e-12
+        assert abs(row["residual"] - sol.residual(x)) <= 1e-12
+    assert rows[0]["F_re"] == 1.0
+    empty = cli.run(
+        {"command": "solve", "equation": VIETE_EQUATION, "params": {"x": []}}
+    )
+    assert empty.series["F"] == []
+
+
 def test_run_times_are_recorded():
     report = cli.run({"command": "pisot", "base": GOLDEN_SPEC})
     assert report.timings["wall_seconds"] >= 0.0
@@ -275,6 +297,34 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
     cfg.write_text(json.dumps({"matrix": SCALAR_MATRIX, "params": {"n_max": 17}}))
     assert cli.main(["moments", "--config", str(cfg)]) == 2
     assert "quadrature level 17" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("moments", {"matrix": SCALAR_MATRIX, "params": {"n_max": 1}}),
+        ("moments", {"matrix": dict(SCALAR_MATRIX, base=2.5), "params": {"n_max": 4}}),
+        ("oseledec", {"matrix": SCALAR_MATRIX, "params": {"n": 0}}),
+    ],
+    ids=["moments-n_max-1", "moments-float-base", "oseledec-n-0"],
+)
+def test_main_exit_1_on_library_value_error(tmp_path, capsys, command, cfg):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(path)]) == 1
+    assert "config error: %s: " % command in capsys.readouterr().err
+
+
+def test_main_exit_2_on_linalg_error(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError but is a failed computation
+    def explode(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli.mpq, "moment_growth", explode)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"matrix": SCALAR_MATRIX}))
+    assert cli.main(["moments", "--config", str(path)]) == 2
+    assert "computation error: moments: SVD" in capsys.readouterr().err
 
 
 def test_main_exit_3_on_certificate_violation(tmp_path, capsys, monkeypatch):

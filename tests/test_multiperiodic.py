@@ -19,6 +19,7 @@ from betacocycle.errors import (
 )
 from betacocycle.multiperiodic import (
     MultiperiodicEquation,
+    _beta_quadrature,
     asymptotic_exponent,
     bernoulli_convolution,
     check_simple_eigenvalue,
@@ -30,7 +31,7 @@ from betacocycle.multiperiodic import (
     theoremB_gate,
     theoremC_gate,
 )
-from betacocycle.pisot import make_pisot
+from betacocycle.pisot import admissible_strings, beta_interval, make_pisot
 
 TWO_PI = 2 * math.pi
 GOLDEN = make_pisot([1, -1, -1])
@@ -143,6 +144,16 @@ def test_solution_is_normalized_at_zero():
     sol = solve(bernoulli_convolution(0.35, 1, 1, GOLDEN))
     assert sol.F(0.0) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(sol.G(0.0), np.ones(2))
+
+
+def test_solution_batch_runs_at_its_deepest_depth():
+    # a batch truncates every point at its largest point's depth, so it
+    # agrees with the single-point values within the tail budget tol
+    sol = solve(bernoulli_convolution(0.3, 1, 1, GOLDEN))
+    xs = np.array([0.0, 0.5, 3.0, 40.0])
+    single = np.array([sol.F(x) for x in xs])
+    assert np.max(np.abs(sol.F(xs) - single)) <= sol.tol
+    assert sol.G_batch(np.array([])).shape == (0, 2)
 
 
 def test_residual_of_defining_equation():
@@ -330,6 +341,9 @@ def test_moment_growth_validates_inputs():
         moment_growth(M, -1, 8)
     with pytest.raises(ValueError):
         moment_growth(M, 1, 1)
+    plain = scalar_matrix(constant(2.0) + cosine(TWO_PI), 2.5)
+    with pytest.raises(ValueError, match="PisotNumber or an integer base"):
+        moment_growth(plain, 1, 4)
 
 
 @pytest.mark.parametrize(
@@ -341,6 +355,21 @@ def test_moment_growth_refuses_levels_beyond_the_quadrature(base, n_max):
     M = scalar_matrix(constant(2.0) + cosine(TWO_PI), base)
     with pytest.raises(QuadratureLevelExceeded, match="level %d" % n_max):
         moment_growth(M, 1, n_max)
+
+
+@pytest.mark.parametrize(
+    "minpoly", [[1, -1, -1], [1, -1, -1, -1]], ids=["golden", "tribonacci"]
+)
+def test_quadrature_edges_are_the_beta_interval_lefts(minpoly):
+    # each interval's 8 Gauss-Legendre nodes sit symmetrically about its
+    # midpoint and its weights sum to its length
+    p = make_pisot(minpoly)
+    nodes, weights = _beta_quadrature(p, 8)
+    mid = nodes.reshape(-1, 8).mean(axis=1)
+    half = weights.reshape(-1, 8).sum(axis=1) / 2.0
+    lefts = [beta_interval(p, s).left for s in admissible_strings(p, 8)]
+    assert np.max(np.abs(mid - half - lefts)) <= 1e-15
+    assert mid[-1] + half[-1] == pytest.approx(1.0, abs=1e-15)
 
 
 # --- moment integrals of the solution ---------------------------------------

@@ -1,6 +1,7 @@
 """Exact arithmetic around Pisot bases: minimal polynomials, traces,
 greedy expansions, beta-intervals, and the translation lattice."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +14,9 @@ from hypothesis import strategies as st
 from betacocycle.errors import InadmissibleDigits, NotPisot, ReduciblePolynomial
 from betacocycle.pisot import (
     FieldElement,
+    _digits_value,
+    _greedy_digits,
+    _quasi_greedy_one,
     admissible_strings,
     beta_expand,
     beta_interval,
@@ -109,6 +113,60 @@ def test_admissible_strings_golden_are_fibonacci_counts():
     counts = [len(admissible_strings(GOLDEN, n)) for n in range(1, 8)]
     assert counts == [2, 3, 5, 8, 13, 21, 34]
     assert not is_admissible(GOLDEN, (1, 1))
+
+
+def _reexpansion_admissible(p, digits):
+    """Reference: the greedy algorithm on the digits' exact value in Q(beta)
+    reproduces them."""
+    digits = tuple(digits)
+    if not digits:
+        return True
+    if any(d < 0 or d > p.digit_max for d in digits):
+        return False
+    value = _digits_value(p, digits)
+    lo = value.floor()
+    if lo < 0 or lo >= 1:
+        return False
+    return tuple(_greedy_digits(p, value, len(digits))) == digits
+
+
+PARRY_BASES = {
+    "golden": [1, -1, -1],
+    "x3-x2-1": [1, -1, 0, -1],
+    "1+sqrt2": [1, -2, -1],
+    "2+sqrt3": [1, -4, 1],
+    "tribonacci": [1, -1, -1, -1],
+    "base2": [1, -2],
+}
+
+
+@pytest.mark.parametrize("minpoly", PARRY_BASES.values(), ids=PARRY_BASES.keys())
+def test_parry_admissibility_matches_exact_reexpansion(minpoly):
+    # every string of length <= 6 over the digits -1..digit_max+1
+    p = make_pisot(minpoly)
+    digits = range(-1, p.digit_max + 2)
+    for n in range(7):
+        for w in itertools.product(digits, repeat=n):
+            assert is_admissible(p, w) == _reexpansion_admissible(p, w), w
+
+
+@pytest.mark.parametrize(
+    "minpoly, period, head",
+    [
+        ([1, -1, -1], (1, 0), ()),
+        ([1, -1, -1, -1], (1, 1, 0), ()),
+        ([1, -1, 0, -1], (1, 0, 0), ()),
+        ([1, -2, -1], (2, 0), ()),
+        ([1, -4, 1], (2,), (3,)),
+    ],
+    ids=["golden", "tribonacci", "x3-x2-1", "1+sqrt2", "2+sqrt3"],
+)
+def test_quasi_greedy_expansion_of_one(minpoly, period, head):
+    # d*_beta(1) = head (period)^infinity; for all but 2+sqrt3 the greedy
+    # expansion of 1 is finite and the period is it with its last digit
+    # lowered by one (golden: 11 -> (10)^infinity)
+    word = head + period * 24
+    assert _quasi_greedy_one(make_pisot(minpoly), 24) == word[:24]
 
 
 def test_beta_interval_rejects_inadmissible():
