@@ -360,28 +360,65 @@ def product(M, x, n):
     return NormalizedProduct(float(logs[0]) + math.log(s), acc[0] / s, n)
 
 
+@lru_cache(maxsize=None)
+def _laplace_tables(d, r):
+    """Index tables that expand every r x r minor of a d x d matrix along its
+    first row, minors indexed by lexicographic r-subsets of range(d).
+
+    For row subset I = combos[a] and column subset J = combos[b]: first[a, 0]
+    is the row I[0] (a column, to broadcast against cols), rest[a] the index of I minus I[0] among the (r-1)-subsets,
+    cols[b, t] the column J[t], and drop[b, t] the index of J minus J[t].
+    """
+    prev = {c: i for i, c in enumerate(itertools.combinations(range(d), r - 1))}
+    combos = list(itertools.combinations(range(d), r))
+    first = np.array([I[0] for I in combos])[:, None]
+    rest = np.array([prev[I[1:]] for I in combos])
+    cols = np.array(combos)
+    drop = np.array([[prev[J[:t] + J[t + 1 :]] for t in range(r)] for J in combos])
+    for table in (first, rest, cols, drop):
+        table.flags.writeable = False  # shared by every caller through the cache
+    return first, rest, cols, drop
+
+
 def exterior_power(A, q):
     """Matrix of all q x q minors, multi-indices in lexicographic order.
 
-    Accepts a single matrix or a stack (..., d, d).
+    Accepts a single matrix or a stack (..., d, d); anything else raises
+    ValueError.  q = 1 returns a copy of A in its own dtype; q >= 2 returns
+    complex128.  For q = d the one minor is np.linalg.det(A).  Otherwise
+    level r = 2..q expands every r x r minor along its first row,
+
+        det A[I, J] = sum_t (-1)^t A[I[0], J[t]] det A[I - I[0], J - J[t]],
+
+    from the level r-1 minors: r whole-stack products of gathered entries
+    and minors, indexed by the cached _laplace_tables(d, r), in float64 for
+    real input and complex128 for complex.  No per-minor loop and no
+    determinant call.
     """
     A = np.asarray(A)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError("A must be a stack of square matrices")
     d = A.shape[-1]
     if not 1 <= q <= d:
         raise ValueError("q must satisfy 1 <= q <= d")
     if q == 1:
         return A.copy()
-    combos = list(itertools.combinations(range(d), q))
-    m = len(combos)
-    out_shape = A.shape[:-2] + (m, m)
-    out = np.empty(out_shape, dtype=A.dtype if A.dtype == complex else complex)
-    for a, I in enumerate(combos):
-        rows = np.array(I)
-        for b, J in enumerate(combos):
-            cols = np.array(J)
-            sub = A[..., rows[:, None], cols[None, :]]
-            out[..., a, b] = np.linalg.det(sub)
-    return out
+    if q == d:
+        return np.linalg.det(A)[..., None, None].astype(complex)
+    A = A.astype(np.result_type(A.dtype, float), copy=False)
+    minors = A  # the 1 x 1 minors
+    for r in range(2, q + 1):
+        first, rest, cols, drop = _laplace_tables(d, r)
+        below = minors[..., rest, :]  # rows I - I[0] of the level r-1 minors
+        level = A[..., first, cols[:, 0]] * below[..., drop[:, 0]]
+        for t in range(1, r):
+            term = A[..., first, cols[:, t]] * below[..., drop[:, t]]
+            if t % 2:
+                level -= term
+            else:
+                level += term
+        minors = level
+    return minors.astype(complex, copy=False)
 
 
 def _opnorm(A):

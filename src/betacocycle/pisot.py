@@ -119,7 +119,7 @@ class FieldElement:
 
     def __init__(self, base, coords):
         self.base = base
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
     @classmethod
     def from_rational(cls, base, q):
@@ -198,12 +198,26 @@ class FieldElement:
             return acc
 
     def floor(self):
-        """Exact floor; rational fast path, mpmath otherwise."""
+        """Exact floor; rational fast path, mpmath otherwise.
+
+        An irrational element is never an integer, so the working precision
+        doubles until the value clears both its floor and its ceiling by
+        more than the evaluation error: below 10^(5-dps) sum |c_i| beta^i,
+        with |c_i| < 2^bits and 10^-1 < 2^-3.
+        """
         if self.is_rational():
             return math.floor(self.coords[0])
-        v = self.evaluate_mp(60)
-        # irrational elements are never integers; the nudge guards rounding
-        return int(mp.floor(v + mp.mpf("1e-45")))
+        r = len(self.coords)
+        bits = max(c.numerator.bit_length() - c.denominator.bit_length() + 1 for c in self.coords)
+        dps = 60
+        while True:
+            err = mp.ldexp(r * math.ceil(self.base.beta) ** r, bits - 3 * (dps - 5))
+            with mp.workdps(dps):
+                v = self.evaluate_mp(dps)
+                n = mp.floor(v)
+                if v - n > err and n + 1 - v > err:
+                    return int(n)
+            dps *= 2
 
     def __float__(self):
         return float(self.evaluate_mp())

@@ -312,6 +312,91 @@ def test_exterior_rejects_bad_q():
         exterior_power(np.eye(3), 4)
 
 
+@pytest.mark.parametrize("shape", [(5, 4, 3), (5, 3, 4), (3,)])
+def test_exterior_rejects_non_square(shape):
+    with pytest.raises(ValueError, match="square"):
+        exterior_power(np.ones(shape), 2)
+
+
+def _minors_by_det(A, q):
+    """Reference: one determinant call per (row subset, column subset)."""
+    A = np.asarray(A)
+    combos = list(itertools.combinations(range(A.shape[-1]), q))
+    out = np.empty(A.shape[:-2] + (len(combos), len(combos)), dtype=complex)
+    for a, I in enumerate(combos):
+        for b, J in enumerate(combos):
+            out[..., a, b] = np.linalg.det(A[..., np.array(I)[:, None], np.array(J)])
+    return out
+
+
+@pytest.mark.parametrize("complex_entries", [True, False])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_exterior_laplace_matches_det_per_minor(d, complex_entries):
+    rng = np.random.default_rng(70 + d)
+    A = _complex_normal(rng, (30, d, d)) if complex_entries else rng.normal(size=(30, d, d))
+    for q in range(1, d + 1):
+        got, want = exterior_power(A, q), _minors_by_det(A, q)
+        assert got.shape == want.shape == (30, math.comb(d, q), math.comb(d, q))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_exterior_single_matrix_and_dtypes():
+    rng = np.random.default_rng(77)
+    A = rng.normal(size=(4, 4))
+    for q in range(1, 5):
+        got = exterior_power(A, q)
+        assert got.shape == (math.comb(4, q), math.comb(4, q))
+        assert got.dtype == (np.float64 if q == 1 else np.complex128)
+    ints = np.arange(9).reshape(3, 3)
+    assert exterior_power(ints, 1).dtype == ints.dtype
+    assert exterior_power(ints.astype(np.complex64), 1).dtype == np.complex64
+    assert exterior_power(ints.astype(np.complex64), 2).dtype == np.complex128
+
+
+def test_exterior_exact_zeros():
+    rank_one = np.outer([1, -2, 3, 5], [4, 0, -1, 7])
+    for q in (2, 3, 4):
+        assert np.all(exterior_power(rank_one, q) == 0)
+    rng = np.random.default_rng(78)
+    stack = _complex_normal(rng, (3, 4, 4))
+    stack[1, 2] = 0.0
+    top = exterior_power(stack, 4)[:, 0, 0]
+    assert top[1] == 0
+    assert np.all(top[[0, 2]] != 0)
+
+
+def test_spectrum_unchanged_against_det_per_minor(monkeypatch):
+    """The d = 4 spectrum through the Laplace kernel and through the
+    reference: R + 0.3 e(x) I with R_ij = 5 + i + j on base 3."""
+    shift = harmonic(1, 0.3)
+    entries = [
+        [constant(5.0 + i + j) + (shift if i == j else constant(0.0)) for j in range(4)]
+        for i in range(4)
+    ]
+    M = beta_adapted_matrix(entries, make_pisot([1, -3]))
+    cfg = EstimationSpec(n_ladder=(32,), n_samples=40, seed=5, cluster_tol=1e-3)
+    shipped = lyapunov_spectrum(M, cfg)
+    monkeypatch.setattr(cocycle, "exterior_power", _minors_by_det)
+    reference = lyapunov_spectrum(M, cfg)
+    assert [m for _, m in shipped] == [m for _, m in reference]
+    assert np.allclose([lam for lam, _ in shipped], [lam for lam, _ in reference], rtol=0, atol=1e-12)
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_exterior_power_algebra(d, seed):
+    """Cauchy-Binet, the top power as det, and transposition."""
+    rng = np.random.default_rng(seed)
+    A, B = _complex_normal(rng, (2, 3, d, d))
+    q = 1 + seed % d
+    wA, wB = exterior_power(A, q), exterior_power(B, q)
+    scale = math.comb(d, q) * np.max(np.abs(wA)) * np.max(np.abs(wB))
+    assert np.max(np.abs(exterior_power(A @ B, q) - wA @ wB)) <= 1e-12 * scale
+    assert np.allclose(exterior_power(A, d)[..., 0, 0], np.linalg.det(A), rtol=1e-12, atol=0)
+    wT = exterior_power(np.swapaxes(A, -1, -2), q)
+    assert np.max(np.abs(wT - np.swapaxes(wA, -1, -2))) <= 1e-13 * np.max(np.abs(wA))
+
+
 # --- subadditive sequences -------------------------------------------------
 
 
