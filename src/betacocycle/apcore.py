@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -32,16 +33,66 @@ class TrigPolynomial:
         return self.evaluate(x)
 
     def evaluate(self, x):
-        """Evaluate at a scalar or numpy array of real arguments."""
+        """Evaluate at a scalar or numpy array of real arguments.
+
+        A polynomial whose frequencies are all exactly 2 pi k runs the
+        Laurent evaluator in z = e(x) (see _laurent), one cos/sin pair per
+        point whatever the number of terms; any other polynomial takes one
+        complex exp per term and point.  A scalar runs as a one-point batch,
+        so it matches the batch value to the bit.
+        """
         x = np.asarray(x, dtype=float)
-        acc = np.zeros(x.shape, dtype=complex)
-        for freq, coeff in self.terms:
-            if freq == 0.0:
-                acc += coeff
+        flat = x.reshape(-1)
+        if self._harmonics is not None:
+            acc = self._laurent(_circle_powers(flat, self._degree), flat.size)
+        else:
+            acc = np.zeros(flat.shape, dtype=complex)
+            for freq, coeff in self.terms:
+                if freq == 0.0:
+                    acc += coeff
+                else:
+                    acc += coeff * np.exp(1j * freq * flat)
+        if x.shape == ():
+            return complex(acc[0])
+        return acc.reshape(x.shape)
+
+    @cached_property
+    def _harmonics(self):
+        """((k, A_k), ...) when every frequency is exactly 2 pi k, else None."""
+        out = tuple((round(f / TWO_PI), c) for f, c in self.terms)
+        if any(f != TWO_PI * k for (f, _), (k, _) in zip(self.terms, out)):
+            return None
+        return out
+
+    @cached_property
+    def _degree(self):
+        """max |k| over the harmonics; None for a non-harmonic polynomial."""
+        if self._harmonics is None:
+            return None
+        return max(abs(k) for k, _ in self._harmonics)
+
+    def _laurent(self, powers, size):
+        """sum_k A_k z^k over size points z on the unit circle.
+
+        powers[k - 1] holds z^k for k = 1..degree (_circle_powers); a negative
+        k reads conj(z^|k|), which is z^k since |z| = 1.  Entries of a
+        matrix that read the same argument share one powers list.
+        """
+        acc = None
+        const = 0j
+        for k, coeff in self._harmonics:
+            if k == 0:
+                const = coeff
+                continue
+            term = coeff * (powers[k - 1] if k > 0 else np.conj(powers[-k - 1]))
+            if acc is None:
+                acc = term
             else:
-                acc += coeff * np.exp(1j * freq * x)
-        if acc.shape == ():
-            return complex(acc)
+                acc += term
+        if acc is None:
+            return np.full(size, const)
+        if const:
+            acc += const
         return acc
 
     @property
@@ -86,6 +137,27 @@ class TrigPolynomial:
         return trig_poly([(f, a * scalar) for f, a in self.terms])
 
     __rmul__ = __mul__
+
+
+def _circle_powers(x, top):
+    """[z, z^2, ..., z^top] for z = e(x) = exp(2 pi i x), x a 1-D float array.
+
+    x is reduced modulo 1 first, which is exact for floats, so z keeps full
+    accuracy at large arguments; z comes from one cos/sin pair per point
+    (measured a little faster than a complex exp) and each higher power is
+    one complex product.
+    """
+    if top == 0:
+        return []
+    w = x - np.floor(x)
+    w *= TWO_PI
+    z = np.empty(w.shape, dtype=complex)
+    np.cos(w, out=z.real)
+    np.sin(w, out=z.imag)
+    powers = [z]
+    for _ in range(top - 1):
+        powers.append(powers[-1] * z)
+    return powers
 
 
 def trig_poly(terms):

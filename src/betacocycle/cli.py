@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -74,7 +74,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def to_dict(self):
-        return asdict(self)
+        return _field_dict(self)
 
     @classmethod
     def from_dict(cls, data):
@@ -113,7 +113,14 @@ class RunReport:
     summary: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return asdict(self)
+        return _field_dict(self)
+
+
+def _field_dict(obj):
+    """The dataclass's fields as a shallow dict.  The values are shared, not
+    deep-copied as by dataclasses.asdict: no caller mutates them, and the
+    copy of every series row cost 15 ms on a 2000-row report."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,42 @@ def test_harmonic_is_one_periodic():
     assert not cosine(1.0).is_one_periodic
 
 
+def _per_term_reference(harmonics, xs):
+    """sum A_k exp(2 pi i k x) term by term in mpmath, x the exact float."""
+    with mp.workdps(40):
+        return np.array(
+            [
+                complex(sum(mp.mpc(c) * mp.expj(2 * mp.pi * k * mp.mpf(x)) for k, c in harmonics))
+                for x in xs
+            ]
+        )
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**30], ids=["unit", "2^30"])
+def test_laurent_evaluation_matches_per_term_exp(scale):
+    rng = np.random.default_rng(17)
+    coeffs = rng.normal(size=17) + 1j * rng.normal(size=17)
+    harmonics = list(zip(range(-8, 9), coeffs))
+    f = trig_poly([(TWO_PI * k, c) for k, c in harmonics])
+    assert f._harmonics is not None and f._degree == 8
+    # the float frequency fl(2 pi k) would put an error of k x 2.4e-16 into
+    # a per-term float exp; the Laurent evaluator reduces x modulo 1 first
+    xs = rng.random(64) * scale
+    got = f.evaluate(xs)
+    want = _per_term_reference(harmonics, xs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * f.sup_bound()
+    # a scalar is a one-point batch
+    assert all(f.evaluate(x) == v for x, v in zip(xs[:8], got[:8]))
+
+
+def test_non_harmonic_polynomial_keeps_per_term_path():
+    f = cosine(1.0) + harmonic(3, 0.5j)
+    assert f._harmonics is None and f._degree is None
+    xs = np.linspace(-3.0, 3.0, 13)
+    want = np.cos(xs) + 0.5j * np.exp(1j * TWO_PI * 3 * xs)
+    assert np.max(np.abs(f.evaluate(xs) - want)) < 1e-14
+
+
 def test_bohr_mean_exact_reads_dc_coefficient():
     f = constant(2.5) + cosine(TWO_PI) + sine(5.0)
     assert bohr_mean_exact(f) == 2.5 + 0j

@@ -1,5 +1,6 @@
 """Config-driven experiment runner: parsing, reports, exit codes, plot data."""
 
+import dataclasses
 import json
 import math
 import os
@@ -223,6 +224,46 @@ def test_write_report_csv(tmp_path):
 
 
 # --- command-line entry point --------------------------------------------------
+
+
+SMALL_ESTIMATION = {"n_ladder": [4, 8], "n_samples": 8}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "pisot", "base": GOLDEN_SPEC},
+        {"command": "expand", "base": GOLDEN_SPEC, "params": {"x": "1/2", "digits": 10}},
+        {"command": "lyapunov", "matrix": SCALAR_MATRIX, "estimation": SMALL_ESTIMATION},
+        {"command": "spectrum", "matrix": BERNOULLI_MATRIX, "estimation": SMALL_ESTIMATION},
+        {"command": "oseledec", "matrix": BERNOULLI_MATRIX, "params": {"n": 8}},
+        {
+            "command": "certify",
+            "matrix": BERNOULLI_MATRIX,
+            "params": {"verify_n": 10, "verify_grid": 64},
+        },
+        {"command": "solve", "equation": VIETE_EQUATION, "params": {"x": [0.5, 1.0]}},
+        {
+            "command": "asymptotics",
+            "equation": VIETE_EQUATION,
+            "params": {"n_max": 20},
+            "estimation": SMALL_ESTIMATION,
+        },
+        {"command": "moments", "matrix": SCALAR_MATRIX, "params": {"n_max": 4}},
+        {
+            "command": "bernoulli",
+            "base": GOLDEN_SPEC,
+            "params": {"p": 0.2, "n_max": 20, "n_points": 4},
+            "estimation": SMALL_ESTIMATION,
+        },
+    ],
+    ids=lambda config: config["command"],
+)
+def test_report_json_equals_deep_copied_report(config):
+    # to_dict shares the report's values instead of deep-copying them
+    report = cli.run(config)
+    want = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True, default=str)
+    assert cli._report_text(report, "json") == want
 
 
 def test_main_pisot_minpoly_flag(capsys):

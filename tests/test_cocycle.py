@@ -3,6 +3,7 @@ distortion bounds, and joint-period certificates."""
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -32,8 +33,8 @@ from betacocycle.cocycle import (
     scalar_matrix,
     subadditive_sequence,
 )
-from betacocycle.errors import NoCertificate, SingularFactor
-from betacocycle.pisot import make_pisot
+from betacocycle.errors import CertificateViolated, NoCertificate, SingularFactor
+from betacocycle.pisot import _lattice_points, make_pisot
 
 TWO_PI = 2 * math.pi
 GOLDEN = make_pisot([1, -1, -1])
@@ -238,6 +239,24 @@ def test_batched_cocycle_matches_naive_product(columns):
         assert abs(math.exp(at[k][0]) / opnorm - 1.0) < n * 1e-12
     rebuilt = math.exp(logs[0]) * acc[0]
     assert np.max(np.abs(rebuilt - naive)) / np.max(np.abs(naive)) < n * 1e-12
+
+
+@pytest.mark.parametrize("N", [63, 64, 4096])
+def test_explicit_2x2_step_matches_matmul(N):
+    # N = 63 stays on @ inside the engine, N >= 64 takes the entry formulas
+    rng = np.random.default_rng(N)
+    A, B = _complex_normal(rng, (2, N, 2, 2))
+    want = A @ B
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(cocycle._mul2x2(A, B) - want)) <= 1e-14 * scale
+    factors = _complex_normal(rng, (5, N, 2, 2))
+    _, logs, acc = _batched_cocycle(iter(factors), B)
+    naive = B
+    for F in factors:
+        naive = F @ naive
+    rebuilt = np.exp(logs)[:, None, None] * acc
+    rel = np.abs(rebuilt - naive).max(axis=(1, 2)) / np.abs(naive).max(axis=(1, 2))
+    assert rel.max() <= 1e-14
 
 
 def test_batched_cocycle_keeps_vanishing_rows():
@@ -674,12 +693,80 @@ def test_verify_shifted_orbit_is_the_exact_orbit(monkeypatch):
     M = scalar_matrix(constant(2.0) + harmonic(1, 0.5), GOLDEN)
     cert = joint_period_certificate(M, q=1)
     joint_period_verify(M, 1, cert, m=1, n_list=[100], grid=8)
-    # level-1 lattice, sorted: tau = 0 (skipped), 1, beta, 1 + beta
-    assert len(tables) == 4
-    for table, tau in zip(tables, [(), (1,), (0, 1), (1, 1)]):
+    # the base table, then the level-1 lattice, sorted, without tau = 0
+    # (1, beta, 1 + beta), stacked tau-major in one chunk
+    assert len(tables) == 2 and tables[1].shape == (3 * 8, 101)
+    blocks = [tables[0]] + list(tables[1].reshape(3, 8, 101))
+    for table, tau in zip(blocks, [(), (1,), (0, 1), (1, 1)]):
         for j in range(8):
             want = mpmath_orbit(GOLDEN, Fraction(j, 8), 101, tau=tau)
             assert circle_distance(table[j], want) < 1e-12
+
+
+def _verify_per_tau(M, q, m, n_list, grid, max_tau=64):
+    """The unstacked verification: one shifted table and one _log_norms call
+    per lattice translation, the shift built from the conjugates directly."""
+    n_list = sorted(n_list)
+    L = n_list[-1] + M.max_scale + 1
+    taus = _lattice_points(M.base, m)
+    if len(taus) > max_tau:
+        idx = np.linspace(0, len(taus) - 1, max_tau).astype(int)
+        taus = [taus[i] for i in idx]
+    base_args = orbit_fractions(M.base, [Fraction(j, grid) for j in range(grid)], L)
+    base_res = cocycle._log_norms(M, q, base_args, n_list)
+    conj = np.array(M.base.conjugates, dtype=complex)
+    worst = 0.0
+    for tau, coords in taus:
+        if tau == 0.0:
+            continue
+        sigma_tau = sum(c * conj**i for i, c in enumerate(coords))
+        drift = (sigma_tau[:, None] * conj[:, None] ** np.arange(L)).sum(axis=0).real
+        shifted = base_args - drift
+        shifted -= np.floor(shifted)
+        res = cocycle._log_norms(M, q, shifted, n_list)
+        for n in n_list:
+            worst = max(worst, float(np.max(np.abs(res[n] - base_res[n]))))
+    return worst
+
+
+@pytest.mark.parametrize("grid", [256, 100])
+def test_verify_stacked_matches_per_tau_loop(grid):
+    # grid 256 runs 8 tau per chunk; grid 100 runs 20, which does not
+    # divide the 63 nonzero translations
+    M = bernoulli_companion(0.2)
+    cert = joint_period_certificate(M, q=1)
+    n_list = range(1, 41)
+    worst = joint_period_verify(M, 1, cert, m=8, n_list=n_list, grid=grid)
+    assert worst == pytest.approx(_verify_per_tau(M, 1, 8, n_list, grid), abs=1e-12)
+
+
+def test_verify_raises_when_script_C_is_too_small():
+    M = bernoulli_companion(0.2)
+    cert = joint_period_certificate(M, q=1)
+    worst = joint_period_verify(M, 1, cert, m=8, n_list=range(1, 41), grid=256)
+    with pytest.raises(CertificateViolated):
+        joint_period_verify(
+            M, 1, replace(cert, script_C=worst / 2), m=8, n_list=range(1, 41), grid=256
+        )
+
+
+@pytest.mark.parametrize(
+    "minpoly, cap",
+    [([1, -1, -1], 12.0), ([1, -2, -1], 20.0), ([1, -4, 1], 40.0)],
+    ids=["golden", "1+sqrt2", "2+sqrt3"],
+)
+def test_holder_constant_reads_exact_orbits(minpoly, cap):
+    # float tables beta^k (x + tau) gave 1.2e8 at 1+sqrt2 and 4.9e14 at
+    # 2+sqrt3; exact orbits give 11.4, 16.0 and 31.3
+    M = bernoulli_companion(0.2, base=make_pisot(minpoly))
+    c_hold = cocycle._measure_holder_constant(M, 1, 8, M.base.rho, 1.0)
+    assert 1.0 < c_hold < cap
+
+
+def test_holder_constant_of_exact_periods_is_the_floor():
+    # at beta = 2 every lattice translation is an exact period of the orbit
+    M = scalar_matrix(constant(2.0) + harmonic(1, 0.5), BASE2)
+    assert cocycle._measure_holder_constant(M, 1, 8, 0.0, 1.0) == 1e-9
 
 
 # --- construction validation ----------------------------------------------
