@@ -221,15 +221,30 @@ def _parse_equation(cfg):
         raise ConfigInvalid("equation: %s" % exc)
 
 
+def _positive(value, kind, what):
+    """kind(value) if that is a positive finite number, else ValueError."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if not 0 < out < math.inf:
+        raise ValueError("%s must be a positive finite number, got %r" % (what, value))
+    return out
+
+
 def _parse_estimation(cfg):
     est = cfg.estimation
+    tol = est.get("cluster_tol")
     try:
+        ladder = tuple(int(n) for n in est.get("n_ladder", (2, 4, 8, 16, 32, 64)))
+        if not ladder or min(ladder) < 1:
+            raise ValueError("n_ladder must be a non-empty list of positive integers")
         return EstimationSpec(
-            n_ladder=tuple(est.get("n_ladder", (2, 4, 8, 16, 32, 64))),
-            n_samples=int(est.get("n_samples", 200)),
+            n_ladder=ladder,
+            n_samples=_positive(est.get("n_samples", 200), int, "n_samples"),
             window=tuple(est.get("window", (1.0, 2.0))),
             seed=int(est.get("seed", cfg.seed)),
-            cluster_tol=est.get("cluster_tol"),
+            cluster_tol=None if tol is None else _positive(tol, float, "cluster_tol"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid("estimation: %s" % exc)
@@ -333,7 +348,9 @@ def _run_oseledec(cfg, report):
     x = _parse_point(cfg.params.get("x", 1.0))
     n = int(cfg.params.get("n", 64))
     _try_certificate(M, 1, report)
-    spec = oseledec_at(M, x, n, cfg.params.get("cluster_tol"))
+    tol = cfg.params.get("cluster_tol")
+    tol = None if tol is None else _positive(tol, float, "cluster_tol")
+    spec = oseledec_at(M, x, n, tol)
     report.summary = {"n_used": spec.n_used, "x": spec.x, "s": spec.s}
     report.series["spectrum"] = [
         {"r": r + 1, "lambda": lam, "multiplicity": m, "dim_V": int(spec.filtration[r].shape[1])}

@@ -30,7 +30,6 @@ import numpy as np
 from .apcore import TrigPolynomial, _circle_powers, constant
 from .errors import (
     CertificateViolated,
-    DegenerateSVD,
     NegativeEntries,
     NoCertificate,
     NonFinite,
@@ -651,10 +650,20 @@ def lyapunov_top(M, q, cfg=None):
     return estimate, diagnostics
 
 
-def _cluster(values, tol):
-    """Group sorted values into (mean, count) clusters within tol."""
+def _exponent_groups(sums, tol):
+    """Ascending (exponent, multiplicity) groups from exterior sums: sums[q]
+    is the growth rate of ||P^{wedge q}||, q = 0..d, the sum of the top q
+    exponents.  The exponents are the successive differences, which must not
+    increase by more than max(tol, 1e-9); sorted ones within tol group."""
+    mus = [sums[q] - sums[q - 1] for q in range(1, len(sums))]
+    for q in range(1, len(mus)):
+        if mus[q] > mus[q - 1] + max(tol, 1e-9):
+            raise NonMonotoneSums(
+                "exterior sums not concave: mu_%d=%.6g > mu_%d=%.6g"
+                % (q + 1, mus[q], q, mus[q - 1])
+            )
     groups = []
-    for v in values:
+    for v in sorted(mus):
         if groups and abs(v - groups[-1][-1]) <= tol:
             groups[-1].append(v)
         else:
@@ -666,8 +675,8 @@ def lyapunov_spectrum(M, cfg=None):
     """All Lyapunov exponents with multiplicities, ascending.
 
     Computes the top growth rate of every exterior power q = 1..d over a
-    shared sample, recovers individual exponents from successive
-    differences, and clusters them.
+    shared sample and turns those sums into clustered exponents
+    (_exponent_groups).
     """
     cfg = cfg or EstimationSpec()
     ladder = sorted(set(cfg.n_ladder))
@@ -678,14 +687,7 @@ def lyapunov_spectrum(M, cfg=None):
     for q in range(1, M.dim + 1):
         res = _log_norms(M, q, args, ladder)
         sums.append(min(float(np.mean(res[n] / n)) for n in ladder))
-    mus = [sums[q] - sums[q - 1] for q in range(1, M.dim + 1)]
-    for q in range(1, len(mus)):
-        if mus[q] > mus[q - 1] + max(tol, 1e-9):
-            raise NonMonotoneSums(
-                "exterior sums not concave: mu_%d=%.6g > mu_%d=%.6g"
-                % (q + 1, mus[q], q, mus[q - 1])
-            )
-    return _cluster(sorted(mus), tol)
+    return _exponent_groups(sums, tol)
 
 
 @dataclass(frozen=True)
@@ -711,38 +713,46 @@ class OseledecSpectrum:
 
 
 def oseledec_at(M, x, n, cluster_tol=None):
-    """Oseledec spectrum and filtration from the SVD of P_n(x).
+    """Oseledec spectrum and filtration of P_n(x) from its exterior powers.
 
-    Exponents are (log sigma_i + accumulated log norm) / n grouped within
-    cluster_tol (default 5/n); V^(r) is spanned by the right singular
-    vectors of the r smallest groups.
+    log sigma_q = log ||P_n^{wedge q}|| - log ||P_n^{wedge (q-1)}||, each norm
+    one renormalized pass; the exponents log sigma_q / n group within
+    cluster_tol (default 5/n) as in lyapunov_spectrum.  No SVD of P_n, so a
+    sigma_q far below eps * sigma_1 stays exact.  V^(r) is the complement of
+    the fast k-space above group r: the span of the top right singular vector
+    omega of P_n^{wedge k} (accurate to the gap sigma_k / sigma_(k+1)), which
+    is the column space of its interior products W[J[t], J - J[t]] =
+    (-1)^t omega_J.  Each fast space is orthogonalized against the faster
+    ones, so filtration[r] is the first columns of filtration[r + 1].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     tol = cluster_tol if cluster_tol is not None else 5.0 / n
-    prod = product(M, x, n)
-    try:
-        _, sv, vh = np.linalg.svd(prod.unit_matrix)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSVD(str(exc))
-    if np.any(sv < 1e-280):
-        raise DegenerateSVD("singular value underflow; reduce n")
-    exps = (np.log(sv) + prod.log_norm) / n  # descending
-    order = np.argsort(exps)  # ascending
-    exps_asc = exps[order]
-    vectors = vh.conj().T[:, order]  # columns are right singular vectors
-    groups = _cluster(list(exps_asc), tol)
-    exponents = tuple(g[0] for g in groups)
-    multiplicities = tuple(g[1] for g in groups)
-    filtration = []
-    used = 0
-    for _, mult in groups:
-        used += mult
-        filtration.append(vectors[:, :used].copy())
+    d = M.dim
+    args = _argument_table(M, x, n)
+    sums, units = [0.0], [None]
+    for q in range(1, d + 1):
+        eye = np.eye(math.comb(d, q), dtype=complex)[None]
+        at, logs, acc = _batched_cocycle(_factors(M, args, n, q), eye, (n,))
+        if logs[0] == -math.inf:
+            raise SingularFactor("product of wedge power %d vanishes" % q)
+        sums.append(float(at[n][0]) / n)
+        units.append(acc[0])
+    exponents, multiplicities = zip(*_exponent_groups(sums, tol))
+    basis = np.empty((d, 0), dtype=complex)  # slowest first, built fastest first
+    for k in itertools.accumulate(reversed(multiplicities)):
+        omega = np.linalg.svd(units[k])[2][0].conj()
+        _, _, cols, drop = _laplace_tables(d, k)
+        W = np.zeros((d, math.comb(d, k - 1)), dtype=complex)
+        W[cols, drop] = omega[:, None] * (-1.0) ** np.arange(k)
+        W -= basis @ (basis.conj().T @ W)
+        basis = np.hstack([np.linalg.svd(W)[0][:, : k - basis.shape[1]], basis])
     return OseledecSpectrum(
         exponents=exponents,
         multiplicities=multiplicities,
-        filtration=tuple(filtration),
+        filtration=tuple(
+            basis[:, :m].copy() for m in itertools.accumulate(multiplicities)
+        ),
         n_used=n,
         x=float(x),
     )

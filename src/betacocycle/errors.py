@@ -37,10 +37,6 @@ class NonMonotoneSums(BetaCocycleError):
     """Successive exterior-power growth sums increase; estimation failed."""
 
 
-class DegenerateSVD(BetaCocycleError):
-    """Singular values too close to separate growth subspaces."""
-
-
 class UnboundedD(BetaCocycleError):
     """sup ||M|| ||M^-1|| exceeds the configured cap."""
 

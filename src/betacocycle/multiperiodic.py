@@ -232,6 +232,21 @@ def solve(eq, tol=1e-10):
     return SolutionEvaluator(eq, tol=tol)
 
 
+def _propagate(eq, sol, xs, g, n, norm):
+    """({k: log norm(G(beta^k x))} for k = 1..n, final log scales) from
+    g = G(x) by G(beta^k x) = P_k(x) G(x).  Column m of the argument table is
+    beta^(m+1-d) x: exact orbit_fractions for 1-periodic coefficients."""
+    L = n + eq.d - 1
+    if eq.coefficients_one_periodic:
+        args = orbit_fractions(eq.base, xs, L, shift=1 - eq.d)
+    else:
+        xf = np.array(xs, dtype=float)
+        args = xf[:, None] * eq.beta ** (np.arange(L) + 1.0 - eq.d)
+    return _batched_cocycle(
+        _factors(sol.M, args, n), g[:, :, None], range(1, n + 1), norm=norm
+    )[:2]
+
+
 def asymptotic_exponent(eq, x, n_max, solution=None):
     """h_n = (1/n) log |G(beta^n x)| for n = 1..n_max, plus the estimate.
 
@@ -253,20 +268,7 @@ def asymptotic_exponent(eq, x, n_max, solution=None):
         raise ZeroVector(
             "G(x) vanishes at x = %s; rate undefined" % (xs[int(np.argmax(vanished))],)
         )
-    d = eq.d
-    # argument table: column m holds beta^(m+1-d) x, so the companion entry
-    # with scale d-j at step k reads beta^(k+1-j) x as required
-    L = n_max + d - 1
-    if eq.coefficients_one_periodic:
-        args = orbit_fractions(eq.base, xs, L, shift=1 - d)
-    else:
-        args = xf[:, None] * eq.beta ** (np.arange(L) + 1.0 - d)
-    at, logs, _ = _batched_cocycle(
-        _factors(sol.M, args, n_max),
-        g[:, :, None],
-        range(1, n_max + 1),
-        norm=lambda w: np.abs(w).sum(axis=(1, 2)),
-    )
+    at, logs = _propagate(eq, sol, xs, g, n_max, lambda w: np.abs(w).sum(axis=(1, 2)))
     if np.isneginf(logs).any():
         raise ZeroVector("propagated G vanished")
     h = np.stack([at[n] / n for n in range(1, n_max + 1)], axis=1)
@@ -418,7 +420,9 @@ def moment_integral_F(eq, q, n_ladder, solution=None, nodes=64):
     The block over [beta^k, beta^(k+1)] is integrated in the substituted
     variable u in [1, beta] with F(beta^k u) propagated through the cocycle
     identity W(beta^(k+1) u) = M(beta^k u) W(beta^k u), never by direct
-    evaluation.  Returns (rows, diagnostics); each row is (n, T, value).
+    evaluation; the orbit of the nodes is the one asymptotic_exponent reads
+    (_propagate), exact for 1-periodic coefficients.  Returns (rows,
+    diagnostics); each row is (n, T, value).
     """
     if q < 0:
         raise ValueError("q must be >= 0")
@@ -435,21 +439,14 @@ def moment_integral_F(eq, q, n_ladder, solution=None, nodes=64):
     u0 = 0.5 + 0.5 * gl_x
     w0 = 0.5 * gl_w
     total = float(np.sum(w0 * np.abs(sol.F(u0)) ** q))
-    # propagated blocks [beta^k, beta^(k+1)], u in [1, beta]: the companion
-    # matrix at step k reads column k + scale, and column m holds
-    # beta^(m-(d-1)) u, so step k multiplies by M(beta^k u)
+    # propagated blocks [beta^k, beta^(k+1)], u in [1, beta]: step k
+    # multiplies by M(beta^k u)
     mid, half = (1.0 + beta) / 2.0, (beta - 1.0) / 2.0
     u = mid + half * gl_x
     wu = half * gl_w
     G = sol.G_batch(u)
-    args = u[:, None] * beta ** (np.arange(n_max + eq.d - 2.0) - (eq.d - 1))
     # log_F[k] = log |F(beta^k u)| for k = 0..n_max-1
-    log_F, _, _ = _batched_cocycle(
-        _factors(sol.M, args, n_max - 1),
-        G[:, :, None],
-        range(1, n_max),
-        norm=lambda w: np.abs(w[:, 0, 0]),
-    )
+    log_F, _ = _propagate(eq, sol, u, G, n_max - 1, lambda w: np.abs(w[:, 0, 0]))
     with np.errstate(divide="ignore"):  # log 0 = -inf where F vanishes
         log_F[0] = np.log(np.abs(G[:, 0]))
     rows = []

@@ -61,11 +61,6 @@ class PisotNumber:
     def to_string(self):
         return ",".join(str(c) for c in self.minpoly)
 
-    @classmethod
-    def from_string(cls, text):
-        coeffs = [int(part) for part in text.split(",")]
-        return make_pisot(coeffs)
-
     def __str__(self):
         return "PisotNumber(%s, beta=%.12g)" % (self.to_string(), self.beta)
 
@@ -180,11 +175,6 @@ class FieldElement:
 
     def is_rational(self):
         return all(c == 0 for c in self.coords[1:])
-
-    def as_rational(self):
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.coords[0]
 
     def evaluate_mp(self, dps=_ROOT_DPS):
         b = self.base.beta_mp(dps)

@@ -341,19 +341,70 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, cfg",
+    "command, cfg, where",
     [
-        ("moments", {"matrix": SCALAR_MATRIX, "params": {"n_max": 1}}),
-        ("moments", {"matrix": dict(SCALAR_MATRIX, base=2.5), "params": {"n_max": 4}}),
-        ("oseledec", {"matrix": SCALAR_MATRIX, "params": {"n": 0}}),
+        ("moments", {"matrix": SCALAR_MATRIX, "params": {"n_max": 1}}, "moments"),
+        (
+            "moments",
+            {"matrix": dict(SCALAR_MATRIX, base=2.5), "params": {"n_max": 4}},
+            "moments",
+        ),
+        ("oseledec", {"matrix": SCALAR_MATRIX, "params": {"n": 0}}, "oseledec"),
+        (
+            "lyapunov",
+            {"matrix": SCALAR_MATRIX, "estimation": {"n_ladder": []}},
+            "estimation",
+        ),
+        (
+            "spectrum",
+            {"matrix": SCALAR_MATRIX, "estimation": {"n_ladder": []}},
+            "estimation",
+        ),
+        (
+            "lyapunov",
+            {"matrix": SCALAR_MATRIX, "estimation": {"n_ladder": [0, 4]}},
+            "estimation",
+        ),
+        (
+            "lyapunov",
+            {"matrix": SCALAR_MATRIX, "estimation": {"n_samples": 0}},
+            "estimation",
+        ),
+        (
+            "spectrum",
+            {"matrix": BERNOULLI_MATRIX, "estimation": {"cluster_tol": -1.0}},
+            "estimation",
+        ),
+        (
+            "oseledec",
+            {"matrix": BERNOULLI_MATRIX, "params": {"n": 8, "cluster_tol": "wide"}},
+            "oseledec",
+        ),
+        (
+            "oseledec",
+            {"matrix": BERNOULLI_MATRIX, "params": {"n": 8, "cluster_tol": 0}},
+            "oseledec",
+        ),
     ],
-    ids=["moments-n_max-1", "moments-float-base", "oseledec-n-0"],
+    ids=[
+        "moments-n_max-1",
+        "moments-float-base",
+        "oseledec-n-0",
+        "lyapunov-empty-ladder",
+        "spectrum-empty-ladder",
+        "lyapunov-ladder-0",
+        "lyapunov-no-samples",
+        "spectrum-negative-cluster_tol",
+        "oseledec-string-cluster_tol",
+        "oseledec-zero-cluster_tol",
+    ],
 )
-def test_main_exit_1_on_library_value_error(tmp_path, capsys, command, cfg):
+def test_main_exit_1_on_library_value_error(tmp_path, capsys, command, cfg, where):
+    """A bad input exits 1 with one config-error line naming where it sits."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     assert cli.main([command, "--config", str(path)]) == 1
-    assert "config error: %s: " % command in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("config error: %s: " % where)
 
 
 def test_main_exit_2_on_linalg_error(tmp_path, capsys, monkeypatch):

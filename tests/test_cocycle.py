@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betacocycle import cocycle
@@ -574,6 +574,78 @@ def test_oseledec_growth_of_filtration_vectors():
         v = basis[:, -1]
         rate = prod.apply_log(v) / n
         assert rate == pytest.approx(lam, abs=20.0 / n)
+
+
+def _sine_angle(U, V):
+    """Largest principal sine between the column spans of orthonormal U, V of
+    equal dimension; unlike acos of a cosine it resolves angles below 1e-8."""
+    return float(np.linalg.norm(U - V @ (V.conj().T @ U), 2))
+
+
+def _d4_matrix():
+    """R + 0.3 e(x) I on base 3, R_ij = 5 + i + j: symmetric rank 2, so the
+    factors commute, are normal, and have the eigenvalue 0.3 e(x) twice."""
+    shift = harmonic(1, 0.3)
+    entries = [
+        [constant(5.0 + i + j) + (shift if i == j else constant(0.0)) for j in range(4)]
+        for i in range(4)
+    ]
+    return beta_adapted_matrix(entries, make_pisot([1, -3]))
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
+def test_oseledec_lowest_exponents_below_machine_epsilon(n):
+    """sigma_3 = sigma_4 = 0.3^n of P_n lie far below eps * sigma_1; the
+    exterior sums still give them exactly, and their subspace is ker R."""
+    M = _d4_matrix()
+    x = Fraction(123, 457)
+    spec = oseledec_at(M, x, n)
+    assert spec.multiplicities[0] == 2
+    assert spec.exponents[0] == pytest.approx(math.log(0.3), abs=1e-12)
+    birkhoff = 0.0
+    for k in range(n):
+        y = Fraction(3**k * x.numerator % x.denominator, x.denominator)
+        birkhoff += math.log(abs(np.linalg.det(M.evaluate(float(y)))))
+    assert spec.weighted_sum() == pytest.approx(birkhoff / n, abs=1e-12)
+    kernel = np.linalg.qr(np.array([[1.0, -2.0, 1.0, 0.0], [0.0, 1.0, -2.0, 1.0]]).T)[0]
+    assert _sine_angle(spec.filtration[0], kernel) <= 1e-10
+
+
+@given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_oseledec_matches_the_svd_of_a_constant_power(d, n, seed):
+    """Exponents and filtration of A^n against a 40-digit SVD, for log
+    singular values at least 0.3 apart."""
+    A = _complex_normal(np.random.default_rng(seed), (d, d))
+    with mp.workdps(40):
+        _, S, Vh = mp.svd_c(mp.matrix(A.tolist()) ** n)
+        logs = np.array([float(mp.log(v)) for v in S])
+        Vh = np.array(Vh.tolist(), dtype=complex)
+    order = np.argsort(logs)
+    assume(np.min(np.diff(logs[order])) >= 0.3)
+    slowest_first = Vh.conj().T[:, order]  # right singular vectors as columns
+    spec = oseledec_at(constant_matrix(A, GOLDEN), 0.0, n, cluster_tol=1e-3)
+    assert spec.multiplicities == (1,) * d
+    assert np.max(np.abs(np.array(spec.exponents) - logs[order] / n)) <= 1e-12
+    for r, basis in enumerate(spec.filtration):
+        assert _sine_angle(basis, slowest_first[:, : r + 1]) <= 1e-10
+
+
+def test_oseledec_filtration_nests_exactly():
+    """filtration[r] is the first columns of filtration[r + 1], bit for bit,
+    and every basis is orthonormal; d = 4 with groups of sizes 2, 1, 1."""
+    spec = oseledec_at(_d4_matrix(), Fraction(2, 7), 32)
+    assert spec.multiplicities == (2, 1, 1)
+    for r in range(spec.s - 1):
+        inner, outer = spec.filtration[r], spec.filtration[r + 1]
+        assert np.array_equal(outer[:, : inner.shape[1]], inner)
+    full = spec.filtration[-1]
+    assert np.allclose(full.conj().T @ full, np.eye(4), rtol=0, atol=1e-14)
+
+
+def test_oseledec_singular_factor_raises():
+    with pytest.raises(SingularFactor):
+        oseledec_at(constant_matrix(np.diag([2.0, 0.0]), GOLDEN), 0.3, 5)
 
 
 # --- distortion ------------------------------------------------------------

@@ -4,11 +4,13 @@ solutions, growth exponents, moment integrals, and applicability gates."""
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betacocycle import multiperiodic
 from betacocycle.apcore import constant, cosine, harmonic, sine
 from betacocycle.cocycle import EstimationSpec, lyapunov_top, scalar_matrix
 from betacocycle.errors import (
@@ -413,6 +415,42 @@ def test_moment_integral_stabilizes_at_critical_exponent():
     assert diag["stabilized"]
     assert diag["last_rel_change"] < 0.05
     assert all(v > 0 for _, _, v in rows)
+
+
+def test_moment_integral_reads_an_exact_orbit(monkeypatch):
+    """The propagation table holds frac(beta^(m-1) u) for the 64 nodes u, to
+    within float rounding, where plain float powers lose the orbit by n = 80."""
+    eq = multiperiodic_equation(
+        [
+            constant(0.1) + cosine(TWO_PI, 0.05),
+            constant(0.8) + cosine(TWO_PI, 0.05),
+        ],
+        GOLDEN,
+    )
+    tables = []
+    factors = multiperiodic._factors
+
+    def record(M, args, n, q=1):
+        tables.append(args)
+        return factors(M, args, n, q)
+
+    monkeypatch.setattr(multiperiodic, "_factors", record)
+    n_max = 80
+    moment_integral_F(eq, 2, [n_max])
+    table = tables[-1]  # the propagation runs after the solver's tables
+    # the nodes on [1, beta] as moment_integral_F places them, to the bit
+    mid, half = (1.0 + GOLDEN.beta) / 2.0, (GOLDEN.beta - 1.0) / 2.0
+    nodes = mid + half * np.polynomial.legendre.leggauss(64)[0]
+    assert table.shape == (64, n_max)
+    dps = int(n_max * math.log10(GOLDEN.beta)) + 40
+    with mp.workdps(dps):
+        b = GOLDEN.beta_mp(dps)
+        for u, row in zip(nodes, table):
+            z = mp.mpf(u) / b  # column m holds beta^(m-1) u
+            for m in range(n_max):
+                gap = (row[m] - float(z - mp.floor(z))) % 1.0
+                assert min(gap, 1.0 - gap) <= 1e-9
+                z *= b
 
 
 def test_moment_integral_validates_q():
