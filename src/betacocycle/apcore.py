@@ -97,10 +97,9 @@ class TrigPolynomial:
 
     @property
     def is_one_periodic(self):
-        """All frequencies are integer multiples of 2*pi."""
-        return all(
-            abs(f / TWO_PI - round(f / TWO_PI)) < 1e-9 for f, _ in self.terms
-        )
+        """All frequencies are exactly integer multiples of 2*pi: the
+        polynomials the Laurent evaluator takes (_harmonics)."""
+        return self._harmonics is not None
 
     @property
     def is_real_valued(self):
@@ -252,23 +251,17 @@ def _accepts_array(f):
         return False
 
 
-def epsilon_period_check(f, tau, grid=None):
+def epsilon_period_check(f, tau):
     """Max of |f(x+tau) - f(x)| over a grid; a certificate, not a proof.
 
-    grid may be an explicit array of points or a (start, stop, num) triple.
-    The default covers [0, 50] with a spacing tied to the largest frequency
+    The grid covers [0, 50] with a spacing tied to the largest frequency
     when f is a TrigPolynomial.
     """
-    if grid is None:
-        if isinstance(f, TrigPolynomial) and f.max_frequency > 0:
-            num = max(2000, int(50 * f.max_frequency / math.pi))
-        else:
-            num = 5000
-        xs = np.linspace(0.0, 50.0, num)
-    elif isinstance(grid, tuple):
-        xs = np.linspace(*grid)
+    if isinstance(f, TrigPolynomial) and f.max_frequency > 0:
+        num = max(2000, int(50 * f.max_frequency / math.pi))
     else:
-        xs = np.asarray(grid, dtype=float)
+        num = 5000
+    xs = np.linspace(0.0, 50.0, num)
     if _accepts_array(f):
         diff = np.abs(np.asarray(f(xs + tau)) - np.asarray(f(xs)))
     else:
@@ -281,7 +274,7 @@ def epsilon_period_check(f, tau, grid=None):
     )
 
 
-def weyl_equidistribution_defect(p, x, modulus, N, max_harmonic=20):
+def weyl_equidistribution_defect(p, x, modulus, N):
     """Max Weyl-sum modulus over harmonics h = 1..20 for (beta^n x mod modulus).
 
     Small values certify approximate equidistribution of the orbit, which
@@ -299,7 +292,7 @@ def weyl_equidistribution_defect(p, x, modulus, N, max_harmonic=20):
         raise ValueError("N capped at 5000 for a plain float beta")
     fracs = orbit_fractions(p, Fraction(x) / Fraction(modulus), N)
     worst = 0.0
-    for h in range(1, max_harmonic + 1):
+    for h in range(1, 21):
         s = np.abs(np.mean(np.exp(2j * math.pi * h * fracs)))
         worst = max(worst, float(s))
     return worst

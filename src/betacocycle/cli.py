@@ -79,12 +79,19 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data):
         if not isinstance(data, dict):
-            raise ConfigInvalid("config must be a mapping")
+            raise ConfigInvalid("config: expected a mapping")
         command = data.get("command")
         if command not in COMMANDS:
             raise ConfigInvalid(
                 "command: expected one of %s, got %r" % (", ".join(COMMANDS), command)
             )
+        for key in ("matrix", "equation", "estimation", "params", "output"):
+            if data.get(key) is not None and not isinstance(data[key], dict):
+                raise ConfigInvalid("%s: expected a mapping" % key)
+        try:
+            seed = int(data.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid("seed: %s" % exc) from exc
         cfg = cls(
             command=command,
             base=data.get("base"),
@@ -93,7 +100,7 @@ class ExperimentConfig:
             estimation=dict(data.get("estimation") or {}),
             params=dict(data.get("params") or {}),
             output=dict(data.get("output") or {}),
-            seed=int(data.get("seed", 0)),
+            seed=seed,
         )
         fmt = cfg.output.get("format", "json")
         if fmt not in ("csv", "json"):
@@ -257,6 +264,15 @@ def _parse_point(value):
     return float(value)
 
 
+def _param(cfg, key, default, kind):
+    """kind(params[key]), default when the key is absent; a value kind
+    rejects is a config error naming the key."""
+    try:
+        return kind(cfg.params.get(key, default))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigInvalid("params.%s: %s" % (key, exc)) from exc
+
+
 def _certificate_dict(cert):
     return {
         "kind": cert.kind,
@@ -303,8 +319,8 @@ def _run_expand(cfg, report):
     p = _parse_base(cfg.base)
     if not isinstance(p, PisotNumber):
         raise ConfigInvalid("expand: base must be a minimal polynomial")
-    x = _parse_point(cfg.params.get("x", 0.5))
-    n = int(cfg.params.get("digits", 20))
+    x = _param(cfg, "x", 0.5, _parse_point)
+    n = _param(cfg, "digits", 20, int)
     digits = beta_expand(p, Fraction(x), n)
     report.summary = {"x": float(x), "digits": list(digits.digits)}
     report.series["digits"] = [
@@ -314,7 +330,7 @@ def _run_expand(cfg, report):
 
 def _run_lyapunov(cfg, report):
     M = _parse_matrix(cfg)
-    q = int(cfg.params.get("q", 1))
+    q = _param(cfg, "q", 1, int)
     est = _parse_estimation(cfg)
     _try_certificate(M, q, report)
     estimate, diag = lyapunov_top(M, q, est)
@@ -345,8 +361,8 @@ def _run_spectrum(cfg, report):
 
 def _run_oseledec(cfg, report):
     M = _parse_matrix(cfg)
-    x = _parse_point(cfg.params.get("x", 1.0))
-    n = int(cfg.params.get("n", 64))
+    x = _param(cfg, "x", 1.0, _parse_point)
+    n = _param(cfg, "n", 64, int)
     _try_certificate(M, 1, report)
     tol = cfg.params.get("cluster_tol")
     tol = None if tol is None else _positive(tol, float, "cluster_tol")
@@ -360,9 +376,9 @@ def _run_oseledec(cfg, report):
 
 def _run_certify(cfg, report):
     M = _parse_matrix(cfg)
-    q = int(cfg.params.get("q", 1))
+    q = _param(cfg, "q", 1, int)
     cert = joint_period_certificate(
-        M, q=q, lattice_level=int(cfg.params.get("lattice_level", 8))
+        M, q=q, lattice_level=_param(cfg, "lattice_level", 8, int)
     )
     report.certificates.append(_certificate_dict(cert))
     report.summary = _certificate_dict(cert)
@@ -371,16 +387,16 @@ def _run_certify(cfg, report):
             M,
             q,
             cert,
-            m=int(cfg.params.get("verify_level", 8)),
-            n_list=range(1, int(cfg.params.get("verify_n", 40)) + 1),
-            grid=int(cfg.params.get("verify_grid", 256)),
+            m=_param(cfg, "verify_level", 8, int),
+            n_list=range(1, _param(cfg, "verify_n", 40, int) + 1),
+            grid=_param(cfg, "verify_grid", 256, int),
         )
         report.summary["verified_max_discrepancy"] = worst
 
 
 def _run_solve(cfg, report):
     eq = _parse_equation(cfg)
-    tol = float(cfg.params.get("tol", 1e-10))
+    tol = _param(cfg, "tol", 1e-10, float)
     sol = mpq.solve(eq, tol=tol)
     queries = cfg.params.get("x", [1.0])
     xs = np.array(queries if isinstance(queries, list) else [queries], dtype=float)
@@ -394,9 +410,9 @@ def _run_solve(cfg, report):
 
 def _run_asymptotics(cfg, report):
     eq = _parse_equation(cfg)
-    sol = mpq.solve(eq, tol=float(cfg.params.get("tol", 1e-10)))
-    x = _parse_point(cfg.params.get("x", 1.5))
-    n_max = int(cfg.params.get("n_max", 200))
+    sol = mpq.solve(eq, tol=_param(cfg, "tol", 1e-10, float))
+    x = _param(cfg, "x", 1.5, _parse_point)
+    n_max = _param(cfg, "n_max", 200, int)
     h, estimate = mpq.asymptotic_exponent(eq, x, n_max, solution=sol)
     M = mpq.companion_matrix(eq)
     _try_certificate(M, 1, report)
@@ -417,8 +433,8 @@ def _run_asymptotics(cfg, report):
 
 def _run_moments(cfg, report):
     M = _parse_matrix(cfg)
-    q = float(cfg.params.get("q", 1.0))
-    n_max = int(cfg.params.get("n_max", 12))
+    q = _param(cfg, "q", 1.0, float)
+    n_max = _param(cfg, "n_max", 12, int)
     zs, rate = mpq.moment_growth(M, q, n_max)
     report.series["Z_n"] = [
         {"n": n, "log_Z_n": float(zs[n - 1]), "rate": float(zs[n - 1] / n)}
@@ -429,11 +445,11 @@ def _run_moments(cfg, report):
 
 def _run_bernoulli(cfg, report):
     base = _parse_base(cfg.base)
-    p = float(cfg.params.get("p", 0.5))
-    a = int(cfg.params.get("a", 1))
-    b = int(cfg.params.get("b", 1))
-    n_max = int(cfg.params.get("n_max", 200))
-    n_points = int(cfg.params.get("n_points", 50))
+    p = _param(cfg, "p", 0.5, float)
+    a = _param(cfg, "a", 1, int)
+    b = _param(cfg, "b", 1, int)
+    n_max = _param(cfg, "n_max", 200, int)
+    n_points = _param(cfg, "n_points", 50, int)
     if n_points < 1:
         raise ConfigInvalid("bernoulli: n_points must be >= 1")
     eq = mpq.bernoulli_convolution(p, a, b, base)
@@ -564,6 +580,8 @@ def main(argv=None):
         if args.config:
             with open(args.config) as handle:
                 data = json.load(handle)
+        if not isinstance(data, dict):
+            raise ConfigInvalid("config: expected a JSON object")
         data["command"] = args.command
         if getattr(args, "minpoly", None):
             data["base"] = args.minpoly

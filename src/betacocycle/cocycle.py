@@ -44,18 +44,15 @@ def _beta_value(base):
     return base.beta if isinstance(base, PisotNumber) else float(base)
 
 
-def _is_integer_beta(base):
-    b = _beta_value(base)
-    return abs(b - round(b)) < 1e-12
-
-
 def _pisot_of(base):
     """The base as a PisotNumber, an integer beta as the degree-1 case
-    (minimal polynomial x - B, no conjugates); None for a plain float beta."""
+    (minimal polynomial x - B, no conjugates); None for a plain float beta.
+    This is the one test for an integer beta."""
     if isinstance(base, PisotNumber):
         return base
-    if _is_integer_beta(base):
-        B = int(round(_beta_value(base)))
+    b = float(base)
+    if abs(b - round(b)) < 1e-12:
+        B = int(round(b))
         return PisotNumber(
             minpoly=(1, -B), beta=float(B), conjugates=(), rho=0.0, degree=1
         )
@@ -66,23 +63,14 @@ def _mpmath_dps(base, length, shift):
     return int((length + abs(shift)) * math.log10(_beta_value(base))) + 30
 
 
-def _orbit_info(base, denominators, length):
-    """How orbit_fractions computes an orbit: {"mode": "trace",
-    "denominator_bits": ...} for a Pisot or integer beta, {"mode":
-    "mpmath", "dps": ...} for a plain float beta."""
-    if _pisot_of(base) is None:
-        return {"mode": "mpmath", "dps": _mpmath_dps(base, length, 0)}
-    return {"mode": "trace", "denominator_bits": max(denominators).bit_length()}
-
-
 def orbit_fractions(base, x, length, shift=0):
     """Fractional parts of beta^(k+shift) x for k = 0..length-1.
 
     x is one point (Fraction, float or int, taken as the exact rational it
-    is) or a 1-D batch of them; a batch returns an (N, length) table.  For
-    a Pisot beta with conjugates sigma and x = a/D the orbit is exact up to
-    a decaying float term: Tr(beta^k) = beta^k + sum sigma^k is an integer,
-    so
+    is) or a 1-D batch of them; a batch returns an (N, length) table, and an
+    empty batch a (0, length) one.  For a Pisot beta with conjugates sigma
+    and x = a/D the orbit is exact up to a decaying float term:
+    Tr(beta^k) = beta^k + sum sigma^k is an integer, so
 
         frac(beta^k x) = frac((a Tr(beta^k) mod D) / D - x sum sigma^k),
 
@@ -92,30 +80,34 @@ def orbit_fractions(base, x, length, shift=0):
     in int64 when D * sum|a_i| < 2^63 and on exact Python ints otherwise.
     A negative shift starts the orbit a few division steps before x, which
     companion-matrix cocycles need; those columns x beta^j (j < 0) never
-    grow and are taken in plain float.  Only a plain float beta, which has
-    no minimal polynomial, walks the orbit in mpmath, at a working precision
-    scaled to beta^length.
+    grow and are taken in plain float for every base.  Only a plain float
+    beta, which has no minimal polynomial, walks the columns j >= 0 in
+    mpmath, at a working precision scaled to beta^length.
     """
     batch = np.ndim(x) == 1
-    points = [Fraction(v) for v in (x if batch else [x])]
+    values = list(x) if batch else [x]
+    xs = np.array([float(v) for v in values])
     p = _pisot_of(base)
-    if p is None:
-        out = np.stack([_mpmath_orbit(base, v, length, shift) for v in points])
-    else:
-        out = _trace_orbit(p, points, length, shift)
+    beta = _beta_value(p or base)
+    out = np.empty((len(values), length), order="F")  # columns are filled
+    head = min(max(-shift, 0), length)  # columns with a negative exponent
+    for j in range(head):
+        y = xs * beta ** (shift + j)
+        out[:, j] = y - np.floor(y)
+    if head < length and values:
+        points = [Fraction(v) for v in values]
+        if p is None:
+            for row, v in zip(out, points):
+                row[head:] = _mpmath_orbit(base, v, length - head, shift + head)
+        else:
+            _trace_orbit(p, points, xs, out[:, head:], shift + head)
     return out if batch else out[0]
 
 
-def _trace_orbit(p, points, length, shift):
-    """(N, length) table of frac(beta^(k+shift) x) by the trace recurrence."""
-    out = np.empty((len(points), length), order="F")  # columns are filled
-    xs = np.array([float(v) for v in points])
-    head = min(max(-shift, 0), length)  # columns with a negative exponent
-    for j in range(head):
-        y = xs * p.beta ** (shift + j)
-        out[:, j] = y - np.floor(y)
-    if head == length:
-        return out
+def _trace_orbit(p, points, xs, out, first):
+    """Fill out (N, L) with frac(beta^(first+k) x), k = 0..L-1 and first
+    >= 0, by the trace recurrence; xs holds the points as floats."""
+    length = out.shape[1]
     a = [-c for c in p.minpoly[1:]]  # u_k = a_1 u_{k-1} + ... + a_r u_{k-r}
     r = p.degree
     dens = [v.denominator for v in points]
@@ -127,11 +119,10 @@ def _trace_orbit(p, points, length, shift):
         np.array([v.numerator * t % v.denominator for v in points], dtype=dtype)
         for t in traces
     ]
-    first = max(shift, 0)  # exponent of column head
-    ks = np.arange(first, first + length - head)
+    ks = np.arange(first, first + length)
     conj = np.array(p.conjugates, dtype=complex)
     drift = (conj[:, None] ** ks[None, :]).real.sum(axis=0)  # sum sigma^k
-    for k in range(first + length - head):
+    for k in range(first + length):
         u = window[0]
         if k >= first:
             col = u / D
@@ -139,12 +130,11 @@ def _trace_orbit(p, points, length, shift):
                 col = col.astype(float)
             if r > 1:
                 col -= xs * drift[k - first]
-            np.subtract(col, np.floor(col), out=out[:, head + k - first])
+            np.subtract(col, np.floor(col), out=out[:, k - first])
         nxt = a[0] * window[-1]
         for i in range(1, r):
             nxt = nxt + a[i] * window[r - 1 - i]
         window = window[1:] + [nxt % D]
-    return out
 
 
 def _mpmath_orbit(base, x, length, shift):
@@ -158,6 +148,37 @@ def _mpmath_orbit(base, x, length, shift):
             out[k] = float(z - mp.floor(z))
             z *= b
     return out
+
+
+def _orbit_table(M, points, length, shift=0):
+    """The argument table of M over a batch of points, the one place that
+    picks how beta^k x is formed: column m holds beta^(m+shift) x.
+
+    Exact orbit_fractions when every entry is 1-periodic, raw float powers
+    otherwise (usable only while beta^k x stays in the float range), and for
+    a constant M one zero row, which the engine broadcasts against any start.
+    """
+    if M.is_constant:
+        return np.zeros((1, length))
+    if M.entries_one_periodic:
+        return orbit_fractions(M.base, points, length, shift)
+    xs = np.array([float(v) for v in points])
+    return xs[:, None] * M.beta ** (np.arange(length) + shift)[None, :]
+
+
+def _orbit_info(M, points, length):
+    """How _orbit_table computes the orbit of points: {"mode": "none"} for a
+    constant M, {"mode": "float"} for raw powers, {"mode": "trace",
+    "denominator_bits": ...} for a Pisot or integer beta and {"mode":
+    "mpmath", "dps": ...} for a plain float beta."""
+    if M.is_constant:
+        return {"mode": "none"}
+    if not M.entries_one_periodic:
+        return {"mode": "float"}
+    if _pisot_of(M.base) is None:
+        return {"mode": "mpmath", "dps": _mpmath_dps(M.base, length, 0)}
+    bits = max(Fraction(v).denominator for v in points).bit_length()
+    return {"mode": "trace", "denominator_bits": bits}
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +337,8 @@ def scalar_matrix(poly, base, scale=0):
     return beta_adapted_matrix([[(poly, scale)]], base)
 
 
-def _check_positivity(M, delta, grid=10000):
-    xs = np.linspace(0.0, 1.0, grid, endpoint=False)
+def _check_positivity(M, delta):
+    xs = np.linspace(0.0, 1.0, 10000, endpoint=False)
     for i, row in enumerate(M.entries):
         for j, (poly, _) in enumerate(row):
             vals = np.atleast_1d(poly.evaluate(xs))
@@ -347,20 +368,6 @@ class NormalizedProduct:
         return self.log_norm + math.log(np.linalg.norm(self.unit_matrix @ v))
 
 
-def _argument_table(M, x, n):
-    """Arguments beta^m x for one point, m = 0..n-1+max_scale.
-
-    Reduced modulo 1 (exactly or in high precision) when every entry is
-    1-periodic; raw powers otherwise.
-    """
-    L = n + M.max_scale + 1
-    if M.is_constant:
-        return np.zeros((1, L))
-    if M.entries_one_periodic:
-        return orbit_fractions(M.base, x, L)[None, :]
-    return float(x) * (M.beta ** np.arange(L))[None, :]
-
-
 def product(M, x, n):
     """Renormalized ordered product P_n(x) = M(beta^{n-1}x) ... M(x).
 
@@ -373,7 +380,7 @@ def product(M, x, n):
     eye = np.eye(M.dim, dtype=complex)
     if n == 0:
         return NormalizedProduct(0.0, eye, 0)
-    args = _argument_table(M, x, n)
+    args = _orbit_table(M, [x], n + M.max_scale + 1)
     _, logs, acc = _batched_cocycle(_factors(M, args, n), eye[None])
     if logs[0] == -math.inf:
         raise SingularFactor("product P_%d vanishes" % n)
@@ -564,7 +571,7 @@ def subadditive_sequence(M, q, x, n_max):
     """f_n^{(q)}(x) = log ||(P_n(x))^{wedge q}|| for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    args = _argument_table(M, x, n_max)
+    args = _orbit_table(M, [x], n_max + M.max_scale + 1)
     res = _log_norms(M, q, args, range(1, n_max + 1))
     return np.array([res[n][0] for n in range(1, n_max + 1)])
 
@@ -591,20 +598,16 @@ class EstimationSpec:
 
 
 def _sample_argument_tables(M, cfg, n_max):
-    """Argument tables (N, n_max + max_scale + 1) for random sample points,
-    and how their orbits were computed (_orbit_info; "float" for raw powers,
-    "none" for a constant matrix)."""
+    """Argument tables (N, n_max + max_scale + 1) for random sample points
+    (_orbit_table), and how their orbits were computed (_orbit_info).
+
+    Each point is x = a/D with D odd and coprime to the minimal polynomial's
+    constant term, so the orbit of x never dies.
+    """
     L = n_max + M.max_scale + 1
-    if M.is_constant:
-        return np.zeros((1, L)), {"mode": "none"}
     rng = np.random.default_rng(cfg.seed)
     N = cfg.n_samples
     lo, hi = cfg.window
-    if not M.entries_one_periodic:
-        xs = rng.uniform(lo, hi, size=N)
-        return xs[:, None] * (M.beta ** np.arange(L))[None, :], {"mode": "float"}
-    # x = a/D with D odd and coprime to the minimal polynomial's constant
-    # term, so the orbit of x never dies
     p = _pisot_of(M.base)
     c = p.minpoly[-1] if p is not None else 1
     dens = np.empty(N, dtype=np.int64)
@@ -616,7 +619,7 @@ def _sample_argument_tables(M, cfg, n_max):
         filled += cand.size
     dens = dens.tolist()
     xs = [Fraction(int(rng.integers(int(lo * d), int(hi * d))), d) for d in dens]
-    return orbit_fractions(M.base, xs, L), _orbit_info(M.base, dens, L)
+    return _orbit_table(M, xs, L), _orbit_info(M, xs, L)
 
 
 def lyapunov_top(M, q, cfg=None):
@@ -729,7 +732,7 @@ def oseledec_at(M, x, n, cluster_tol=None):
         raise ValueError("n must be >= 1")
     tol = cluster_tol if cluster_tol is not None else 5.0 / n
     d = M.dim
-    args = _argument_table(M, x, n)
+    args = _orbit_table(M, [x], n + M.max_scale + 1)
     sums, units = [0.0], [None]
     for q in range(1, d + 1):
         eye = np.eye(math.comb(d, q), dtype=complex)[None]
@@ -763,13 +766,14 @@ def oseledec_at(M, x, n, cluster_tol=None):
 
 
 @lru_cache(maxsize=32)
-def _grid_norm_constants(M, grid=10000):
+def _grid_norm_constants(M):
     """(sup ||M||_2, sup ||M^-1||_2, sup ||M||_2 ||M^-1||_2,
     sup ||M||_inf ||M^-1||_inf).
 
-    Grid suprema over [0, 1); callers inflate when they need a safe side.
+    Suprema over a 10000-point grid of [0, 1); callers inflate when they
+    need a safe side.
     """
-    xs = np.linspace(0.0, 1.0, grid, endpoint=False)
+    xs = np.linspace(0.0, 1.0, 10000, endpoint=False)
     Ms = M.evaluate_batch(xs)
     inv = np.linalg.inv(Ms)
     two = _opnorm(Ms)
@@ -784,13 +788,14 @@ def _grid_norm_constants(M, grid=10000):
     )
 
 
-def distortion_bound(M, xs, ys, v, d_cap=1e6):
+def distortion_bound(M, xs, ys, v):
     """Distortion bound and actual ratio for perturbed products on a vector.
 
     Picks the positive path (L1 norms, bound exp(sum theta_k / delta)) when
     positivity_delta is set and v is nonnegative, otherwise the general
     invertible path (Euclidean norms, bound 1 + C sum_k D^(k-1) theta_k with
-    C = sup ||M^-1|| and D = sup ||M|| ||M^-1||, theta-corrected).
+    C = sup ||M^-1|| and D = sup ||M|| ||M^-1||, theta-corrected); a D
+    above 1e6 raises UnboundedD.
     Factors are applied right to left: xs[0] is the leftmost factor.
     """
     mats_x = M.evaluate_batch(list(xs))
@@ -823,7 +828,7 @@ def distortion_bound(M, xs, ys, v, d_cap=1e6):
         # grid suprema undershoot; the bound must not
         c_inv *= 1.01
         d_two *= 1.01
-        if d_two > d_cap:
+        if d_two > 1e6:
             raise UnboundedD("sup ||M|| ||M^-1|| = %.3g exceeds cap" % d_two)
         # Telescoping the difference of the two products, the factor at
         # position k contributes at most ||M^-1|| theta_k, amplified by
@@ -944,36 +949,27 @@ def joint_period_certificate(M, q=1, lattice_level=8):
     _, _, _, d_inf = _grid_norm_constants(M)
     rho_alpha = rho**alpha
     if d_inf * rho_alpha < 1.0:
-        c_hold = _measure_holder_constant(M, q, lattice_level, rho, alpha)
         # D is reported as the raw grid supremum (closed forms must be
         # recognizable); the 1% sup-inflation slack lands in script_C instead
-        script_c = 1.01 * c_hold * d_inf / (1.0 - d_inf * rho_alpha)
-        return JointPeriodCertificate(
-            kind="contraction",
-            D=d_inf,
-            rho_alpha=rho_alpha,
-            delta=None,
-            script_C=max(script_c, 1e-12),
-            lattice_level=lattice_level,
-            c_hold=c_hold,
+        kind, D, delta = "contraction", d_inf, None
+        gain, denom = d_inf, 1.0 - d_inf * rho_alpha
+    elif M.positivity_delta is not None:
+        kind, D, delta = "positivity", None, float(M.positivity_delta)
+        gain, denom = 1.0, delta * (1.0 - rho_alpha if rho_alpha < 1 else 0.5)
+    else:
+        raise NoCertificate(
+            "D*rho^alpha = %.4g >= 1 and no positivity floor declared"
+            % (d_inf * rho_alpha)
         )
-    if M.positivity_delta is not None:
-        delta = float(M.positivity_delta)
-        c_hold = _measure_holder_constant(M, q, lattice_level, rho, alpha)
-        denom = 1.0 - rho_alpha if rho_alpha < 1 else 0.5
-        script_c = 1.01 * c_hold / (delta * denom)
-        return JointPeriodCertificate(
-            kind="positivity",
-            D=None,
-            rho_alpha=rho_alpha,
-            delta=delta,
-            script_C=max(script_c, 1e-12),
-            lattice_level=lattice_level,
-            c_hold=c_hold,
-        )
-    raise NoCertificate(
-        "D*rho^alpha = %.4g >= 1 and no positivity floor declared"
-        % (d_inf * rho_alpha)
+    c_hold = _measure_holder_constant(M, q, lattice_level, rho, alpha)
+    return JointPeriodCertificate(
+        kind=kind,
+        D=D,
+        rho_alpha=rho_alpha,
+        delta=delta,
+        script_C=max(1.01 * c_hold * gain / denom, 1e-12),
+        lattice_level=lattice_level,
+        c_hold=c_hold,
     )
 
 

@@ -59,10 +59,6 @@ class NotSimpleEigenvalue(BetaCocycleError):
     """Eigenvalue 1 of the companion matrix at 0 is not simple."""
 
 
-class NonPositiveEigenvector(BetaCocycleError):
-    """No strictly positive eigenvector for eigenvalue 1 was found."""
-
-
 class ZeroVector(BetaCocycleError):
     """The solution vector vanishes; a logarithmic rate is undefined."""
 

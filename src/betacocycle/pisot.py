@@ -482,17 +482,17 @@ def _beta_power_coords(minpoly, max_power):
     return rows
 
 
-def translation_lattice(p, m, cap=10**6, rng=None):
+def translation_lattice(p, m):
     """Lattice of tau = sum_i eta_i beta^i with eta_i in {0..digit_max}.
 
-    Enumerates all digit vectors when their count is at most cap, otherwise
-    samples cap of them uniformly.  Returns sorted distinct floats; gaps
-    between consecutive values never exceed beta.
+    Enumerates all digit vectors when their count is at most 10^6, otherwise
+    samples 10^6 of them uniformly with seed 0.  Returns sorted distinct
+    floats; gaps between consecutive values never exceed beta.
     """
-    return [value for value, _ in _lattice_points(p, m, cap, rng)]
+    return [value for value, _ in _lattice_points(p, m)]
 
 
-def _lattice_points(p, m, cap=10**6, rng=None):
+def _lattice_points(p, m):
     """translation_lattice as sorted (float value, integer power-basis
     coordinates) pairs."""
     if m < 0:
@@ -500,12 +500,13 @@ def _lattice_points(p, m, cap=10**6, rng=None):
     top = p.digit_max
     count = (top + 1) ** (m + 1)
     powmat = _beta_power_coords(p.minpoly, m).astype(object)
+    cap = 10**6
     if count <= cap:
         etas = np.array(
             list(itertools.product(range(top + 1), repeat=m + 1)), dtype=object
         )
     else:
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         etas = rng.integers(0, top + 1, size=(cap, m + 1)).astype(object)
     coords = etas @ powmat  # exact integer coordinates of each tau
     with mp.workdps(_ROOT_DPS):

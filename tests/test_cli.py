@@ -385,6 +385,13 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
             {"matrix": BERNOULLI_MATRIX, "params": {"n": 8, "cluster_tol": 0}},
             "oseledec",
         ),
+        ("oseledec", {"matrix": BERNOULLI_MATRIX, "params": {"n": [64]}}, "params.n"),
+        ("oseledec", {"matrix": BERNOULLI_MATRIX, "params": {"x": "1/0"}}, "params.x"),
+        ("solve", {"equation": VIETE_EQUATION, "params": {"tol": None}}, "params.tol"),
+        ("lyapunov", {"matrix": [[1]]}, "matrix"),
+        ("lyapunov", {"matrix": SCALAR_MATRIX, "seed": "abc"}, "seed"),
+        ("lyapunov", {"matrix": SCALAR_MATRIX, "estimation": [1]}, "estimation"),
+        ("lyapunov", [1], "config"),
     ],
     ids=[
         "moments-n_max-1",
@@ -397,6 +404,13 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
         "spectrum-negative-cluster_tol",
         "oseledec-string-cluster_tol",
         "oseledec-zero-cluster_tol",
+        "oseledec-list-n",
+        "oseledec-zero-denominator-x",
+        "solve-null-tol",
+        "matrix-not-a-mapping",
+        "string-seed",
+        "estimation-not-a-mapping",
+        "config-not-a-mapping",
     ],
 )
 def test_main_exit_1_on_library_value_error(tmp_path, capsys, command, cfg, where):

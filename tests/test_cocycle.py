@@ -18,6 +18,8 @@ from betacocycle.cocycle import (
     EstimationSpec,
     _batched_cocycle,
     _opnorm,
+    _orbit_info,
+    _orbit_table,
     _sample_argument_tables,
     beta_adapted_matrix,
     constant_matrix,
@@ -159,6 +161,52 @@ def test_integer_base_sample_table_unchanged():
 def test_orbit_fractions_negative_shift():
     fr = orbit_fractions(BASE2, Fraction(1, 3), 4, shift=-2)
     assert fr[0] == pytest.approx(float(Fraction(1, 12)), abs=1e-15)
+
+
+@pytest.mark.parametrize("base", [GOLDEN, BASE2, 2.5], ids=["pisot", "integer", "float"])
+@pytest.mark.parametrize("shift", [0, -2])
+def test_orbit_fractions_empty_batch(base, shift):
+    assert orbit_fractions(base, [], 5, shift=shift).shape == (0, 5)
+
+
+def test_plain_float_beta_reads_mpmath_only_for_nonnegative_exponents(monkeypatch):
+    shifts = []
+    walk = cocycle._mpmath_orbit
+
+    def record(base, x, length, shift):
+        shifts.append(shift)
+        return walk(base, x, length, shift)
+
+    monkeypatch.setattr(cocycle, "_mpmath_orbit", record)
+    x = Fraction(1, 3)
+    fr = orbit_fractions(2.5, [x, Fraction(5, 7)], 4, shift=-4)
+    assert shifts == []
+    assert fr[0] == pytest.approx([(2.5**j / 3) % 1.0 for j in range(-4, 0)], abs=1e-15)
+    fr = orbit_fractions(2.5, x, 40, shift=-3)
+    assert shifts == [0]
+    with mp.workdps(60):
+        expected = [float(mp.frac(mp.mpf(1) / 3 * mp.mpf(2.5) ** k)) for k in range(-3, 37)]
+    assert circle_distance(fr, expected) < 1e-15
+
+
+def test_orbit_table_modes():
+    xs = [Fraction(1, 3), Fraction(2, 7)]
+    # 1-periodic entries: the exact orbit, shift included
+    table = _orbit_table(SCALAR, xs, 6, shift=-2)
+    assert np.array_equal(table, orbit_fractions(BASE2, xs, 6, shift=-2))
+    assert _orbit_info(SCALAR, xs, 6) == {"mode": "trace", "denominator_bits": 3}
+    mp_scalar = scalar_matrix(constant(2.0) + cosine(TWO_PI), 2.5)
+    assert _orbit_info(mp_scalar, xs, 6) == {"mode": "mpmath", "dps": 32}
+    # other entries: raw powers beta^(m + shift) x
+    M = beta_adapted_matrix([[cosine(1.0)]], GOLDEN, allow_nonperiodic=True)
+    table = _orbit_table(M, xs, 6, shift=-2)
+    raw = [[float(x) * GOLDEN.beta ** (m - 2) for m in range(6)] for x in xs]
+    assert np.allclose(table, raw, rtol=1e-15, atol=0.0)
+    assert _orbit_info(M, xs, 6) == {"mode": "float"}
+    # a constant matrix: one zero row for any number of points
+    C = constant_matrix(np.diag([2.0, 0.5]), GOLDEN)
+    assert np.array_equal(_orbit_table(C, xs, 6), np.zeros((1, 6)))
+    assert _orbit_info(C, xs, 6) == {"mode": "none"}
 
 
 # --- products --------------------------------------------------------------
@@ -854,6 +902,49 @@ def test_nonperiodic_entry_rejected_by_default():
         scalar_matrix(cosine(1.0), GOLDEN)
     M = beta_adapted_matrix([[cosine(1.0)]], GOLDEN, allow_nonperiodic=True)
     assert not M.entries_one_periodic
+
+
+def test_near_harmonic_frequency_is_not_one_periodic():
+    # one definition: 1-periodic means the Laurent evaluator takes it
+    f = cosine(TWO_PI * (1 + 1e-11))
+    assert not f.is_one_periodic
+    with pytest.raises(ValueError):
+        scalar_matrix(f, GOLDEN)
+
+
+NONPERIODIC = beta_adapted_matrix(
+    [
+        [(cosine(1.0, 0.5) + constant(2.0), 1), constant(0.5)],
+        [constant(0.3), constant(1.0) + cosine(0.7, 0.2)],
+    ],
+    GOLDEN,
+    allow_nonperiodic=True,
+)
+
+
+def _direct_product(M, x, n):
+    P = np.eye(M.dim, dtype=complex)
+    for k in range(n):
+        P = M.evaluate(M.beta**k * x) @ P
+    return P
+
+
+@pytest.mark.parametrize("x", [0.37, Fraction(5, 7)])
+def test_nonperiodic_product_matches_direct_product(x):
+    n = 12
+    P = _direct_product(NONPERIODIC, float(x), n)
+    out = product(NONPERIODIC, x, n)
+    s = np.linalg.norm(P, 2)
+    assert out.log_norm == pytest.approx(math.log(s), abs=1e-12)
+    assert np.allclose(out.unit_matrix, P / s, atol=1e-12)
+
+
+def test_nonperiodic_oseledec_matches_direct_svd():
+    n, x = 12, 0.37
+    sigma = np.linalg.svd(_direct_product(NONPERIODIC, x, n), compute_uv=False)
+    spec = oseledec_at(NONPERIODIC, x, n, cluster_tol=1e-6)
+    assert spec.multiplicities == (1, 1)
+    assert np.allclose(spec.exponents, np.log(sigma[::-1]) / n, atol=1e-12)
 
 
 def test_positivity_validation_rejects_sign_change():

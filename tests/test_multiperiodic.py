@@ -1,6 +1,7 @@
 """Multiperiodic functional equations: companion reduction, infinite-product
 solutions, growth exponents, moment integrals, and applicability gates."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from betacocycle.errors import (
 )
 from betacocycle.multiperiodic import (
     MultiperiodicEquation,
+    SolutionEvaluator,
     _beta_quadrature,
     asymptotic_exponent,
     bernoulli_convolution,
@@ -95,6 +97,14 @@ def test_simple_eigenvalue_derivative_weights_by_index():
     is_simple, derivative = check_simple_eigenvalue(eq)
     assert is_simple
     assert derivative == pytest.approx(1.5)
+
+
+def test_evaluator_rejects_a_companion_that_moves_the_ones_vector():
+    # rows 2..d force the eigenvalue-1 eigenvector to be (1, ..., 1); an
+    # unvalidated equation with sum f_j(0) = 0.9 does not fix it
+    eq = MultiperiodicEquation(fs=(constant(0.45), constant(0.45)), base=GOLDEN)
+    with pytest.raises(NotSimpleEigenvalue):
+        SolutionEvaluator(eq)
 
 
 def test_solve_checks_simplicity():
@@ -223,6 +233,25 @@ def test_asymptotic_exponent_batch_matches_pointwise():
         assert h_i.shape == (200,) and isinstance(est_i, float)
         assert np.max(np.abs(h[i] - h_i)) <= 1e-12
         assert abs(est[i] - est_i) <= 1e-12
+
+
+def test_constant_companion_batch_matches_pointwise():
+    # a constant companion reads one zero-row argument table, broadcast
+    # against every point of the batch
+    eq = multiperiodic_equation([constant(0.2), constant(0.3), constant(0.5)], GOLDEN)
+    sol = solve(eq)
+    xs = [0.7, Fraction(4, 3), 2.9]
+    h, est = asymptotic_exponent(eq, xs, 30, solution=sol)
+    assert h.shape == (3, 30)
+    for i, x in enumerate(xs):
+        h_i, est_i = asymptotic_exponent(eq, x, 30, solution=sol)
+        assert np.array_equal(h[i], h_i) and est[i] == est_i
+    # G = (1, 1, 1) is fixed by every factor
+    assert np.allclose(h, math.log(3.0) / np.arange(1, 31), atol=1e-14)
+
+
+def test_solution_of_an_empty_batch():
+    assert solve(bernoulli_convolution(0.2, 1, 1, GOLDEN)).G_batch([]).shape == (0, 2)
 
 
 def test_asymptotic_exponent_batch_rejects_a_vanishing_start():
@@ -398,6 +427,22 @@ def test_moment_integral_requires_primitive_pattern():
     eq = multiperiodic_equation([constant(0.0), constant(1.0)], GOLDEN)
     with pytest.raises(NotPrimitive):
         moment_integral_F(eq, 2, [2, 4])
+
+
+def test_primitivity_rule_matches_matrix_powers():
+    # the cycle-length rule of _is_primitive against the definition: some
+    # power of the 0/1 companion pattern is positive, for every support
+    for d in range(1, 7):
+        for mask in itertools.product([0.0, 0.5], repeat=d):
+            pattern = np.zeros((d, d), dtype=int)
+            pattern[0] = np.array(mask) > 0
+            pattern[np.arange(1, d), np.arange(d - 1)] = 1
+            power, primitive = np.eye(d, dtype=int), False
+            for _ in range(d * d):
+                power = np.minimum(power @ pattern, 1)
+                primitive = primitive or bool(np.all(power > 0))
+            eq = MultiperiodicEquation(fs=tuple(constant(c) for c in mask), base=GOLDEN)
+            assert multiperiodic._is_primitive(eq) == primitive
 
 
 def test_moment_integral_stabilizes_at_critical_exponent():

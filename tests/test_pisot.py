@@ -67,6 +67,11 @@ def test_reducible_rejected():
         make_pisot([1, -1, -2])  # (x-2)(x+1)
 
 
+def test_reducible_quartic_without_rational_root_rejected():
+    with pytest.raises(ReduciblePolynomial, match="quadratic factor"):
+        make_pisot([1, -1, 0, -1, -1])  # (x^2-x-1)(x^2+1)
+
+
 def test_string_roundtrip():
     s = GOLDEN.to_string()
     assert make_pisot([int(c) for c in s.split(",")]) == GOLDEN
