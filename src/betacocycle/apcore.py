@@ -102,6 +102,11 @@ class TrigPolynomial:
         return self._harmonics is not None
 
     @property
+    def is_zero(self):
+        """Every coefficient is 0: distinct frequencies are independent."""
+        return all(c == 0 for _, c in self.terms)
+
+    @property
     def is_real_valued(self):
         """Conjugate symmetry: each (L, A) pairs with (-L, conj(A))."""
         table = {f: c for f, c in self.terms}

@@ -135,26 +135,28 @@ def _field_dict(obj):
 
 
 def _parse_base(spec):
-    """PisotNumber from a minpoly spec, or a plain float beta."""
+    """PisotNumber from a comma string or {"minpoly": [...]}; float from a number."""
     if spec is None:
         raise ConfigInvalid("base: missing")
     if isinstance(spec, (int, float)):
         if float(spec) <= 1.0:
             raise ConfigInvalid("base: beta must exceed 1")
         return float(spec)
-    if isinstance(spec, str):
-        try:
+    try:
+        if isinstance(spec, str):
             return make_pisot([int(t) for t in spec.split(",")])
-        except ValueError as exc:
-            raise ConfigInvalid("base: %s" % exc)
-    if isinstance(spec, dict) and "minpoly" in spec:
-        try:
+        if isinstance(spec, dict) and "minpoly" in spec:
             return make_pisot([int(c) for c in spec["minpoly"]])
-        except ValueError as exc:
-            raise ConfigInvalid("base: %s" % exc)
-    if isinstance(spec, dict) and "beta" in spec:
-        return float(spec["beta"])
-    raise ConfigInvalid("base: expected minpoly list, comma string, or real beta")
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid("base: %s" % exc) from exc
+    raise ConfigInvalid('base: expected {"minpoly": [...]}, a comma string or a number')
+
+
+def _check_keys(block, spec, known):
+    """ConfigInvalid naming the block when spec sets a key it does not read."""
+    unknown = sorted(str(key) for key in spec if key not in known)
+    if unknown:
+        raise ConfigInvalid("%s: unknown keys %s, accepted %s" % (block, unknown, known))
 
 
 def _parse_poly(spec):
@@ -187,31 +189,30 @@ def _parse_matrix(cfg):
     spec = cfg.matrix
     if spec is None:
         raise ConfigInvalid("matrix: missing")
+    _check_keys("matrix", spec, ("entries", "base", "positivity_delta", "allow_nonperiodic"))
     base = _parse_base(spec.get("base", cfg.base))
     entries_spec = spec.get("entries")
     if not isinstance(entries_spec, list):
         raise ConfigInvalid("matrix.entries: expected a nested list")
-    rows = []
-    for row in entries_spec:
-        packed = []
-        for item in row:
-            if isinstance(item, dict):
-                poly = _parse_poly(item.get("poly", item))
-                scale = int(item.get("scale", 0))
-                packed.append((poly, scale))
-            else:
-                packed.append((_parse_poly(item), 0))
-        rows.append(packed)
     try:
+        rows = []
+        for row in entries_spec:
+            packed = []
+            for item in row:
+                if isinstance(item, dict):
+                    poly = _parse_poly(item.get("poly", item))
+                    packed.append((poly, int(item.get("scale", 0))))
+                else:
+                    packed.append((_parse_poly(item), 0))
+            rows.append(packed)
         return beta_adapted_matrix(
             rows,
             base,
-            holder_alpha=float(spec.get("holder_alpha", 1.0)),
             positivity_delta=spec.get("positivity_delta"),
             allow_nonperiodic=bool(spec.get("allow_nonperiodic", False)),
         )
-    except ValueError as exc:
-        raise ConfigInvalid("matrix: %s" % exc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid("matrix: %s" % exc) from exc
 
 
 def _parse_equation(cfg):
@@ -224,8 +225,8 @@ def _parse_equation(cfg):
         raise ConfigInvalid("equation.f: expected a list of polynomial specs")
     try:
         return mpq.multiperiodic_equation([_parse_poly(s) for s in fs_spec], base)
-    except ValueError as exc:
-        raise ConfigInvalid("equation: %s" % exc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid("equation: %s" % exc) from exc
 
 
 def _positive(value, kind, what):
@@ -240,7 +241,9 @@ def _positive(value, kind, what):
 
 
 def _parse_estimation(cfg):
+    """EstimationSpec from the estimation block and the top-level seed."""
     est = cfg.estimation
+    _check_keys("estimation", est, ("n_ladder", "n_samples", "cluster_tol"))
     tol = est.get("cluster_tol")
     try:
         ladder = tuple(int(n) for n in est.get("n_ladder", (2, 4, 8, 16, 32, 64)))
@@ -249,8 +252,7 @@ def _parse_estimation(cfg):
         return EstimationSpec(
             n_ladder=ladder,
             n_samples=_positive(est.get("n_samples", 200), int, "n_samples"),
-            window=tuple(est.get("window", (1.0, 2.0))),
-            seed=int(est.get("seed", cfg.seed)),
+            seed=cfg.seed,
             cluster_tol=None if tol is None else _positive(tol, float, "cluster_tol"),
         )
     except (TypeError, ValueError) as exc:
@@ -300,7 +302,7 @@ def _try_certificate(M, q, report):
 
 
 def _run_pisot(cfg, report):
-    p = _parse_base(cfg.base if cfg.base is not None else cfg.params.get("minpoly"))
+    p = _parse_base(cfg.base)
     if not isinstance(p, PisotNumber):
         raise ConfigInvalid("pisot: base must be a minimal polynomial")
     report.summary = {
@@ -382,16 +384,14 @@ def _run_certify(cfg, report):
     )
     report.certificates.append(_certificate_dict(cert))
     report.summary = _certificate_dict(cert)
-    if cfg.params.get("verify", True):
-        worst = joint_period_verify(
-            M,
-            q,
-            cert,
-            m=_param(cfg, "verify_level", 8, int),
-            n_list=range(1, _param(cfg, "verify_n", 40, int) + 1),
-            grid=_param(cfg, "verify_grid", 256, int),
-        )
-        report.summary["verified_max_discrepancy"] = worst
+    report.summary["verified_max_discrepancy"] = joint_period_verify(
+        M,
+        q,
+        cert,
+        m=_param(cfg, "verify_level", 8, int),
+        n_list=range(1, _param(cfg, "verify_n", 40, int) + 1),
+        grid=_param(cfg, "verify_grid", 256, int),
+    )
 
 
 def _run_solve(cfg, report):

@@ -197,7 +197,6 @@ class BetaAdaptedMatrix:
     dim: int
     entries: tuple
     base: object
-    holder_alpha: float = 1.0
     positivity_delta: object = None
 
     @property
@@ -278,16 +277,15 @@ class BetaAdaptedMatrix:
         return self._fill(args.shape[0], lambda scale: args[:, k + scale])
 
 
-def beta_adapted_matrix(
-    entries, base, holder_alpha=1.0, positivity_delta=None, allow_nonperiodic=False
-):
+def beta_adapted_matrix(entries, base, positivity_delta=None, allow_nonperiodic=False):
     """Validate and freeze a BetaAdaptedMatrix.
 
     entries: nested sequence (d rows of d items), each item either a
     (TrigPolynomial, scale) pair, a TrigPolynomial (scale 0), or a plain
     number (constant entry).  Non-1-periodic entries are only admitted with
     allow_nonperiodic=True; products then evaluate arguments beta^k x
-    directly, which limits usable n to the float range.
+    directly, which limits usable n to the float range.  M is Lipschitz, so
+    its certificates take Hoelder exponent 1.
     """
     rows = []
     for row in entries:
@@ -318,7 +316,6 @@ def beta_adapted_matrix(
         dim=dim,
         entries=tuple(rows),
         base=base,
-        holder_alpha=float(holder_alpha),
         positivity_delta=positivity_delta,
     )
     if positivity_delta is not None:
@@ -338,12 +335,14 @@ def scalar_matrix(poly, base, scale=0):
 
 
 def _check_positivity(M, delta):
+    """ValueError unless each entry is_zero or is real and >= delta on a
+    10000-point grid of [0, 1)."""
     xs = np.linspace(0.0, 1.0, 10000, endpoint=False)
     for i, row in enumerate(M.entries):
         for j, (poly, _) in enumerate(row):
-            vals = np.atleast_1d(poly.evaluate(xs))
-            if np.max(np.abs(vals)) < 1e-12:
+            if poly.is_zero:
                 continue
+            vals = np.atleast_1d(poly.evaluate(xs))
             if np.max(np.abs(vals.imag)) > 1e-12 or np.min(vals.real) < delta:
                 raise ValueError(
                     "entry (%d,%d) is neither identically zero nor real and "
@@ -585,20 +584,19 @@ class EstimationSpec:
     """Knobs for Lyapunov estimation.
 
     The Bohr mean of f_n is estimated by averaging (1/n) f_n(x_i) over
-    points sampled uniformly from the window; the limit is a.e. constant,
-    so any window of positive length works.  All randomness flows through
-    the seed.
+    points sampled uniformly from [1, 2); the limit is a.e. constant, so
+    any window of positive length would do, and this one is fixed.  All
+    randomness flows through the seed (the CLI's top-level seed).
     """
 
     n_ladder: tuple = (2, 4, 8, 16, 32, 64)
     n_samples: int = 200
-    window: tuple = (1.0, 2.0)
     seed: int = 0
     cluster_tol: object = None
 
 
 def _sample_argument_tables(M, cfg, n_max):
-    """Argument tables (N, n_max + max_scale + 1) for random sample points
+    """Argument tables (N, n_max + max_scale + 1) for random points of [1, 2)
     (_orbit_table), and how their orbits were computed (_orbit_info).
 
     Each point is x = a/D with D odd and coprime to the minimal polynomial's
@@ -607,7 +605,6 @@ def _sample_argument_tables(M, cfg, n_max):
     L = n_max + M.max_scale + 1
     rng = np.random.default_rng(cfg.seed)
     N = cfg.n_samples
-    lo, hi = cfg.window
     p = _pisot_of(M.base)
     c = p.minpoly[-1] if p is not None else 1
     dens = np.empty(N, dtype=np.int64)
@@ -618,7 +615,7 @@ def _sample_argument_tables(M, cfg, n_max):
         dens[filled : filled + cand.size] = cand
         filled += cand.size
     dens = dens.tolist()
-    xs = [Fraction(int(rng.integers(int(lo * d), int(hi * d))), d) for d in dens]
+    xs = [Fraction(int(rng.integers(d, 2 * d)), d) for d in dens]
     return _orbit_table(M, xs, L), _orbit_info(M, xs, L)
 
 
@@ -644,7 +641,6 @@ def lyapunov_top(M, q, cfg=None):
         "per_n_std": per_n_std,
         "dispersion": per_n_std[n_max],
         "seed": cfg.seed,
-        "window": tuple(cfg.window),
         "n_samples": int(args.shape[0]),
         "orbit": orbit,
     }
@@ -767,8 +763,7 @@ def oseledec_at(M, x, n, cluster_tol=None):
 
 @lru_cache(maxsize=32)
 def _grid_norm_constants(M):
-    """(sup ||M||_2, sup ||M^-1||_2, sup ||M||_2 ||M^-1||_2,
-    sup ||M||_inf ||M^-1||_inf).
+    """(sup ||M^-1||_2, sup ||M||_2 ||M^-1||_2, sup ||M||_inf ||M^-1||_inf).
 
     Suprema over a 10000-point grid of [0, 1); callers inflate when they
     need a safe side.
@@ -781,7 +776,6 @@ def _grid_norm_constants(M):
     inf_n = np.abs(Ms).sum(axis=2).max(axis=1)
     inf_inv = np.abs(inv).sum(axis=2).max(axis=1)
     return (
-        float(np.max(two)),
         float(np.max(two_inv)),
         float(np.max(two * two_inv)),
         float(np.max(inf_n * inf_inv)),
@@ -824,7 +818,7 @@ def distortion_bound(M, xs, ys, v):
             bound = math.inf
         norm = lambda w: float(np.sum(np.abs(w)))
     else:
-        _, c_inv, d_two, _ = _grid_norm_constants(M)
+        c_inv, d_two, _ = _grid_norm_constants(M)
         # grid suprema undershoot; the bound must not
         c_inv *= 1.01
         d_two *= 1.01
@@ -860,9 +854,9 @@ def distortion_bound(M, xs, ys, v):
 class JointPeriodCertificate:
     """Certificate that (1/n) f_n^{(q)} has joint periods on the beta-lattice.
 
-    kind is "contraction" (D rho^alpha < 1) or "positivity" (all entries
+    kind is "contraction" (D rho < 1) or "positivity" (all entries
     identically zero or >= delta); script_C bounds |f_n(x+tau) - f_n(x)|
-    uniformly over lattice translations tau.
+    uniformly over lattice translations tau.  rho_alpha is rho (exponent 1).
     """
 
     kind: str
@@ -936,36 +930,34 @@ def _measure_holder_constant(M, q, lattice_level, rho, alpha):
 def joint_period_certificate(M, q=1, lattice_level=8):
     """Try to certify joint periods for (1/n) f_n^{(q)}.
 
-    Emits a contraction certificate when D rho^alpha < 1 (D in the
-    max-row-sum operator norm, grid supremum), a positivity certificate
-    when positivity_delta is set, and raises NoCertificate otherwise.
+    Emits a contraction certificate when D rho < 1 (D in the max-row-sum
+    operator norm, grid supremum), a positivity certificate when
+    positivity_delta is set, and raises NoCertificate otherwise.  M is
+    Lipschitz (trigonometric entries): alpha = 1, and rho^alpha is rho.
     """
     if not isinstance(M.base, PisotNumber):
         raise NoCertificate("certificates require a PisotNumber base")
     if not M.entries_one_periodic:
         raise NoCertificate("certificates require 1-periodic entries")
-    rho = M.base.rho
-    alpha = M.holder_alpha
-    _, _, _, d_inf = _grid_norm_constants(M)
-    rho_alpha = rho**alpha
-    if d_inf * rho_alpha < 1.0:
+    rho = M.base.rho  # < 1: make_pisot rejects anything else
+    _, _, d_inf = _grid_norm_constants(M)
+    if d_inf * rho < 1.0:
         # D is reported as the raw grid supremum (closed forms must be
         # recognizable); the 1% sup-inflation slack lands in script_C instead
         kind, D, delta = "contraction", d_inf, None
-        gain, denom = d_inf, 1.0 - d_inf * rho_alpha
+        gain, denom = d_inf, 1.0 - d_inf * rho
     elif M.positivity_delta is not None:
         kind, D, delta = "positivity", None, float(M.positivity_delta)
-        gain, denom = 1.0, delta * (1.0 - rho_alpha if rho_alpha < 1 else 0.5)
+        gain, denom = 1.0, delta * (1.0 - rho)
     else:
         raise NoCertificate(
-            "D*rho^alpha = %.4g >= 1 and no positivity floor declared"
-            % (d_inf * rho_alpha)
+            "D*rho^alpha = %.4g >= 1 and no positivity floor declared" % (d_inf * rho)
         )
-    c_hold = _measure_holder_constant(M, q, lattice_level, rho, alpha)
+    c_hold = _measure_holder_constant(M, q, lattice_level, rho, 1.0)
     return JointPeriodCertificate(
         kind=kind,
         D=D,
-        rho_alpha=rho_alpha,
+        rho_alpha=rho,
         delta=delta,
         script_C=max(1.01 * c_hold * gain / denom, 1e-12),
         lattice_level=lattice_level,

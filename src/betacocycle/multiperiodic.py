@@ -255,15 +255,15 @@ def asymptotic_exponent(eq, x, n_max, solution=None):
 
 
 def theoremB_gate(eq):
-    """True iff every f_j is identically zero or strictly positive on a
-    4096-point grid of [0, 1), and the base carries Pisot structure."""
+    """True iff every f_j is_zero or is strictly positive on a 4096-point
+    grid of [0, 1), and the base carries Pisot structure."""
     if not isinstance(eq.base, PisotNumber):
         return False
     xs = np.linspace(0.0, 1.0, 4096, endpoint=False)
     for f in eq.fs:
-        vals = np.atleast_1d(f.evaluate(xs))
-        if np.max(np.abs(vals)) < 1e-12:
+        if f.is_zero:
             continue
+        vals = np.atleast_1d(f.evaluate(xs))
         if np.max(np.abs(vals.imag)) > 1e-12 or np.min(vals.real) <= 0.0:
             return False
     return True
@@ -380,14 +380,13 @@ def moment_growth(M, q, n_max):
 def _is_primitive(eq):
     """Whether the 0/1 pattern of the companion matrix has a positive power.
 
-    S holds the j whose f_j is not identically zero on a 2048-point grid of
-    [0, 1).  Every cycle of the pattern's graph runs 0 -> j-1 -> ... -> 0,
-    of length j in S, and node d-1 is reached only by the edge of f_d; so
-    the pattern is irreducible iff d is in S, and then primitive iff the
-    cycle lengths have gcd 1.
+    S holds the j whose f_j is not identically zero (some coefficient is
+    nonzero, TrigPolynomial.is_zero; no grid).  Every cycle of the pattern's
+    graph runs 0 -> j-1 -> ... -> 0, of length j in S, and node d-1 is
+    reached only by the edge of f_d; so the pattern is irreducible iff d is
+    in S, and then primitive iff the cycle lengths have gcd 1.
     """
-    xs = np.linspace(0.0, 1.0, 2048, endpoint=False)
-    S = [j for j, f in enumerate(eq.fs, 1) if np.max(np.abs(f.evaluate(xs))) > 1e-12]
+    S = [j for j, f in enumerate(eq.fs, 1) if not f.is_zero]
     return bool(S) and S[-1] == eq.d and math.gcd(*S) == 1
 
 

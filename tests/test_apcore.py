@@ -51,6 +51,15 @@ def test_harmonic_is_one_periodic():
     assert not cosine(1.0).is_one_periodic
 
 
+def test_is_zero_reads_coefficients():
+    assert constant(0.0).is_zero
+    assert trig_poly([(TWO_PI, 0.5), (TWO_PI, -0.5)]).is_zero
+    # 1 - cos 2 pi 8x vanishes on the grid j/8 but is not identically zero
+    f = constant(1.0) + cosine(TWO_PI * 8, -1.0)
+    assert np.max(np.abs(f(np.arange(8) / 8))) < 1e-12
+    assert not f.is_zero
+
+
 def _per_term_reference(harmonics, xs):
     """sum A_k exp(2 pi i k x) term by term in mpmath, x the exact float."""
     with mp.workdps(40):

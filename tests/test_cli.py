@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,6 +393,19 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
         ("lyapunov", {"matrix": SCALAR_MATRIX, "seed": "abc"}, "seed"),
         ("lyapunov", {"matrix": SCALAR_MATRIX, "estimation": [1]}, "estimation"),
         ("lyapunov", [1], "config"),
+        ("lyapunov", {"matrix": {"entries": [1], "base": "1,-2"}}, "matrix"),
+        ("pisot", {"base": {"minpoly": 5}}, "base"),
+        (
+            "lyapunov",
+            {"matrix": {"entries": [[{"poly": [[0, 2, 0]], "scale": [1]}]], "base": "1,-2"}},
+            "matrix",
+        ),
+        ("lyapunov", {"matrix": dict(SCALAR_MATRIX, holder_alpha=3.0)}, "matrix"),
+        ("lyapunov", {"matrix": SCALAR_MATRIX, "estimation": {"window": [1, 2]}}, "estimation"),
+        ("lyapunov", {"matrix": SCALAR_MATRIX, "estimation": {"seed": 0}}, "estimation"),
+        ("bernoulli", {"base": {"beta": 2.5}}, "base"),
+        ("pisot", {"params": {"minpoly": GOLDEN_SPEC}}, "base"),
+        ("solve", {"equation": {"f": [[[None, 1, 0]]], "base": "1,-2"}}, "equation"),
     ],
     ids=[
         "moments-n_max-1",
@@ -411,6 +425,15 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
         "string-seed",
         "estimation-not-a-mapping",
         "config-not-a-mapping",
+        "matrix-entries-not-nested",
+        "base-minpoly-not-a-list",
+        "matrix-list-scale",
+        "matrix-holder_alpha",
+        "estimation-window",
+        "estimation-seed",
+        "base-beta-mapping",
+        "pisot-params-minpoly",
+        "equation-null-frequency",
     ],
 )
 def test_main_exit_1_on_library_value_error(tmp_path, capsys, command, cfg, where):
@@ -451,3 +474,39 @@ def test_main_csv_format_without_series(tmp_path, capsys):
     code = cli.main(["pisot", "--config", str(cfg), "--format", "csv"])
     assert code == 0
     assert capsys.readouterr().out.startswith("index,")
+
+
+def test_main_seed_flag_equals_config_seed(tmp_path, capsys):
+    """--seed and a top-level "seed" set the one seed a run has."""
+    base = {"matrix": SCALAR_MATRIX, "estimation": {"n_ladder": [4, 8], "n_samples": 16}}
+    runs = {"flag": (base, ["--seed", "5"]), "config": (dict(base, seed=5), []), "zero": (base, [])}
+    out = {}
+    for name, (data, flags) in runs.items():
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(data))
+        assert cli.main(["lyapunov", "--config", str(path)] + flags) == 0
+        out[name] = json.loads(capsys.readouterr().out)
+    assert out["flag"]["config"]["seed"] == out["config"]["config"]["seed"] == 5
+    assert out["flag"]["summary"] == out["config"]["summary"]
+    assert out["flag"]["series"] == out["config"]["series"]
+    assert out["flag"]["summary"]["estimate"] != out["zero"]["summary"]["estimate"]
+
+
+def test_benchmark_workload_configs_parse(monkeypatch):
+    """Every benchmark config, at a few seeds, passes the config parsers and
+    their key checks (nothing is computed), so a key they reject fails here
+    and not as a failed benchmark run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        for seed in (0, 1, 7):
+            for exp in workloads.build(name, seed):
+                cfg = cli.ExperimentConfig.from_dict(dict(exp.config, command=exp.command))
+                if cfg.base is not None:
+                    cli._parse_base(cfg.base)
+                if cfg.matrix is not None:
+                    cli._parse_matrix(cfg)
+                if cfg.equation is not None:
+                    cli._parse_equation(cfg)
+                cli._parse_estimation(cfg)

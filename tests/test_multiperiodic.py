@@ -445,6 +445,15 @@ def test_primitivity_rule_matches_matrix_powers():
             assert multiperiodic._is_primitive(eq) == primitive
 
 
+def test_primitivity_reads_coefficients_not_a_grid():
+    # f_2 = 0.25 - 0.25 cos 2 pi 2048 x vanishes at every j/2048 but not at
+    # 1/4096, so f_2 is not identically zero and the pattern is primitive
+    f2 = constant(0.25) + cosine(2 * math.pi * 2048, -0.25)
+    assert f2(1 / 4096) == pytest.approx(0.5)
+    eq = MultiperiodicEquation(fs=(constant(1.0), f2), base=GOLDEN)
+    assert multiperiodic._is_primitive(eq)
+
+
 def test_moment_integral_stabilizes_at_critical_exponent():
     # at the exponent where beta * e^(moment rate) = 1 the normalized
     # integral has a finite nonzero limit, and the ladder flattens out
