@@ -44,7 +44,7 @@ class TrigPolynomial:
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
         if self._harmonics is not None:
-            acc = self._laurent(_circle_powers(flat, self._degree), flat.size)
+            acc = self._laurent(_circle_powers(flat, self._orders), flat.size)
         else:
             acc = np.zeros(flat.shape, dtype=complex)
             for freq, coeff in self.terms:
@@ -65,18 +65,24 @@ class TrigPolynomial:
         return out
 
     @cached_property
-    def _degree(self):
-        """max |k| over the harmonics; None for a non-harmonic polynomial."""
+    def _orders(self):
+        """The nonzero |k| over the harmonics, the powers of z that _laurent
+        reads; None for a non-harmonic polynomial."""
         if self._harmonics is None:
             return None
-        return max(abs(k) for k, _ in self._harmonics)
+        return frozenset(abs(k) for k, _ in self._harmonics if k)
+
+    @property
+    def _degree(self):
+        """max |k| over the harmonics; None for a non-harmonic polynomial."""
+        return None if self._orders is None else max(self._orders, default=0)
 
     def _laurent(self, powers, size):
         """sum_k A_k z^k over size points z on the unit circle.
 
-        powers[k - 1] holds z^k for k = 1..degree (_circle_powers); a negative
-        k reads conj(z^|k|), which is z^k since |z| = 1.  Entries of a
-        matrix that read the same argument share one powers list.
+        powers[k] holds z^k for every k in _orders (_circle_powers); a
+        negative k reads conj(z^|k|), which is z^k since |z| = 1.  Entries of
+        a matrix that read the same argument share one powers dict.
         """
         acc = None
         const = 0j
@@ -84,7 +90,7 @@ class TrigPolynomial:
             if k == 0:
                 const = coeff
                 continue
-            term = coeff * (powers[k - 1] if k > 0 else np.conj(powers[-k - 1]))
+            term = coeff * (powers[k] if k > 0 else np.conj(powers[-k]))
             if acc is None:
                 acc = term
             else:
@@ -143,24 +149,29 @@ class TrigPolynomial:
     __rmul__ = __mul__
 
 
-def _circle_powers(x, top):
-    """[z, z^2, ..., z^top] for z = e(x) = exp(2 pi i x), x a 1-D float array.
+def _circle_powers(x, orders):
+    """{k: z^k} for the k in orders (positive integers) and z = e(x) =
+    exp(2 pi i x), x a 1-D float array.
 
     x is reduced modulo 1 first, which is exact for floats, so z keeps full
     accuracy at large arguments; z comes from one cos/sin pair per point
-    (measured a little faster than a complex exp) and each higher power is
-    one complex product.
+    (measured a little faster than a complex exp).  z^k is z^(k-1) z up to
+    the largest order, so each power has the same value whichever others
+    are asked for, and only the asked-for ones stay in memory.
     """
-    if top == 0:
-        return []
+    if not orders:
+        return {}
     w = x - np.floor(x)
     w *= TWO_PI
     z = np.empty(w.shape, dtype=complex)
     np.cos(w, out=z.real)
     np.sin(w, out=z.imag)
-    powers = [z]
-    for _ in range(top - 1):
-        powers.append(powers[-1] * z)
+    power = z
+    powers = {1: z} if 1 in orders else {}
+    for k in range(2, max(orders) + 1):
+        power = power * z
+        if k in orders:
+            powers[k] = power
     return powers
 
 

@@ -27,6 +27,7 @@ from . import multiperiodic as mpq
 from .apcore import trig_poly
 from .cocycle import (
     EstimationSpec,
+    _sample_points,
     beta_adapted_matrix,
     joint_period_certificate,
     joint_period_verify,
@@ -80,6 +81,7 @@ class ExperimentConfig:
     def from_dict(cls, data):
         if not isinstance(data, dict):
             raise ConfigInvalid("config: expected a mapping")
+        _check_keys("config", data, tuple(f.name for f in fields(cls)))
         command = data.get("command")
         if command not in COMMANDS:
             raise ConfigInvalid(
@@ -102,6 +104,7 @@ class ExperimentConfig:
             output=dict(data.get("output") or {}),
             seed=seed,
         )
+        _check_keys("output", cfg.output, ("format", "path"))
         fmt = cfg.output.get("format", "json")
         if fmt not in ("csv", "json"):
             raise ConfigInvalid("output.format: expected csv or json, got %r" % fmt)
@@ -219,6 +222,7 @@ def _parse_equation(cfg):
     spec = cfg.equation
     if spec is None:
         raise ConfigInvalid("equation: missing")
+    _check_keys("equation", spec, ("f", "base"))
     base = _parse_base(spec.get("base", cfg.base))
     fs_spec = spec.get("f")
     if not isinstance(fs_spec, list) or not fs_spec:
@@ -414,10 +418,9 @@ def _run_asymptotics(cfg, report):
     x = _param(cfg, "x", 1.5, _parse_point)
     n_max = _param(cfg, "n_max", 200, int)
     h, estimate = mpq.asymptotic_exponent(eq, x, n_max, solution=sol)
-    M = mpq.companion_matrix(eq)
-    _try_certificate(M, 1, report)
+    _try_certificate(sol.M, 1, report)
     est = _parse_estimation(cfg)
-    lyap, diag = lyapunov_top(M, 1, est)
+    lyap, diag = lyapunov_top(sol.M, 1, est)
     report.series["h_n"] = [
         {"n": n + 1, "h_n": float(h[n])} for n in range(n_max)
     ]
@@ -454,17 +457,16 @@ def _run_bernoulli(cfg, report):
         raise ConfigInvalid("bernoulli: n_points must be >= 1")
     eq = mpq.bernoulli_convolution(p, a, b, base)
     report.summary = {"p": p, "a": a, "b": b, "recorded_D": eq.recorded_D}
-    M = mpq.companion_matrix(eq)
-    cert = _try_certificate(M, 1, report)
     sol = mpq.solve(eq)
-    xs = 1.0 + np.random.default_rng(cfg.seed).random(n_points)
+    cert = _try_certificate(sol.M, 1, report)
+    xs = _sample_points(np.random.default_rng(cfg.seed), n_points, base)
     _, estimates = mpq.asymptotic_exponent(eq, xs, n_max, solution=sol)
     report.series["lambda_samples"] = [
         {"i": i, "x": float(x), "lambda_estimate": float(e)}
         for i, (x, e) in enumerate(zip(xs, estimates))
     ]
     est = _parse_estimation(cfg)
-    lyap, diag = lyapunov_top(M, 1, est)
+    lyap, diag = lyapunov_top(sol.M, 1, est)
     report.summary.update(
         {
             "lambda_estimate": float(np.mean(estimates)),

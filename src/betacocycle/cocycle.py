@@ -220,8 +220,8 @@ class BetaAdaptedMatrix:
     @cached_property
     def _split_entries(self):
         """(constant entries as a d x d array, harmonic entries grouped by
-        scale as [(scale, max degree, [(i, j, poly)])], [(i, j, poly, scale)]
-        of the other varying entries)."""
+        scale as [(scale, the powers of z they read, [(i, j, poly)])],
+        [(i, j, poly, scale)] of the other varying entries)."""
         constants = np.zeros((self.dim, self.dim), dtype=complex)
         columns = {}
         others = []
@@ -234,7 +234,7 @@ class BetaAdaptedMatrix:
                 else:
                     others.append((i, j, poly, scale))
         columns = [
-            (scale, max(poly._degree for _, _, poly in cells), cells)
+            (scale, frozenset().union(*(poly._orders for _, _, poly in cells)), cells)
             for scale, cells in sorted(columns.items())
         ]
         return constants, columns, others
@@ -249,8 +249,8 @@ class BetaAdaptedMatrix:
         """
         constants, columns, others = self._split_entries
         out = constants[None].repeat(count, axis=0)
-        for scale, top, cells in columns:
-            powers = _circle_powers(argument(scale), top)
+        for scale, orders, cells in columns:
+            powers = _circle_powers(argument(scale), orders)
             for i, j, poly in cells:
                 out[:, i, j] = poly._laurent(powers, count)
         for i, j, poly, scale in others:
@@ -595,27 +595,29 @@ class EstimationSpec:
     cluster_tol: object = None
 
 
-def _sample_argument_tables(M, cfg, n_max):
-    """Argument tables (N, n_max + max_scale + 1) for random points of [1, 2)
-    (_orbit_table), and how their orbits were computed (_orbit_info).
-
-    Each point is x = a/D with D odd and coprime to the minimal polynomial's
-    constant term, so the orbit of x never dies.
-    """
-    L = n_max + M.max_scale + 1
-    rng = np.random.default_rng(cfg.seed)
-    N = cfg.n_samples
-    p = _pisot_of(M.base)
+def _sample_points(rng, count, base):
+    """count random points x = a/D of [1, 2), D odd and coprime to the
+    minimal polynomial's constant term, so the orbit of x never dies (a
+    float is a dyadic rational, whose orbit at an even integer base reaches
+    0 after about 53 steps)."""
+    p = _pisot_of(base)
     c = p.minpoly[-1] if p is not None else 1
-    dens = np.empty(N, dtype=np.int64)
+    dens = np.empty(count, dtype=np.int64)
     filled = 0
-    while filled < N:
-        cand = rng.integers(1 << 39, 1 << 40, size=N - filled) | 1
+    while filled < count:
+        cand = rng.integers(1 << 39, 1 << 40, size=count - filled) | 1
         cand = cand[np.gcd(cand, c) == 1]
         dens[filled : filled + cand.size] = cand
         filled += cand.size
-    dens = dens.tolist()
-    xs = [Fraction(int(rng.integers(d, 2 * d)), d) for d in dens]
+    nums = rng.integers(dens, 2 * dens)
+    return [Fraction(a, d) for a, d in zip(nums.tolist(), dens.tolist())]
+
+
+def _sample_argument_tables(M, cfg, n_max):
+    """Argument tables (N, n_max + max_scale + 1) for the _sample_points of
+    cfg (_orbit_table), and how their orbits were computed (_orbit_info)."""
+    L = n_max + M.max_scale + 1
+    xs = _sample_points(np.random.default_rng(cfg.seed), cfg.n_samples, M.base)
     return _orbit_table(M, xs, L), _orbit_info(M, xs, L)
 
 
@@ -902,8 +904,8 @@ def _sampled_lattice(base, m, count):
     return [coords for tau, coords in taus if tau != 0.0]
 
 
-def _measure_holder_constant(M, q, lattice_level, rho, alpha):
-    """Measured sup of ||M^q(beta^k(x+tau)) - M^q(beta^k x)|| / rho^(k alpha).
+def _measure_holder_constant(M, q, lattice_level):
+    """Measured sup of ||M^q(beta^k(x+tau)) - M^q(beta^k x)|| / rho^k.
 
     x runs over the grid j/96 and tau over 24 lattice translations of level
     at most 6, k = 0..25; both orbits are exact (_shifted_tables), and each
@@ -916,15 +918,25 @@ def _measure_holder_constant(M, q, lattice_level, rho, alpha):
         M.base, [Fraction(j, grid) for j in range(grid)], steps + M.max_scale
     )
     shifted = _shifted_tables(M.base, base_args, taus)
+    rho = M.base.rho
     worst = 0.0
     for k in range(steps):
         base_q = _factor(M, base_args, k, q)
         shifted_q = _factor(M, shifted, k, q).reshape((len(taus),) + base_q.shape)
         diff = np.linalg.norm(shifted_q - base_q, axis=(2, 3)).max(initial=0.0)
-        worst = max(worst, diff / (rho ** (k * alpha)) if rho > 0 else diff)
+        worst = max(worst, diff / rho**k if rho > 0 else diff)
     # floor well above float noise so exact-period matrices (integer beta,
     # where every lattice translation is a true period) still verify
     return max(worst * 1.5, 1e-9)
+
+
+def _require_certifiable(M):
+    """NoCertificate unless M has a PisotNumber base and 1-periodic entries,
+    which certificates and their verification both need."""
+    if not isinstance(M.base, PisotNumber):
+        raise NoCertificate("certificates require a PisotNumber base")
+    if not M.entries_one_periodic:
+        raise NoCertificate("certificates require 1-periodic entries")
 
 
 def joint_period_certificate(M, q=1, lattice_level=8):
@@ -935,10 +947,7 @@ def joint_period_certificate(M, q=1, lattice_level=8):
     positivity_delta is set, and raises NoCertificate otherwise.  M is
     Lipschitz (trigonometric entries): alpha = 1, and rho^alpha is rho.
     """
-    if not isinstance(M.base, PisotNumber):
-        raise NoCertificate("certificates require a PisotNumber base")
-    if not M.entries_one_periodic:
-        raise NoCertificate("certificates require 1-periodic entries")
+    _require_certifiable(M)
     rho = M.base.rho  # < 1: make_pisot rejects anything else
     _, _, d_inf = _grid_norm_constants(M)
     if d_inf * rho < 1.0:
@@ -953,7 +962,7 @@ def joint_period_certificate(M, q=1, lattice_level=8):
         raise NoCertificate(
             "D*rho^alpha = %.4g >= 1 and no positivity floor declared" % (d_inf * rho)
         )
-    c_hold = _measure_holder_constant(M, q, lattice_level, rho, 1.0)
+    c_hold = _measure_holder_constant(M, q, lattice_level)
     return JointPeriodCertificate(
         kind=kind,
         D=D,
@@ -980,10 +989,7 @@ def joint_period_verify(M, q, cert, m, n_list, grid=256, max_tau=64):
     chunks of _VERIFY_ROWS // grid (8 at grid 256), each chunk one stacked
     (chunk * grid, L) table and one _log_norms call.
     """
-    if not (isinstance(M.base, PisotNumber) and M.entries_one_periodic):
-        raise NoCertificate(
-            "verification requires a PisotNumber base and 1-periodic entries"
-        )
+    _require_certifiable(M)
     n_list = sorted(set(int(n) for n in n_list))
     L = n_list[-1] + M.max_scale + 1
     coords = _sampled_lattice(M.base, m, max_tau)

@@ -214,11 +214,11 @@ def solve(eq, tol=1e-10):
     return SolutionEvaluator(eq, tol=tol)
 
 
-def _propagate(eq, sol, xs, g, n, norm):
+def _propagate(sol, xs, g, n, norm):
     """({k: log norm(G(beta^k x))} for k = 1..n, final log scales) from
     g = G(x) by G(beta^k x) = P_k(x) G(x).  Column m of the argument table
     (_orbit_table) is beta^(m+1-d) x."""
-    args = _orbit_table(sol.M, xs, n + eq.d - 1, shift=1 - eq.d)
+    args = _orbit_table(sol.M, xs, n + sol.eq.d - 1, shift=1 - sol.eq.d)
     return _batched_cocycle(
         _factors(sol.M, args, n), g[:, :, None], range(1, n + 1), norm=norm
     )[:2]
@@ -245,7 +245,7 @@ def asymptotic_exponent(eq, x, n_max, solution=None):
         raise ZeroVector(
             "G(x) vanishes at x = %s; rate undefined" % (xs[int(np.argmax(vanished))],)
         )
-    at, logs = _propagate(eq, sol, xs, g, n_max, lambda w: np.abs(w).sum(axis=(1, 2)))
+    at, logs = _propagate(sol, xs, g, n_max, lambda w: np.abs(w).sum(axis=(1, 2)))
     if np.isneginf(logs).any():
         raise ZeroVector("propagated G vanished")
     h = np.stack([at[n] / n for n in range(1, n_max + 1)], axis=1)
@@ -276,8 +276,9 @@ def theoremC_gate(eq):
         * (|f_1(x)| + ... + |f_d(x/beta^{d-1})|) / |f_d(x/beta^{d-1})|
 
     holds iff its supremum over a 20000-point grid of [0, 4 max(1,
-    beta^(d-1))) is below 1/rho.  A denominator dipping below 1e-12
-    reports (False, inf) rather than raising.
+    beta^(d-1))) is below 1/rho, always at rho = 0 (an integer base).  A
+    denominator dipping below 1e-12 reports (False, inf) rather than
+    raising.
     """
     if not isinstance(eq.base, PisotNumber):
         raise ValueError("the gate needs a PisotNumber base with rho of record")
@@ -293,7 +294,7 @@ def theoremC_gate(eq):
         return False, math.inf
     quotient = (1.0 + sum(mods[:-1])) * sum(mods) / denom
     sup_value = float(np.max(quotient))
-    return sup_value < 1.0 / eq.base.rho, sup_value
+    return eq.base.rho == 0.0 or sup_value < 1.0 / eq.base.rho, sup_value
 
 
 def _logsumexp(values):
@@ -421,7 +422,7 @@ def moment_integral_F(eq, q, n_ladder, solution=None):
     wu = half * gl_w
     G = sol.G_batch(u)
     # log_F[k] = log |F(beta^k u)| for k = 0..n_max-1
-    log_F, _ = _propagate(eq, sol, u, G, n_max - 1, lambda w: np.abs(w[:, 0, 0]))
+    log_F, _ = _propagate(sol, u, G, n_max - 1, lambda w: np.abs(w[:, 0, 0]))
     with np.errstate(divide="ignore"):  # log 0 = -inf where F vanishes
         log_F[0] = np.log(np.abs(G[:, 0]))
     rows = []

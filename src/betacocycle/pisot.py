@@ -150,16 +150,11 @@ class FieldElement:
         return FieldElement(self.base, [q * c for c in self.coords])
 
     def times_beta(self):
-        """Multiply by beta, reducing beta^r via the minimal polynomial."""
-        r = self.base.degree
-        m = self.base.minpoly  # (1, m1, ..., mr)
+        """Multiply by beta: every coordinate moves up one power and the top
+        one, at beta^r, folds back through the last column of _times_beta."""
         c = self.coords
-        top = c[r - 1]
-        out = [Fraction(0)] * r
-        out[0] = -top * m[r]
-        for j in range(1, r):
-            out[j] = c[j - 1] - top * m[r - j]
-        return FieldElement(self.base, out)
+        fold = zip(_times_beta(self.base.minpoly)[:, -1], (0,) + c[:-1])
+        return FieldElement(self.base, [c[-1] * f + lower for f, lower in fold])
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
@@ -231,15 +226,11 @@ def _dominant_root(minpoly, dps):
 
 @lru_cache(maxsize=None)
 def _inverse_beta_coords(minpoly):
-    """Coordinates of beta^{-1}: from beta^r + m1 beta^{r-1} + ... + mr = 0."""
-    r = len(minpoly) - 1
-    mr = minpoly[r]
-    coords = [Fraction(0)] * r
-    # beta^{-1} = -(beta^{r-1} + m1 beta^{r-2} + ... + m_{r-1}) / mr
-    for j in range(r):
-        coeff = 1 if j == r - 1 else minpoly[r - 1 - j]
-        coords[j] = Fraction(-coeff, mr)
-    return tuple(coords)
+    """Coordinates y of beta^{-1}, from _times_beta y = (1, 0, ..., 0): row 0
+    reads y_(r-1) = 1 / C[0, r-1], row i >= 1 y_(i-1) = -C[i, r-1] y_(r-1)."""
+    fold = _times_beta(minpoly)[:, -1]
+    top = Fraction(1, fold[0])
+    return tuple(-f * top for f in fold[1:]) + (top,)
 
 
 def _divisors(n):
@@ -269,8 +260,6 @@ def _check_irreducible(coeffs):
     if deg == 4:
         a, b, c, d = coeffs[1], coeffs[2], coeffs[3], coeffs[4]
         for q in _divisors(d):
-            if d % q != 0:
-                continue
             s = d // q
             # (x^2+px+q)(x^2+rx+s): p+r=a, q+s+pr=b, ps+qr=c
             prod_pr = b - q - s
@@ -332,31 +321,11 @@ def make_pisot(minpoly):
 
 
 def trace_power(p, n):
-    """F_n = beta^n + sum of conjugate n-th powers, by exact recurrence.
-
-    Seeds come from Newton's identities; the linear recurrence
-    F_n = a1 F_{n-1} + ... + ar F_{n-r} (a_i = -minpoly[i]) then runs in
-    arbitrary-precision integers.
-    """
+    """F_n = beta^n + sum of conjugate n-th powers, exactly: the trace of
+    _times_beta^n, whose eigenvalues are beta and its conjugates."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return p.degree  # trace of the identity
-    r = p.degree
-    a = [-c for c in p.minpoly[1:]]  # a1..ar
-    seeds = []
-    for k in range(1, r + 1):
-        s = k * a[k - 1]
-        for i in range(1, k):
-            s += a[i - 1] * seeds[k - 1 - i]
-        seeds.append(s)
-    if n <= r:
-        return seeds[n - 1]
-    window = list(seeds)
-    for _ in range(r + 1, n + 1):
-        nxt = sum(a[i] * window[r - 1 - i] for i in range(r))
-        window = window[1:] + [nxt]
-    return window[-1]
+    return int(np.trace(np.linalg.matrix_power(_times_beta(p.minpoly), n)))
 
 
 def _greedy_digits(p, elem, n):
@@ -467,18 +436,26 @@ def beta_interval(p, digits):
 
 
 @lru_cache(maxsize=None)
+def _times_beta(minpoly):
+    """Integer matrix of y -> beta y on power-basis coordinates: ones below
+    the diagonal and (-m_r, ..., -m_1) in the last column, since beta^r =
+    -(m_1 beta^(r-1) + ... + m_r).  The one place the minimal polynomial
+    enters exact arithmetic; entries are Python ints (object dtype)."""
+    C = np.eye(len(minpoly) - 1, k=-1, dtype=object)
+    C[:, -1] = [-m for m in reversed(minpoly[1:])]
+    C.flags.writeable = False  # shared by every caller through the cache
+    return C
+
+
+@lru_cache(maxsize=None)
 def _beta_power_coords(minpoly, max_power):
-    """Integer coordinate rows of beta^0 .. beta^max_power."""
-    r = len(minpoly) - 1
-    rows = np.zeros((max_power + 1, r), dtype=object)
-    cur = [Fraction(1)] + [Fraction(0)] * (r - 1)
-    base = PisotNumber(  # light shell: only minpoly/degree used here
-        minpoly=minpoly, beta=0.0, conjugates=(), rho=0.0, degree=r
-    )
-    elem = FieldElement(base, cur)
-    for i in range(max_power + 1):
-        rows[i] = [int(c) for c in elem.coords]
-        elem = elem.times_beta()
+    """Integer coordinate rows of beta^0 .. beta^max_power: row i is
+    _times_beta^i applied to the coordinates (1, 0, ..., 0) of 1."""
+    C = _times_beta(minpoly)
+    rows = np.zeros((max_power + 1, len(C)), dtype=object)
+    rows[0, 0] = 1
+    for i in range(max_power):
+        rows[i + 1] = C @ rows[i]
     return rows
 
 

@@ -1,6 +1,7 @@
 """Trigonometric polynomials, Bohr means, and equidistribution diagnostics."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betacocycle.apcore import (
+    _circle_powers,
     bohr_mean_exact,
     constant,
     cosine,
@@ -94,6 +96,23 @@ def test_non_harmonic_polynomial_keeps_per_term_path():
     xs = np.linspace(-3.0, 3.0, 13)
     want = np.cos(xs) + 0.5j * np.exp(1j * TWO_PI * 3 * xs)
     assert np.max(np.abs(f.evaluate(xs) - want)) < 1e-14
+
+
+def test_sparse_high_degree_evaluation_keeps_only_read_powers():
+    # keeping every power z^1 .. z^2048 peaked at 64 MB on 2048 points
+    f = constant(0.25) + cosine(TWO_PI * 2048, -0.25)
+    xs = np.linspace(0.0, 1.0, 2048, endpoint=False)
+    tracemalloc.start()
+    try:
+        vals = f.evaluate(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert np.max(np.abs(vals - (0.25 - 0.25 * np.cos(TWO_PI * 2048 * xs)))) < 1e-10
+    # a kept power is the one the full chain computes, to the bit
+    full = _circle_powers(xs, frozenset(range(1, 8)))
+    assert all(np.array_equal(v, full[k]) for k, v in _circle_powers(xs, {3, 7}).items())
 
 
 def test_bohr_mean_exact_reads_dc_coefficient():

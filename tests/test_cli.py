@@ -267,6 +267,18 @@ def test_report_json_equals_deep_copied_report(config):
     assert cli._report_text(report, "json") == want
 
 
+@pytest.mark.parametrize("base", ["1,-2", 2], ids=["minpoly", "number"])
+def test_bernoulli_integer_base_samples_keep_their_orbit(base):
+    # float sample points are dyadic, so at base 2 frac(2^k x) is 0 from
+    # k ~ 53 on and the rest of the product multiplied by M(0): lambda read
+    # -0.027 against the Lyapunov estimate -0.097
+    report = cli.run(
+        {"command": "bernoulli", "base": base, "params": {"p": 0.2, "n_max": 200, "n_points": 20}}
+    )
+    s = report.summary
+    assert abs(s["lambda_estimate"] - s["lyapunov_estimate"]) < 0.02
+
+
 def test_main_pisot_minpoly_flag(capsys):
     code = cli.main(["pisot", "--minpoly", GOLDEN_SPEC])
     assert code == 0
@@ -406,6 +418,9 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
         ("bernoulli", {"base": {"beta": 2.5}}, "base"),
         ("pisot", {"params": {"minpoly": GOLDEN_SPEC}}, "base"),
         ("solve", {"equation": {"f": [[[None, 1, 0]]], "base": "1,-2"}}, "equation"),
+        ("lyapunov", {"matrix": SCALAR_MATRIX, "sed": 5}, "config"),
+        ("solve", {"equation": dict(VIETE_EQUATION, bse="1,-3")}, "equation"),
+        ("lyapunov", {"matrix": SCALAR_MATRIX, "output": {"fromat": "csv"}}, "output"),
     ],
     ids=[
         "moments-n_max-1",
@@ -434,6 +449,9 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
         "base-beta-mapping",
         "pisot-params-minpoly",
         "equation-null-frequency",
+        "top-level-sed",
+        "equation-bse",
+        "output-fromat",
     ],
 )
 def test_main_exit_1_on_library_value_error(tmp_path, capsys, command, cfg, where):

@@ -879,14 +879,14 @@ def test_holder_constant_reads_exact_orbits(minpoly, cap):
     # float tables beta^k (x + tau) gave 1.2e8 at 1+sqrt2 and 4.9e14 at
     # 2+sqrt3; exact orbits give 11.4, 16.0 and 31.3
     M = bernoulli_companion(0.2, base=make_pisot(minpoly))
-    c_hold = cocycle._measure_holder_constant(M, 1, 8, M.base.rho, 1.0)
+    c_hold = cocycle._measure_holder_constant(M, 1, 8)
     assert 1.0 < c_hold < cap
 
 
 def test_holder_constant_of_exact_periods_is_the_floor():
     # at beta = 2 every lattice translation is an exact period of the orbit
     M = scalar_matrix(constant(2.0) + harmonic(1, 0.5), BASE2)
-    assert cocycle._measure_holder_constant(M, 1, 8, 0.0, 1.0) == 1e-9
+    assert cocycle._measure_holder_constant(M, 1, 8) == 1e-9
 
 
 # --- construction validation ----------------------------------------------

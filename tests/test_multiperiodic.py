@@ -318,6 +318,13 @@ def test_contraction_gate_bernoulli_threshold():
     assert sup_value == pytest.approx(1.3 / 0.7, abs=1e-9)
 
 
+def test_contraction_gate_integer_base_holds():
+    # rho = 0 at an integer base, so 1/rho is infinite and the gate holds
+    holds, sup_value = theoremC_gate(bernoulli_convolution(0.2, 1, 1, BASE2))
+    assert holds
+    assert sup_value == pytest.approx(1.5, abs=1e-9)
+
+
 def test_contraction_gate_vanishing_denominator():
     eq = multiperiodic_equation(
         [constant(0.0), constant(0.5) + cosine(TWO_PI, 0.5)], GOLDEN

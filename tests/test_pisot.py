@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from betacocycle.errors import InadmissibleDigits, NotPisot, ReduciblePolynomial
 from betacocycle.pisot import (
     FieldElement,
+    _beta_power_coords,
     _digits_value,
     _greedy_digits,
     _quasi_greedy_one,
@@ -238,6 +239,56 @@ def test_greedy_expansion_always_admissible(x):
     digits = beta_expand(GOLDEN, x, 12)
     assert is_admissible(GOLDEN, digits.digits)
     assert all(0 <= e <= GOLDEN.digit_max for e in digits.digits)
+
+
+# --- the integer matrix of multiplication by beta --------------------------
+
+PROPERTY_BASES = {
+    name: make_pisot(minpoly)
+    for name, minpoly in [
+        ("golden", [1, -1, -1]),
+        ("1+sqrt2", [1, -2, -1]),
+        ("2+sqrt3", [1, -4, 1]),
+        ("plastic", [1, 0, -1, -1]),
+        ("tribonacci", [1, -1, -1, -1]),
+        ("base2", [1, -2]),
+        ("base3", [1, -3]),
+    ]
+}
+property_bases = st.sampled_from(sorted(PROPERTY_BASES)).map(PROPERTY_BASES.get)
+
+
+@given(property_bases, st.integers(min_value=0, max_value=150))
+@settings(max_examples=30, deadline=None)
+def test_trace_power_is_nearest_integer_to_power_sum(p, n):
+    dps = 30 + int(n * math.log10(p.beta))
+    with mp.workdps(dps):
+        roots = mp.polyroots(list(p.minpoly), maxsteps=200, extraprec=2 * dps)
+        assert trace_power(p, n) == int(mp.nint(mp.re(mp.fsum(r**n for r in roots))))
+
+
+@given(property_bases, st.integers(min_value=0, max_value=60))
+@settings(max_examples=30, deadline=None)
+def test_beta_power_rows_evaluate_to_powers(p, i):
+    row = _beta_power_coords(p.minpoly, i)[i]
+    with mp.workdps(60):
+        want = p.beta_mp(60) ** i
+        assert abs(FieldElement(p, row).evaluate_mp(60) - want) <= want * mp.mpf(10) ** -40
+
+
+@given(
+    property_bases,
+    st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=1000), min_size=4, max_size=4),
+)
+@settings(max_examples=30, deadline=None)
+def test_times_beta_multiplies_by_beta(p, coords):
+    e = FieldElement(p, coords[: p.degree])
+    got = e.times_beta()
+    # x e(x) reduced by the minimal polynomial: x^r = -(m_1 x^(r-1) + ... + m_r)
+    shifted = (0,) + e.coords
+    want = [c - shifted[-1] * m for c, m in zip(shifted, reversed(p.minpoly[1:]))]
+    assert got.coords == tuple(want)
+    assert got == FieldElement(p, _beta_power_coords(p.minpoly, 1)[1]) * e
 
 
 @given(st.integers(min_value=0, max_value=60))
