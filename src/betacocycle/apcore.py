@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .pisot import PisotNumber, as_base
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -302,9 +304,9 @@ def weyl_equidistribution_defect(p, x, modulus, N):
         raise ValueError("modulus must be positive")
     if N < 1:
         raise ValueError("N must be >= 1")
-    from .cocycle import _pisot_of, orbit_fractions  # cocycle imports this module
+    from .cocycle import orbit_fractions  # cocycle imports this module
 
-    if N > 5000 and _pisot_of(p) is None:
+    if N > 5000 and not isinstance(as_base(p), PisotNumber):
         raise ValueError("N capped at 5000 for a plain float beta")
     fracs = orbit_fractions(p, Fraction(x) / Fraction(modulus), N)
     worst = 0.0

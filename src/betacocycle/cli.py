@@ -43,7 +43,7 @@ from .errors import (
     NoCertificate,
     UnknownSeries,
 )
-from .pisot import PisotNumber, beta_expand, make_pisot
+from .pisot import PisotNumber, as_base, beta_expand, make_pisot
 
 COMMANDS = (
     "pisot",
@@ -138,14 +138,13 @@ def _field_dict(obj):
 
 
 def _parse_base(spec):
-    """PisotNumber from a comma string or {"minpoly": [...]}; float from a number."""
+    """PisotNumber from a comma string or {"minpoly": [...]}; a number goes
+    through as_base (an integer is the degree-1 PisotNumber)."""
     if spec is None:
         raise ConfigInvalid("base: missing")
-    if isinstance(spec, (int, float)):
-        if float(spec) <= 1.0:
-            raise ConfigInvalid("base: beta must exceed 1")
-        return float(spec)
     try:
+        if isinstance(spec, (int, float)):
+            return as_base(spec)
         if isinstance(spec, str):
             return make_pisot([int(t) for t in spec.split(",")])
         if isinstance(spec, dict) and "minpoly" in spec:
@@ -308,7 +307,7 @@ def _try_certificate(M, q, report):
 def _run_pisot(cfg, report):
     p = _parse_base(cfg.base)
     if not isinstance(p, PisotNumber):
-        raise ConfigInvalid("pisot: base must be a minimal polynomial")
+        raise ConfigInvalid("pisot: needs a Pisot or integer base")
     report.summary = {
         "beta": p.beta,
         "rho": p.rho,
@@ -324,7 +323,7 @@ def _run_pisot(cfg, report):
 def _run_expand(cfg, report):
     p = _parse_base(cfg.base)
     if not isinstance(p, PisotNumber):
-        raise ConfigInvalid("expand: base must be a minimal polynomial")
+        raise ConfigInvalid("expand: needs a Pisot or integer base")
     x = _param(cfg, "x", 0.5, _parse_point)
     n = _param(cfg, "digits", 20, int)
     digits = beta_expand(p, Fraction(x), n)

@@ -8,12 +8,12 @@ ordered products
 
 Products are stored as (accumulated log norm, unit-norm matrix) so that
 nothing overflows.  Arguments beta^k x are reduced modulo 1 before any
-1-periodic entry is evaluated, by orbit_fractions: for a Pisot or integer
-beta and rational x = a/D, the integer trace recurrence Tr(beta^k) mod D
-gives the orbit exactly up to a float term that decays like rho^k, batched
-over sample points; only a plain float beta, which has no minimal
-polynomial, walks it in mpmath.  Plain float powers of beta would lose the
-orbit after ~50 steps.
+1-periodic entry is evaluated, by orbit_fractions: for a Pisot beta (an
+integer beta is the degree-1 one, see as_base) and rational x = a/D, the
+integer trace recurrence Tr(beta^k) mod D gives the orbit exactly up to a
+float term that decays like rho^k, batched over sample points; only a plain
+float beta, which has no minimal polynomial, walks it in mpmath.  Plain
+float powers of beta would lose the orbit after ~50 steps.
 """
 
 from __future__ import annotations
@@ -37,30 +37,16 @@ from .errors import (
     SingularFactor,
     UnboundedD,
 )
-from .pisot import PisotNumber, _lattice_points, trace_power
+from .pisot import PisotNumber, _lattice_points, as_base, trace_power
 
 
 def _beta_value(base):
-    return base.beta if isinstance(base, PisotNumber) else float(base)
+    """beta of a normalized base (as_base): the one reader of beta."""
+    return base.beta if isinstance(base, PisotNumber) else base
 
 
-def _pisot_of(base):
-    """The base as a PisotNumber, an integer beta as the degree-1 case
-    (minimal polynomial x - B, no conjugates); None for a plain float beta.
-    This is the one test for an integer beta."""
-    if isinstance(base, PisotNumber):
-        return base
-    b = float(base)
-    if abs(b - round(b)) < 1e-12:
-        B = int(round(b))
-        return PisotNumber(
-            minpoly=(1, -B), beta=float(B), conjugates=(), rho=0.0, degree=1
-        )
-    return None
-
-
-def _mpmath_dps(base, length, shift):
-    return int((length + abs(shift)) * math.log10(_beta_value(base))) + 30
+def _mpmath_dps(beta, length, shift):
+    return int((length + abs(shift)) * math.log10(beta)) + 30
 
 
 def orbit_fractions(base, x, length, shift=0):
@@ -68,15 +54,16 @@ def orbit_fractions(base, x, length, shift=0):
 
     x is one point (Fraction, float or int, taken as the exact rational it
     is) or a 1-D batch of them; a batch returns an (N, length) table, and an
-    empty batch a (0, length) one.  For a Pisot beta with conjugates sigma
-    and x = a/D the orbit is exact up to a decaying float term:
+    empty batch a (0, length) one.  The base goes through as_base.  For a
+    Pisot beta with conjugates sigma and x = a/D the orbit is exact up to a
+    decaying float term:
     Tr(beta^k) = beta^k + sum sigma^k is an integer, so
 
         frac(beta^k x) = frac((a Tr(beta^k) mod D) / D - x sum sigma^k),
 
     and the residues u_k = a Tr(beta^k) mod D obey the minimal polynomial's
-    recurrence u_k = a_1 u_{k-1} + ... + a_r u_{k-r} mod D.  An integer
-    beta is the degree-1 case, u_k = B u_{k-1} mod D.  The recurrence runs
+    recurrence u_k = a_1 u_{k-1} + ... + a_r u_{k-r} mod D (u_k = B u_{k-1}
+    mod D at an integer beta B, which has no sigma).  The recurrence runs
     in int64 when D * sum|a_i| < 2^63 and on exact Python ints otherwise.
     A negative shift starts the orbit a few division steps before x, which
     companion-matrix cocycles need; those columns x beta^j (j < 0) never
@@ -87,8 +74,8 @@ def orbit_fractions(base, x, length, shift=0):
     batch = np.ndim(x) == 1
     values = list(x) if batch else [x]
     xs = np.array([float(v) for v in values])
-    p = _pisot_of(base)
-    beta = _beta_value(p or base)
+    base = as_base(base)
+    beta = _beta_value(base)
     out = np.empty((len(values), length), order="F")  # columns are filled
     head = min(max(-shift, 0), length)  # columns with a negative exponent
     for j in range(head):
@@ -96,11 +83,11 @@ def orbit_fractions(base, x, length, shift=0):
         out[:, j] = y - np.floor(y)
     if head < length and values:
         points = [Fraction(v) for v in values]
-        if p is None:
-            for row, v in zip(out, points):
-                row[head:] = _mpmath_orbit(base, v, length - head, shift + head)
+        if isinstance(base, PisotNumber):
+            _trace_orbit(base, points, xs, out[:, head:], shift + head)
         else:
-            _trace_orbit(p, points, xs, out[:, head:], shift + head)
+            for row, v in zip(out, points):
+                row[head:] = _mpmath_orbit(beta, v, length - head, shift + head)
     return out if batch else out[0]
 
 
@@ -137,12 +124,12 @@ def _trace_orbit(p, points, xs, out, first):
         window = window[1:] + [nxt % D]
 
 
-def _mpmath_orbit(base, x, length, shift):
+def _mpmath_orbit(beta, x, length, shift):
     """frac(beta^(k+shift) x) in mpmath for a plain float beta."""
     out = np.empty(length)
-    dps = _mpmath_dps(base, length, shift)
+    dps = _mpmath_dps(beta, length, shift)
     with mp.workdps(dps):
-        b = mp.mpf(_beta_value(base))
+        b = mp.mpf(beta)
         z = mp.mpf(x.numerator) / mp.mpf(x.denominator) * b**shift
         for k in range(length):
             out[k] = float(z - mp.floor(z))
@@ -169,14 +156,14 @@ def _orbit_table(M, points, length, shift=0):
 def _orbit_info(M, points, length):
     """How _orbit_table computes the orbit of points: {"mode": "none"} for a
     constant M, {"mode": "float"} for raw powers, {"mode": "trace",
-    "denominator_bits": ...} for a Pisot or integer beta and {"mode":
-    "mpmath", "dps": ...} for a plain float beta."""
+    "denominator_bits": ...} for a Pisot beta and {"mode": "mpmath", "dps":
+    ...} for a plain float beta."""
     if M.is_constant:
         return {"mode": "none"}
     if not M.entries_one_periodic:
         return {"mode": "float"}
-    if _pisot_of(M.base) is None:
-        return {"mode": "mpmath", "dps": _mpmath_dps(M.base, length, 0)}
+    if not isinstance(M.base, PisotNumber):
+        return {"mode": "mpmath", "dps": _mpmath_dps(M.beta, length, 0)}
     bits = max(Fraction(v).denominator for v in points).bit_length()
     return {"mode": "trace", "denominator_bits": bits}
 
@@ -315,7 +302,7 @@ def beta_adapted_matrix(entries, base, positivity_delta=None, allow_nonperiodic=
     M = BetaAdaptedMatrix(
         dim=dim,
         entries=tuple(rows),
-        base=base,
+        base=as_base(base),
         positivity_delta=positivity_delta,
     )
     if positivity_delta is not None:
@@ -600,8 +587,7 @@ def _sample_points(rng, count, base):
     minimal polynomial's constant term, so the orbit of x never dies (a
     float is a dyadic rational, whose orbit at an even integer base reaches
     0 after about 53 steps)."""
-    p = _pisot_of(base)
-    c = p.minpoly[-1] if p is not None else 1
+    c = base.minpoly[-1] if isinstance(base, PisotNumber) else 1
     dens = np.empty(count, dtype=np.int64)
     filled = 0
     while filled < count:
@@ -764,24 +750,19 @@ def oseledec_at(M, x, n, cluster_tol=None):
 
 
 @lru_cache(maxsize=32)
-def _grid_norm_constants(M):
-    """(sup ||M^-1||_2, sup ||M||_2 ||M^-1||_2, sup ||M||_inf ||M^-1||_inf).
-
-    Suprema over a 10000-point grid of [0, 1); callers inflate when they
-    need a safe side.
+def _grid_norm_constants(M, norm):
+    """Suprema over a 10000-point grid of [0, 1) in the norm the caller reads:
+    (sup ||M^-1||_2, sup ||M||_2 ||M^-1||_2) for norm 2, sup ||M||_inf
+    ||M^-1||_inf (max row sums, no SVD) for norm inf.  Callers inflate when
+    they need a safe side.
     """
-    xs = np.linspace(0.0, 1.0, 10000, endpoint=False)
-    Ms = M.evaluate_batch(xs)
+    Ms = M.evaluate_batch(np.linspace(0.0, 1.0, 10000, endpoint=False))
     inv = np.linalg.inv(Ms)
-    two = _opnorm(Ms)
-    two_inv = _opnorm(inv)
-    inf_n = np.abs(Ms).sum(axis=2).max(axis=1)
-    inf_inv = np.abs(inv).sum(axis=2).max(axis=1)
-    return (
-        float(np.max(two_inv)),
-        float(np.max(two * two_inv)),
-        float(np.max(inf_n * inf_inv)),
-    )
+    if norm == 2:
+        two_inv = _opnorm(inv)
+        return float(np.max(two_inv)), float(np.max(_opnorm(Ms) * two_inv))
+    row_sums = lambda A: np.abs(A).sum(axis=2).max(axis=1)
+    return float(np.max(row_sums(Ms) * row_sums(inv)))
 
 
 def distortion_bound(M, xs, ys, v):
@@ -820,7 +801,7 @@ def distortion_bound(M, xs, ys, v):
             bound = math.inf
         norm = lambda w: float(np.sum(np.abs(w)))
     else:
-        c_inv, d_two, _ = _grid_norm_constants(M)
+        c_inv, d_two = _grid_norm_constants(M, 2)
         # grid suprema undershoot; the bound must not
         c_inv *= 1.01
         d_two *= 1.01
@@ -911,6 +892,9 @@ def _measure_holder_constant(M, q, lattice_level):
     at most 6, k = 0..25; both orbits are exact (_shifted_tables), and each
     step evaluates M once on the base table and once on the stacked one.
     """
+    rho = M.base.rho
+    if rho == 0.0:  # no conjugates: every tau is a true period, each diff 0
+        return 1e-9
     taus = _sampled_lattice(M.base, min(lattice_level, 6), 24)
     steps = 26
     grid = 96
@@ -918,23 +902,21 @@ def _measure_holder_constant(M, q, lattice_level):
         M.base, [Fraction(j, grid) for j in range(grid)], steps + M.max_scale
     )
     shifted = _shifted_tables(M.base, base_args, taus)
-    rho = M.base.rho
     worst = 0.0
     for k in range(steps):
         base_q = _factor(M, base_args, k, q)
         shifted_q = _factor(M, shifted, k, q).reshape((len(taus),) + base_q.shape)
         diff = np.linalg.norm(shifted_q - base_q, axis=(2, 3)).max(initial=0.0)
-        worst = max(worst, diff / rho**k if rho > 0 else diff)
-    # floor well above float noise so exact-period matrices (integer beta,
-    # where every lattice translation is a true period) still verify
+        worst = max(worst, diff / rho**k)
+    # floor well above float noise, so that exact periods also verify
     return max(worst * 1.5, 1e-9)
 
 
 def _require_certifiable(M):
-    """NoCertificate unless M has a PisotNumber base and 1-periodic entries,
-    which certificates and their verification both need."""
+    """NoCertificate unless M has a Pisot or integer base and 1-periodic
+    entries, which certificates and their verification both need."""
     if not isinstance(M.base, PisotNumber):
-        raise NoCertificate("certificates require a PisotNumber base")
+        raise NoCertificate("certificates require a Pisot or integer base")
     if not M.entries_one_periodic:
         raise NoCertificate("certificates require 1-periodic entries")
 
@@ -949,7 +931,7 @@ def joint_period_certificate(M, q=1, lattice_level=8):
     """
     _require_certifiable(M)
     rho = M.base.rho  # < 1: make_pisot rejects anything else
-    _, _, d_inf = _grid_norm_constants(M)
+    d_inf = _grid_norm_constants(M, math.inf)
     if d_inf * rho < 1.0:
         # D is reported as the raw grid supremum (closed forms must be
         # recognizable); the 1% sup-inflation slack lands in script_C instead

@@ -24,7 +24,6 @@ from .cocycle import (
     _factors,
     _log_norms,
     _orbit_table,
-    _pisot_of,
     beta_adapted_matrix,
 )
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
     QuadratureLevelExceeded,
     ZeroVector,
 )
-from .pisot import PisotNumber, admissible_strings
+from .pisot import PisotNumber, admissible_strings, as_base
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def multiperiodic_equation(fs, base, recorded_D=None):
     for j, v in enumerate(at_zero, start=1):
         if abs(v.imag) > 1e-12 or v.real < -1e-12:
             raise ValueError("f_%d(0) = %s is not real nonnegative" % (j, v))
-    return MultiperiodicEquation(fs=fs, base=base, recorded_D=recorded_D)
+    return MultiperiodicEquation(fs=fs, base=as_base(base), recorded_D=recorded_D)
 
 
 def bernoulli_convolution(p, a, b, base):
@@ -256,7 +255,7 @@ def asymptotic_exponent(eq, x, n_max, solution=None):
 
 def theoremB_gate(eq):
     """True iff every f_j is_zero or is strictly positive on a 4096-point
-    grid of [0, 1), and the base carries Pisot structure."""
+    grid of [0, 1), and the base is a Pisot or integer beta."""
     if not isinstance(eq.base, PisotNumber):
         return False
     xs = np.linspace(0.0, 1.0, 4096, endpoint=False)
@@ -281,7 +280,7 @@ def theoremC_gate(eq):
     raising.
     """
     if not isinstance(eq.base, PisotNumber):
-        raise ValueError("the gate needs a PisotNumber base with rho of record")
+        raise ValueError("the gate needs a Pisot or integer base")
     beta = eq.beta
     d = eq.d
     span = 4.0 * max(1.0, beta ** (d - 1))
@@ -315,17 +314,16 @@ def _beta_quadrature(base, level):
     polynomial to decide which digit strings are admissible.
     """
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    p = _pisot_of(base)
-    if p is None:
+    if not isinstance(base, PisotNumber):
         raise ValueError(
             "beta-interval quadrature for beta = %.6g needs a PisotNumber or "
-            "an integer base" % _beta_value(base)
+            "an integer base" % base
         )
-    beta = p.beta
-    integer = p.degree == 1
+    beta = base.beta
+    integer = base.degree == 1
     cap = MAX_ADMISSIBLE_LEVEL
     if integer:
-        B = -p.minpoly[1]
+        B = -base.minpoly[1]
         cap = int(math.log(MAX_QUADRATURE_NODES / 8) / math.log(B))
     if level > cap:
         raise QuadratureLevelExceeded(
@@ -335,7 +333,7 @@ def _beta_quadrature(base, level):
     if integer:
         edges = np.arange(B**level + 1) / B**level
     else:  # each left edge is the value of its digit string
-        strings = np.array(admissible_strings(p, level))
+        strings = np.array(admissible_strings(base, level))
         edges = np.append(strings @ beta ** -np.arange(1.0, level + 1), 1.0)
     lefts, rights = edges[:-1], edges[1:]
     mid = (lefts + rights) / 2.0

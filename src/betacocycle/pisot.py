@@ -65,6 +65,24 @@ class PisotNumber:
         return "PisotNumber(%s, beta=%.12g)" % (self.to_string(), self.beta)
 
 
+def as_base(base):
+    """The base beta as the package reads it: a PisotNumber unchanged, an
+    integer-valued number B as the degree-1 PisotNumber of x - B (no
+    conjugates, rho = 0), any other number above 1 as a plain float beta,
+    which has no minimal polynomial.  Anything else raises ValueError."""
+    if isinstance(base, PisotNumber):
+        return base
+    try:
+        b = float(base)
+    except (TypeError, ValueError):
+        b = math.nan
+    if not 1.0 < b < math.inf:
+        raise ValueError("beta must exceed 1, got %r" % (base,))
+    if abs(b - round(b)) < 1e-12:
+        return make_pisot([1, -round(b)])
+    return b
+
+
 @dataclass(frozen=True)
 class BetaDigits:
     """A finite greedy digit string together with its base."""

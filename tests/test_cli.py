@@ -141,6 +141,42 @@ def test_run_certify_attaches_certificate():
     assert report.summary["verified_max_discrepancy"] <= cert["script_C"]
 
 
+def test_run_certify_integer_base_matches_its_minpoly():
+    # an integer beta is the degree-1 Pisot base whatever its spelling
+    reports = [
+        cli.run(
+            {
+                "command": "certify",
+                "matrix": dict(SCALAR_MATRIX, base=base),
+                "params": {"verify_level": 4, "verify_n": 10, "verify_grid": 32},
+            }
+        )
+        for base in (3, "1,-3")
+    ]
+    assert reports[0].certificates == reports[1].certificates
+    assert reports[0].summary == reports[1].summary
+    assert reports[0].certificates[0]["rho_alpha"] == 0.0
+
+
+def test_run_pisot_integer_base():
+    report = cli.run({"command": "pisot", "base": 2})
+    assert report.summary == {"beta": 2.0, "rho": 0.0, "degree": 1, "minpoly": [1, -2]}
+    assert report.series["conjugates"] == []
+
+
+def test_main_expand_integer_base(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"base": 3, "params": {"x": "1/2", "digits": 5}}))
+    assert cli.main(["expand", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["digits"] == [1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("base", [0.5, 1, -2])
+def test_base_at_most_one_keeps_its_config_message(base):
+    with pytest.raises(ConfigInvalid, match="base: beta must exceed 1"):
+        cli.run({"command": "pisot", "base": base})
+
+
 def test_run_solve_sinc_value():
     x = math.pi / 2
     report = cli.run(

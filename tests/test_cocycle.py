@@ -36,6 +36,7 @@ from betacocycle.cocycle import (
     subadditive_sequence,
 )
 from betacocycle.errors import CertificateViolated, NoCertificate, SingularFactor
+from betacocycle.multiperiodic import multiperiodic_equation
 from betacocycle.pisot import _lattice_points, make_pisot
 
 TWO_PI = 2 * math.pi
@@ -778,6 +779,26 @@ def test_certificate_requires_pisot_base():
         joint_period_certificate(M, q=1)
 
 
+def test_contraction_certificate_takes_no_svd(monkeypatch):
+    # the certificate reads only the inf-norm distortion (row sums); the
+    # 2-norm pair, an SVD per grid matrix at d >= 3, is distortion_bound's
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    M = beta_adapted_matrix(
+        [
+            [constant(2.0) + harmonic(1, 0.1), 0.0, 0.0],
+            [0.0, 2.0, 0.0],
+            [0.0, 0.0, constant(2.0) + harmonic(-1, 0.1)],
+        ],
+        GOLDEN,
+    )
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    cert = joint_period_certificate(M, q=1)
+    assert cert.kind == "contraction"
+    assert cert.D == pytest.approx(2.0 / 1.9, abs=1e-12)  # at x = 1/2
+
+
 def test_verify_integer_base_exact_periods():
     # beta = 2 with 1-periodic entries: every lattice tau is an exact period
     M = scalar_matrix(constant(2.0) + harmonic(1, 0.5), BASE2)
@@ -890,6 +911,18 @@ def test_holder_constant_of_exact_periods_is_the_floor():
 
 
 # --- construction validation ----------------------------------------------
+
+
+@pytest.mark.parametrize("beta", [0.5, 1, -2])
+def test_base_at_most_one_is_rejected(beta):
+    # 1 and -2 are integer-valued, but no beta <= 1 is a base
+    f = constant(2.0) + harmonic(1, 0.5)
+    with pytest.raises(ValueError, match="beta must exceed 1"):
+        scalar_matrix(f, beta)
+    with pytest.raises(ValueError, match="beta must exceed 1"):
+        multiperiodic_equation([constant(1.0)], beta)
+    with pytest.raises(ValueError, match="beta must exceed 1"):
+        orbit_fractions(beta, 0.3, 5)
 
 
 def test_negative_scale_rejected():

@@ -325,6 +325,14 @@ def test_contraction_gate_integer_base_holds():
     assert sup_value == pytest.approx(1.5, abs=1e-9)
 
 
+def test_gates_accept_a_bare_integer_base():
+    # the bare number 2 is the degree-1 Pisot base, as "1,-2" is
+    assert theoremB_gate(multiperiodic_equation([constant(0.3), constant(0.7)], 2))
+    holds, sup_value = theoremC_gate(bernoulli_convolution(0.2, 1, 1, 2))
+    assert holds
+    assert sup_value == pytest.approx(1.5, abs=1e-9)
+
+
 def test_contraction_gate_vanishing_denominator():
     eq = multiperiodic_equation(
         [constant(0.0), constant(0.5) + cosine(TWO_PI, 0.5)], GOLDEN
