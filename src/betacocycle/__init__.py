@@ -6,8 +6,6 @@ from .apcore import (
     bohr_mean_exact,
     constant,
     cosine,
-    empirical_bohr_mean,
-    epsilon_period_check,
     harmonic,
     sine,
     trig_poly,
@@ -56,7 +54,6 @@ from .pisot import (
     admissible_strings,
     beta_expand,
     beta_interval,
-    distance_to_integers,
     is_admissible,
     make_pisot,
     trace_power,

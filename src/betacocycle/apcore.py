@@ -74,11 +74,6 @@ class TrigPolynomial:
             return None
         return frozenset(abs(k) for k, _ in self._harmonics if k)
 
-    @property
-    def _degree(self):
-        """max |k| over the harmonics; None for a non-harmonic polynomial."""
-        return None if self._orders is None else max(self._orders, default=0)
-
     def _laurent(self, powers, size):
         """sum_k A_k z^k over size points z on the unit circle.
 
@@ -115,28 +110,12 @@ class TrigPolynomial:
         return all(c == 0 for _, c in self.terms)
 
     @property
-    def is_real_valued(self):
-        """Conjugate symmetry: each (L, A) pairs with (-L, conj(A))."""
-        table = {f: c for f, c in self.terms}
-        for f, c in self.terms:
-            other = table.get(-f)
-            if other is None or abs(other - c.conjugate()) > 1e-12:
-                return False
-        return True
-
-    @property
     def max_frequency(self):
         return max((abs(f) for f, _ in self.terms), default=0.0)
 
     def sup_bound(self):
         """sum |A_n|, an upper bound for the sup norm."""
         return sum(abs(c) for _, c in self.terms)
-
-    def shift(self, c):
-        """The translated polynomial x -> f(x + c)."""
-        return trig_poly(
-            [(f, a * cmath.exp(1j * f * c)) for f, a in self.terms]
-        )
 
     def __add__(self, other):
         if isinstance(other, TrigPolynomial):
@@ -211,85 +190,12 @@ def harmonic(k, coefficient=1.0):
     return trig_poly([(TWO_PI * k, complex(coefficient))])
 
 
-@dataclass(frozen=True)
-class EpsilonPeriodReport:
-    """Grid certificate that tau is an approximate translation number.
-
-    epsilon_achieved is a maximum over the test grid, not a proof over all
-    of R.
-    """
-
-    tau: float
-    epsilon_achieved: float
-    n_min: int
-    grid_size: int
-
-
 def bohr_mean_exact(f):
     """Bohr mean of a trigonometric polynomial: its frequency-0 coefficient."""
     for freq, coeff in f.terms:
         if freq == 0.0:
             return coeff
     return 0j
-
-
-def empirical_bohr_mean(f, T, n_samples):
-    """Composite-midpoint estimate of (1/T) * integral of f over [0, T].
-
-    Works for arbitrary evaluable functions (not only trig polynomials);
-    this is the estimator to iterate over a ladder of T values when only a
-    limsup is guaranteed.
-    """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    xs = (np.arange(n_samples) + 0.5) * (T / n_samples)
-    vals = f(xs) if _accepts_array(f) else np.array([f(x) for x in xs])
-    mean = np.mean(vals)
-    if np.iscomplexobj(vals) and abs(np.imag(mean)) < 1e-12:
-        return float(np.real(mean))
-    return mean if np.iscomplexobj(vals) else float(mean)
-
-
-def empirical_bohr_sequence(f, T_ladder, n_samples):
-    """Means over a ladder of horizons plus the running maximum (limsup proxy)."""
-    means = [empirical_bohr_mean(f, T, n_samples) for T in T_ladder]
-    running = np.maximum.accumulate([np.real(m) for m in means])
-    return list(zip(T_ladder, means, running.tolist()))
-
-
-def _accepts_array(f):
-    if isinstance(f, TrigPolynomial):
-        return True
-    try:
-        out = f(np.array([0.0, 0.5]))
-        return np.shape(out) == (2,)
-    except Exception:
-        return False
-
-
-def epsilon_period_check(f, tau):
-    """Max of |f(x+tau) - f(x)| over a grid; a certificate, not a proof.
-
-    The grid covers [0, 50] with a spacing tied to the largest frequency
-    when f is a TrigPolynomial.
-    """
-    if isinstance(f, TrigPolynomial) and f.max_frequency > 0:
-        num = max(2000, int(50 * f.max_frequency / math.pi))
-    else:
-        num = 5000
-    xs = np.linspace(0.0, 50.0, num)
-    if _accepts_array(f):
-        diff = np.abs(np.asarray(f(xs + tau)) - np.asarray(f(xs)))
-    else:
-        diff = np.array([abs(f(x + tau) - f(x)) for x in xs])
-    return EpsilonPeriodReport(
-        tau=float(tau),
-        epsilon_achieved=float(np.max(diff)),
-        n_min=0,
-        grid_size=int(xs.size),
-    )
 
 
 def weyl_equidistribution_defect(p, x, modulus, N):

@@ -186,6 +186,9 @@ class BetaAdaptedMatrix:
     base: object
     positivity_delta: object = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "base", as_base(self.base))
+
     @property
     def beta(self):
         return _beta_value(self.base)
@@ -302,7 +305,7 @@ def beta_adapted_matrix(entries, base, positivity_delta=None, allow_nonperiodic=
     M = BetaAdaptedMatrix(
         dim=dim,
         entries=tuple(rows),
-        base=as_base(base),
+        base=base,
         positivity_delta=positivity_delta,
     )
     if positivity_delta is not None:
@@ -348,10 +351,6 @@ class NormalizedProduct:
     log_norm: float
     unit_matrix: np.ndarray
     n: int
-
-    def apply_log(self, v):
-        """log of the Euclidean norm of P_n(x) v."""
-        return self.log_norm + math.log(np.linalg.norm(self.unit_matrix @ v))
 
 
 def product(M, x, n):
@@ -476,14 +475,17 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
     with at[n] = logs + log(norm(acc)) after step n for each checkpoint n.
 
     The step is a product of scalars for 1 x 1, explicit entry formulas
-    (_mul2x2) for a (N, 2, 2) accumulator with N >= 64, and batched @ for
-    every other shape.  Complex 2 x 2 times 2 x 2, per step:
+    (_mul2x2) for a (N, 2, 2) accumulator, and batched @ for every other
+    shape.  The kernel follows the shape alone, so a row's value does not
+    depend on the batch it runs in: joint_period_verify compares rows of
+    batches of different sizes, which at an exact period must agree to the
+    bit.  Complex 2 x 2 times 2 x 2, per step, on a 2-core x86-64 machine:
 
         N       explicit    @
-        1       23.5 us     3.5 us
-        50      17 us       25 us
-        256     29 us       88 us
-        2048    92 us       906 us
+        1       11.8 us     3.2 us
+        32      11.2 us     15.6 us
+        256     21.7 us     103 us
+        2048    75 us       814 us
 
     numpy's batched @ pays a per-matrix overhead that dwarfs 8 products;
     the entry formulas pay a fixed cost of about a dozen array operations.
@@ -497,7 +499,7 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
     # 1 MB more peak RSS for 40 checkpoints at N = 2048)
     table = np.empty((len(slots), acc.shape[0]))
     scalar = acc.shape[1:] == (1, 1)
-    pair = acc.shape[1:] == (2, 2) and acc.shape[0] >= 64
+    pair = acc.shape[1:] == (2, 2)
     logs = np.zeros(acc.shape[0])
     at = {}
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -530,16 +532,11 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
     return at, logs, acc
 
 
-def _factor(M, args, k, q=1):
-    """M^{wedge q} at step k of an argument table."""
-    A = M.eval_args(args, k)
-    return exterior_power(A, q) if q > 1 else A
-
-
 def _factors(M, args, n, q=1):
     """M^{wedge q} at steps 0..n-1 of an argument table, one step at a time."""
     for k in range(n):
-        yield _factor(M, args, k, q)
+        A = M.eval_args(args, k)
+        yield exterior_power(A, q) if q > 1 else A
 
 
 def _log_norms(M, q, args, checkpoints):
@@ -839,7 +836,10 @@ class JointPeriodCertificate:
 
     kind is "contraction" (D rho < 1) or "positivity" (all entries
     identically zero or >= delta); script_C bounds |f_n(x+tau) - f_n(x)|
-    uniformly over lattice translations tau.  rho_alpha is rho (exponent 1).
+    uniformly over the lattice translations tau of level lattice_level.  It
+    is 1.01 c_hold times D / (1 - D rho) or 1 / (delta (1 - rho)), c_hold the
+    closed-form Hoelder constant of _holder_constant, and exactly 0 at an
+    integer base.  rho_alpha is rho (exponent 1).
     """
 
     kind: str
@@ -875,41 +875,43 @@ def _shifted_tables(base, base_args, coords):
     return out
 
 
-def _sampled_lattice(base, m, count):
-    """Power-basis coordinates of the nonzero level-m lattice translations,
-    from at most count of them, evenly subsampled in sorted order."""
-    taus = _lattice_points(base, m)
-    if len(taus) > count:
-        idx = np.linspace(0, len(taus) - 1, count).astype(int)
-        taus = [taus[i] for i in idx]
-    return [coords for tau, coords in taus if tau != 0.0]
+def _digit_box_sup(z):
+    """sup over eta in [0, 1]^n of |sum_i eta_i z_i|: the length of the sum
+    of the z_i in the best open half-plane.  That subset changes only where
+    the half-plane's edge crosses a z_i, so one direction between each two
+    neighbouring edge angles arg z_i +- pi/2 reaches every candidate."""
+    edges = np.sort(np.angle(np.concatenate([1j * z, -1j * z])) % (2 * math.pi))
+    mids = (edges + np.append(edges[1:], edges[0] + 2 * math.pi)) / 2
+    inside = (np.exp(-1j * mids)[:, None] * z[None, :]).real > 0
+    return float(np.abs(np.where(inside, z, 0).sum(axis=1)).max())
 
 
-def _measure_holder_constant(M, q, lattice_level):
-    """Measured sup of ||M^q(beta^k(x+tau)) - M^q(beta^k x)|| / rho^k.
+def _holder_constant(M, q, lattice_level):
+    """Closed-form sup of ||M^q(beta^k(x+tau)) - M^q(beta^k x)||_F / rho^k over
+    all x, k >= 0 and the lattice translations tau of level lattice_level.
 
-    x runs over the grid j/96 and tau over 24 lattice translations of level
-    at most 6, k = 0..25; both orbits are exact (_shifted_tables), and each
-    step evaluates M once on the base table and once on the stacked one.
+    The orbit of x + tau is that of x moved by delta_k = Re sum_sigma
+    sigma(tau) sigma^k (_shifted_tables), and sigma(tau) = sum_i eta_i
+    sigma^i with eta_i in {0..digit_max}, so |delta_k| <= S rho^k.  An entry
+    sum c_k e(kx) at scale s reads delta_(k+s) and is Lipschitz with constant
+    2 pi sum |k||c_k|.  For q > 1, ||wedge^q A - wedge^q B|| <= q ||A - B||
+    max(||A||, ||B||)^(q-1), and ||A||_F <= sqrt(sum_ij sup_bound(f_ij)^2).
+    An integer beta has no conjugates: S = 0, and every tau is a period.
     """
-    rho = M.base.rho
-    if rho == 0.0:  # no conjugates: every tau is a true period, each diff 0
-        return 1e-9
-    taus = _sampled_lattice(M.base, min(lattice_level, 6), 24)
-    steps = 26
-    grid = 96
-    base_args = orbit_fractions(
-        M.base, [Fraction(j, grid) for j in range(grid)], steps + M.max_scale
+    if lattice_level < 0:
+        raise ValueError("lattice_level must be >= 0")
+    p = M.base
+    powers = np.arange(lattice_level + 1)
+    S = p.digit_max * sum(_digit_box_sup(s**powers) for s in p.conjugates)
+    cells = [cell for row in M.entries for cell in row]
+    lips = (
+        2 * math.pi * sum(abs(k * c) for k, c in poly._harmonics) * p.rho**scale
+        for poly, scale in cells
     )
-    shifted = _shifted_tables(M.base, base_args, taus)
-    worst = 0.0
-    for k in range(steps):
-        base_q = _factor(M, base_args, k, q)
-        shifted_q = _factor(M, shifted, k, q).reshape((len(taus),) + base_q.shape)
-        diff = np.linalg.norm(shifted_q - base_q, axis=(2, 3)).max(initial=0.0)
-        worst = max(worst, diff / rho**k)
-    # floor well above float noise, so that exact periods also verify
-    return max(worst * 1.5, 1e-9)
+    c_hold = S * math.hypot(*lips)
+    if q > 1:
+        c_hold *= q * math.hypot(*(poly.sup_bound() for poly, _ in cells)) ** (q - 1)
+    return c_hold
 
 
 def _require_certifiable(M):
@@ -928,6 +930,8 @@ def joint_period_certificate(M, q=1, lattice_level=8):
     operator norm, grid supremum), a positivity certificate when
     positivity_delta is set, and raises NoCertificate otherwise.  M is
     Lipschitz (trigonometric entries): alpha = 1, and rho^alpha is rho.
+    The Hoelder constant is read from the entries' coefficients and the
+    conjugates, so M is evaluated only on the grid of D, and no orbit runs.
     """
     _require_certifiable(M)
     rho = M.base.rho  # < 1: make_pisot rejects anything else
@@ -944,13 +948,13 @@ def joint_period_certificate(M, q=1, lattice_level=8):
         raise NoCertificate(
             "D*rho^alpha = %.4g >= 1 and no positivity floor declared" % (d_inf * rho)
         )
-    c_hold = _measure_holder_constant(M, q, lattice_level)
+    c_hold = _holder_constant(M, q, lattice_level)
     return JointPeriodCertificate(
         kind=kind,
         D=D,
         rho_alpha=rho,
         delta=delta,
-        script_C=max(1.01 * c_hold * gain / denom, 1e-12),
+        script_C=1.01 * c_hold * gain / denom,
         lattice_level=lattice_level,
         c_hold=c_hold,
     )
@@ -974,7 +978,11 @@ def joint_period_verify(M, q, cert, m, n_list, grid=256, max_tau=64):
     _require_certifiable(M)
     n_list = sorted(set(int(n) for n in n_list))
     L = n_list[-1] + M.max_scale + 1
-    coords = _sampled_lattice(M.base, m, max_tau)
+    taus = _lattice_points(M.base, m)
+    if len(taus) > max_tau:
+        idx = np.linspace(0, len(taus) - 1, max_tau).astype(int)
+        taus = [taus[i] for i in idx]
+    coords = [c for tau, c in taus if tau != 0.0]
     base_args = orbit_fractions(M.base, [Fraction(j, grid) for j in range(grid)], L)
     base_res = _log_norms(M, q, base_args, n_list)
     chunk = max(1, _VERIFY_ROWS // grid)

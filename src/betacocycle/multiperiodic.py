@@ -48,6 +48,9 @@ class MultiperiodicEquation:
     base: object
     recorded_D: object = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "base", as_base(self.base))
+
     @property
     def d(self):
         return len(self.fs)
@@ -75,7 +78,7 @@ def multiperiodic_equation(fs, base, recorded_D=None):
     for j, v in enumerate(at_zero, start=1):
         if abs(v.imag) > 1e-12 or v.real < -1e-12:
             raise ValueError("f_%d(0) = %s is not real nonnegative" % (j, v))
-    return MultiperiodicEquation(fs=fs, base=as_base(base), recorded_D=recorded_D)
+    return MultiperiodicEquation(fs=fs, base=base, recorded_D=recorded_D)
 
 
 def bernoulli_convolution(p, a, b, base):

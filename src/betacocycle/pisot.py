@@ -511,9 +511,3 @@ def _lattice_points(p, m):
     return sorted(
         (float(sum(c * powers[i] for i, c in enumerate(row))), row) for row in uniq
     )
-
-
-def distance_to_integers(y):
-    """min over integers j of |y - j|, always in [0, 0.5]."""
-    frac = y - math.floor(y)
-    return min(frac, 1.0 - frac)

@@ -15,9 +15,6 @@ from betacocycle.apcore import (
     bohr_mean_exact,
     constant,
     cosine,
-    empirical_bohr_mean,
-    empirical_bohr_sequence,
-    epsilon_period_check,
     harmonic,
     sine,
     trig_poly,
@@ -37,7 +34,8 @@ def test_trig_poly_merges_duplicate_frequencies():
 
 def test_cosine_builder_is_real():
     f = cosine(3.0, amplitude=2.0, phase=0.5)
-    assert f.is_real_valued
+    terms = dict(f.terms)
+    assert terms[-3.0] == terms[3.0].conjugate()
     assert f.evaluate(0.7) == pytest.approx(2 * math.cos(3 * 0.7 + 0.5), abs=1e-12)
 
 
@@ -79,7 +77,7 @@ def test_laurent_evaluation_matches_per_term_exp(scale):
     coeffs = rng.normal(size=17) + 1j * rng.normal(size=17)
     harmonics = list(zip(range(-8, 9), coeffs))
     f = trig_poly([(TWO_PI * k, c) for k, c in harmonics])
-    assert f._harmonics is not None and f._degree == 8
+    assert f._harmonics is not None and f._orders == frozenset(range(1, 9))
     # the float frequency fl(2 pi k) would put an error of k x 2.4e-16 into
     # a per-term float exp; the Laurent evaluator reduces x modulo 1 first
     xs = rng.random(64) * scale
@@ -92,7 +90,7 @@ def test_laurent_evaluation_matches_per_term_exp(scale):
 
 def test_non_harmonic_polynomial_keeps_per_term_path():
     f = cosine(1.0) + harmonic(3, 0.5j)
-    assert f._harmonics is None and f._degree is None
+    assert f._harmonics is None and f._orders is None
     xs = np.linspace(-3.0, 3.0, 13)
     want = np.cos(xs) + 0.5j * np.exp(1j * TWO_PI * 3 * xs)
     assert np.max(np.abs(f.evaluate(xs) - want)) < 1e-14
@@ -119,39 +117,6 @@ def test_bohr_mean_exact_reads_dc_coefficient():
     f = constant(2.5) + cosine(TWO_PI) + sine(5.0)
     assert bohr_mean_exact(f) == 2.5 + 0j
     assert bohr_mean_exact(cosine(1.0)) == 0j
-
-
-def test_empirical_bohr_mean_converges_to_exact():
-    f = constant(1.0) + cosine(TWO_PI, 0.7)
-    values = empirical_bohr_sequence(f, [10, 100, 1000], n_samples=4096)
-    final = values[-1][1]
-    assert final == pytest.approx(1.0, abs=1e-2)
-
-
-def test_empirical_bohr_mean_of_log_factor():
-    # quadrature oracle used throughout: mean of log(2+cos 2 pi x)
-    g = lambda x: np.log(2 + np.cos(TWO_PI * x))
-    target = math.log((2 + math.sqrt(3)) / 2)
-    assert empirical_bohr_mean(g, 1.0, 20000) == pytest.approx(target, abs=1e-6)
-
-
-def test_epsilon_period_exact_period():
-    f = harmonic(2, 1.0) + harmonic(-1, 0.5)
-    report = epsilon_period_check(f, 1.0)
-    assert report.epsilon_achieved < 1e-9
-
-
-def test_epsilon_period_generic_shift():
-    f = cosine(TWO_PI)
-    report = epsilon_period_check(f, 0.5)
-    assert report.epsilon_achieved == pytest.approx(2.0, abs=1e-3)
-
-
-def test_shift_matches_translation():
-    f = cosine(TWO_PI, 0.8) + harmonic(2, 0.3j)
-    g = f.shift(0.37)
-    for x in (0.0, 1.1, -2.3):
-        assert abs(g.evaluate(x) - f.evaluate(x + 0.37)) < 1e-12
 
 
 def test_weyl_defect_base2_typical_point():
