@@ -16,8 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .pisot import PisotNumber, as_base
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -202,9 +200,8 @@ def weyl_equidistribution_defect(p, x, modulus, N):
     """Max Weyl-sum modulus over harmonics h = 1..20 for (beta^n x mod modulus).
 
     Small values certify approximate equidistribution of the orbit, which
-    comes from orbit_fractions.  A Pisot or integer beta runs the exact
-    trace orbit at any N; a plain float beta, whose mpmath orbit needs
-    working precision growing with N, is capped at N = 5000.
+    comes from orbit_fractions at any N: the exact trace orbit for a Pisot or
+    integer beta, the fixed-point walk (within 2^-64) for a plain float beta.
     """
     if modulus <= 0:
         raise ValueError("modulus must be positive")
@@ -212,11 +209,6 @@ def weyl_equidistribution_defect(p, x, modulus, N):
         raise ValueError("N must be >= 1")
     from .cocycle import orbit_fractions  # cocycle imports this module
 
-    if N > 5000 and not isinstance(as_base(p), PisotNumber):
-        raise ValueError("N capped at 5000 for a plain float beta")
     fracs = orbit_fractions(p, Fraction(x) / Fraction(modulus), N)
-    worst = 0.0
-    for h in range(1, 21):
-        s = np.abs(np.mean(np.exp(2j * math.pi * h * fracs)))
-        worst = max(worst, float(s))
-    return worst
+    h = np.arange(1, 21)[:, None]
+    return float(np.abs(np.mean(np.exp(2j * math.pi * h * fracs), axis=1)).max())

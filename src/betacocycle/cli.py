@@ -430,6 +430,7 @@ def _run_asymptotics(cfg, report):
         "lyapunov_dispersion": diag["dispersion"],
         "x": float(x),
         "n_max": n_max,
+        "orbit": diag["orbit"],
     }
 
 
@@ -473,6 +474,7 @@ def _run_bernoulli(cfg, report):
             "lyapunov_estimate": lyap,
             "certified": cert is not None,
             "n_max": n_max,
+            "orbit": diag["orbit"],
         }
     )
 

@@ -11,9 +11,10 @@ nothing overflows.  Arguments beta^k x are reduced modulo 1 before any
 1-periodic entry is evaluated, by orbit_fractions: for a Pisot beta (an
 integer beta is the degree-1 one, see as_base) and rational x = a/D, the
 integer trace recurrence Tr(beta^k) mod D gives the orbit exactly up to a
-float term that decays like rho^k, batched over sample points; only a plain
-float beta, which has no minimal polynomial, walks it in mpmath.  Plain
-float powers of beta would lose the orbit after ~50 steps.
+float term that decays like rho^k, batched over sample points; a plain
+float beta, which has no minimal polynomial, is exactly m / 2^e and walks
+the orbit in fixed point on Python ints to within 2^-64.  Plain float powers
+of beta would lose the orbit after ~50 steps.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .apcore import TrigPolynomial, _circle_powers, constant
@@ -45,8 +45,11 @@ def _beta_value(base):
     return base.beta if isinstance(base, PisotNumber) else base
 
 
-def _mpmath_dps(beta, length, shift):
-    return int((length + abs(shift)) * math.log10(beta)) + 30
+def _fixed_point_bits(beta, length):
+    """Fraction bits P = ceil(length log2 beta - log2(beta - 1)) + 64 of the
+    fixed-point walk over length columns, exact from beta = m / q."""
+    m, q = beta.as_integer_ratio()
+    return (-(-(m**length * q) // (q**length * (m - q))) - 1).bit_length() + 64
 
 
 def orbit_fractions(base, x, length, shift=0):
@@ -67,9 +70,9 @@ def orbit_fractions(base, x, length, shift=0):
     in int64 when D * sum|a_i| < 2^63 and on exact Python ints otherwise.
     A negative shift starts the orbit a few division steps before x, which
     companion-matrix cocycles need; those columns x beta^j (j < 0) never
-    grow and are taken in plain float for every base.  Only a plain float
-    beta, which has no minimal polynomial, walks the columns j >= 0 in
-    mpmath, at a working precision scaled to beta^length.
+    grow and are taken in plain float for every base.  A plain float beta,
+    which has no minimal polynomial, walks the columns j >= 0 in fixed point
+    (_fixed_point_orbit), within 2^-64 of the exact orbit.
     """
     batch = np.ndim(x) == 1
     values = list(x) if batch else [x]
@@ -86,8 +89,7 @@ def orbit_fractions(base, x, length, shift=0):
         if isinstance(base, PisotNumber):
             _trace_orbit(base, points, xs, out[:, head:], shift + head)
         else:
-            for row, v in zip(out, points):
-                row[head:] = _mpmath_orbit(beta, v, length - head, shift + head)
+            _fixed_point_orbit(beta, points, out[:, head:], shift + head)
     return out if batch else out[0]
 
 
@@ -124,17 +126,22 @@ def _trace_orbit(p, points, xs, out, first):
         window = window[1:] + [nxt % D]
 
 
-def _mpmath_orbit(beta, x, length, shift):
-    """frac(beta^(k+shift) x) in mpmath for a plain float beta."""
-    out = np.empty(length)
-    dps = _mpmath_dps(beta, length, shift)
-    with mp.workdps(dps):
-        b = mp.mpf(beta)
-        z = mp.mpf(x.numerator) / mp.mpf(x.denominator) * b**shift
-        for k in range(length):
-            out[k] = float(z - mp.floor(z))
-            z *= b
-    return out
+def _fixed_point_orbit(beta, points, out, first):
+    """Fill out (N, L) with frac(beta^(first+k) x), k = 0..L-1 and first
+    >= 0, for a plain float beta = m / 2^e: Z = floor(beta^k x 2^P) on Python
+    ints for the whole batch, stepped as Z <- (Z m) >> e.  Each step adds
+    less than one unit of 2^-P to an error that grows by beta per step, so
+    after L columns it is below beta^L / (beta - 1) 2^-P <= 2^-64
+    (_fixed_point_bits).  A column is the top 53 fraction bits of Z.
+    """
+    m, q = beta.as_integer_ratio()
+    e = q.bit_length() - 1
+    P = _fixed_point_bits(beta, out.shape[1])
+    Z = [(v.numerator * m**first << P) // (v.denominator << e * first) for v in points]
+    Z = np.array(Z, dtype=object)
+    for k in range(out.shape[1]):
+        out[:, k] = ((Z >> (P - 53)) & (2**53 - 1)).astype(float) / 2.0**53
+        Z = (Z * m) >> e
 
 
 def _orbit_table(M, points, length, shift=0):
@@ -156,14 +163,14 @@ def _orbit_table(M, points, length, shift=0):
 def _orbit_info(M, points, length):
     """How _orbit_table computes the orbit of points: {"mode": "none"} for a
     constant M, {"mode": "float"} for raw powers, {"mode": "trace",
-    "denominator_bits": ...} for a Pisot beta and {"mode": "mpmath", "dps":
-    ...} for a plain float beta."""
+    "denominator_bits": ...} for a Pisot beta and {"mode": "fixed", "bits":
+    P} for a plain float beta (_fixed_point_bits)."""
     if M.is_constant:
         return {"mode": "none"}
     if not M.entries_one_periodic:
         return {"mode": "float"}
     if not isinstance(M.base, PisotNumber):
-        return {"mode": "mpmath", "dps": _mpmath_dps(M.beta, length, 0)}
+        return {"mode": "fixed", "bits": _fixed_point_bits(M.beta, length)}
     bits = max(Fraction(v).denominator for v in points).bit_length()
     return {"mode": "trace", "denominator_bits": bits}
 

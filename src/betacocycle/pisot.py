@@ -273,7 +273,7 @@ def _check_irreducible(coeffs):
     if const == 0:
         raise ReduciblePolynomial("zero constant term: x divides the polynomial")
     for k in _divisors(const):
-        if _poly_eval_int(coeffs, k) == 0:
+        if sum(c * k ** (deg - i) for i, c in enumerate(coeffs)) == 0:
             raise ReduciblePolynomial("integer root %d found" % k)
     if deg == 4:
         a, b, c, d = coeffs[1], coeffs[2], coeffs[3], coeffs[4]
@@ -287,13 +287,6 @@ def _check_irreducible(coeffs):
                     raise ReduciblePolynomial(
                         "quadratic factor x^2%+dx%+d found" % (p, q)
                     )
-
-
-def _poly_eval_int(coeffs, x):
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -137,28 +137,33 @@ def test_weyl_defect_golden_rational_concentrates():
     assert defect > 0.8
 
 
-def test_weyl_defect_golden_runs_past_5000_on_the_exact_orbit():
-    # the trace orbit has no precision budget to outgrow; the reference keeps
-    # beta^n x whole in mpmath, with 40 digits beyond its integer part
-    x, N = Fraction(987654321987, 3**25), 6000
-    defect = weyl_equidistribution_defect(GOLDEN, x, 1.0, N)
-    with mp.workdps(int(N * math.log10(GOLDEN.beta)) + 40):
-        beta = GOLDEN.beta_mp(mp.mp.dps)
+def mpmath_weyl_defect(beta, x, N):
+    """Reference defect: beta^n x kept whole in mpmath, with 40 digits beyond
+    its integer part; beta(dps) gives beta at that working precision."""
+    with mp.workdps(int(N * math.log10(beta(15))) + 40):
+        b = beta(mp.mp.dps)
         y = mp.mpf(x.numerator) / x.denominator
         fracs = []
         for _ in range(N):
             fracs.append(float(mp.frac(y)))
-            y *= beta
+            y *= b
     fracs = np.array(fracs)
-    reference = max(
-        abs(np.mean(np.exp(2j * math.pi * h * fracs))) for h in range(1, 21)
-    )
+    return max(abs(np.mean(np.exp(2j * math.pi * h * fracs))) for h in range(1, 21))
+
+
+def test_weyl_defect_golden_runs_past_5000_on_the_exact_orbit():
+    # the trace orbit has no precision budget to outgrow
+    x, N = Fraction(987654321987, 3**25), 6000
+    defect = weyl_equidistribution_defect(GOLDEN, x, 1.0, N)
+    assert abs(defect - mpmath_weyl_defect(GOLDEN.beta_mp, x, N)) <= 1e-9
+
+
+def test_weyl_defect_plain_float_beta_runs_past_5000():
+    # the fixed-point walk sizes its bits to N, so there is no cap to hit
+    x, N = Fraction(987654321987, 3**25), 6000
+    defect = weyl_equidistribution_defect(2.5, x, 1.0, N)
+    reference = mpmath_weyl_defect(lambda dps: mp.mpf(2.5), x, N)
     assert abs(defect - reference) <= 1e-9
-
-
-def test_weyl_defect_caps_a_plain_float_beta():
-    with pytest.raises(ValueError, match="capped"):
-        weyl_equidistribution_defect(2.5, Fraction(1, 3), 1.0, 5001)
 
 
 @given(

@@ -122,6 +122,25 @@ def test_run_lyapunov_reports_orbit_mode():
     assert report.summary["orbit"] == {"mode": "trace", "denominator_bits": 40}
 
 
+@pytest.mark.parametrize(
+    "base, orbit",
+    [
+        (GOLDEN_SPEC, {"mode": "trace", "denominator_bits": 40}),
+        (2.5, {"mode": "fixed", "bits": 77}),  # 13 + 64 at L = 8 + 1 + 1
+    ],
+    ids=["golden", "float"],
+)
+@pytest.mark.parametrize("command", ["bernoulli", "asymptotics"])
+def test_run_reports_orbit_mode_of_the_lyapunov_estimate(command, base, orbit):
+    if command == "bernoulli":
+        config = {"base": base, "params": {"p": 0.2, "n_max": 20, "n_points": 4}}
+    else:
+        f = [[[0, 0.3, 0.0], [1, 0.1, 0.0]], [[0, 0.6, 0.0]]]  # 1-periodic, d = 2
+        config = {"equation": {"f": f, "base": base}, "params": {"n_max": 20}}
+    report = cli.run(dict(config, command=command, estimation=SMALL_ESTIMATION))
+    assert report.summary["orbit"] == orbit
+
+
 def test_run_bernoulli_rejects_no_points():
     with pytest.raises(ConfigInvalid):
         cli.run({"command": "bernoulli", "base": GOLDEN_SPEC, "params": {"n_points": 0}})

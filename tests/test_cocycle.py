@@ -74,11 +74,13 @@ def test_orbit_fractions_survive_long_doubling():
 
 def mpmath_orbit(p, x, length, shift=0, tau=()):
     """Independent reference: frac(beta^(k+shift) (x + tau)) walked in
-    mpmath; tau holds power-basis coordinates, tau_0 + tau_1 beta + ..."""
+    mpmath; p is a PisotNumber or a plain float beta, and tau holds
+    power-basis coordinates, tau_0 + tau_1 beta + ..."""
     x = Fraction(x)
-    dps = int((length + abs(shift)) * math.log10(p.beta)) + 40
+    plain = isinstance(p, float)
+    dps = int((length + abs(shift)) * math.log10(p if plain else p.beta)) + 40
     with mp.workdps(dps):
-        b = p.beta_mp(dps)
+        b = mp.mpf(p) if plain else p.beta_mp(dps)
         z = mp.mpf(x.numerator) / x.denominator
         z = (z + sum(c * b**i for i, c in enumerate(tau))) * b**shift
         out = []
@@ -99,17 +101,22 @@ def test_orbit_fractions_golden_precision():
 
 
 @pytest.mark.parametrize(
-    "minpoly", [[1, -1, -1], [1, -1, 0, -1], [1, -2, -1], [1, -1, -1, -1]]
+    "minpoly",
+    [[1, -1, -1], [1, -1, 0, -1], [1, -2, -1], [1, -1, -1, -1], 2.5, math.e, 1.5, 1 + 2**-20],
 )
 @pytest.mark.parametrize("shift", [0, -1, -2])
 def test_orbit_fractions_trace_matches_mpmath(minpoly, shift):
-    # golden, x^3 - x^2 - 1, 1 + sqrt 2 and tribonacci at L = 2000
-    p = make_pisot(minpoly)
+    # golden, x^3 - x^2 - 1, 1 + sqrt 2 and tribonacci at L = 2000 on the
+    # trace orbit; a float is a plain float beta on the fixed-point walk
+    plain = isinstance(minpoly, float)
+    p = minpoly if plain else make_pisot(minpoly)
     xs = [Fraction(987654321, 3**21), Fraction(1234567890123, 1 << 40 | 1)]
     table = orbit_fractions(p, xs, 2000, shift=shift)
     assert table.shape == (2, 2000)
     for row, x in zip(table, xs):
-        assert circle_distance(row, mpmath_orbit(p, x, 2000, shift)) <= 1e-12
+        assert circle_distance(row, mpmath_orbit(p, x, 2000, shift)) <= (
+            1e-15 if plain else 1e-12
+        )
 
 
 @pytest.mark.parametrize("D", [3 * 2**61 + 1, 2**70 + 1])
@@ -129,7 +136,7 @@ def test_orbit_fractions_batch_equals_scalar_rows():
         assert np.array_equal(table, np.array(rows))
 
 
-def test_orbit_fractions_plain_float_beta_uses_mpmath():
+def test_orbit_fractions_plain_float_beta_walks_in_fixed_point():
     fr = orbit_fractions(2.5, Fraction(1, 3), 60)
     with mp.workdps(80):
         expected = [float(mp.frac(mp.mpf(1) / 3 * mp.mpf(2.5) ** k)) for k in range(60)]
@@ -172,23 +179,27 @@ def test_orbit_fractions_empty_batch(base, shift):
     assert orbit_fractions(base, [], 5, shift=shift).shape == (0, 5)
 
 
-def test_plain_float_beta_reads_mpmath_only_for_nonnegative_exponents(monkeypatch):
+def test_plain_float_beta_walks_only_nonnegative_exponents(monkeypatch):
+    with mp.workdps(60):
+        expected = [float(mp.frac(mp.mpf(1) / 3 * mp.mpf(2.5) ** k)) for k in range(-3, 37)]
     shifts = []
-    walk = cocycle._mpmath_orbit
+    walk = cocycle._fixed_point_orbit
 
-    def record(base, x, length, shift):
-        shifts.append(shift)
-        return walk(base, x, length, shift)
+    def record(beta, points, out, first):
+        shifts.append(first)
+        return walk(beta, points, out, first)
 
-    monkeypatch.setattr(cocycle, "_mpmath_orbit", record)
+    def no_mpmath(*args, **kwargs):
+        raise AssertionError("the orbit reads mpmath")
+
+    monkeypatch.setattr(cocycle, "_fixed_point_orbit", record)
+    monkeypatch.setattr(mp, "workdps", no_mpmath)
     x = Fraction(1, 3)
     fr = orbit_fractions(2.5, [x, Fraction(5, 7)], 4, shift=-4)
     assert shifts == []
     assert fr[0] == pytest.approx([(2.5**j / 3) % 1.0 for j in range(-4, 0)], abs=1e-15)
     fr = orbit_fractions(2.5, x, 40, shift=-3)
     assert shifts == [0]
-    with mp.workdps(60):
-        expected = [float(mp.frac(mp.mpf(1) / 3 * mp.mpf(2.5) ** k)) for k in range(-3, 37)]
     assert circle_distance(fr, expected) < 1e-15
 
 
@@ -199,7 +210,10 @@ def test_orbit_table_modes():
     assert np.array_equal(table, orbit_fractions(BASE2, xs, 6, shift=-2))
     assert _orbit_info(SCALAR, xs, 6) == {"mode": "trace", "denominator_bits": 3}
     mp_scalar = scalar_matrix(constant(2.0) + cosine(TWO_PI), 2.5)
-    assert _orbit_info(mp_scalar, xs, 6) == {"mode": "mpmath", "dps": 32}
+    assert _orbit_info(mp_scalar, xs, 6) == {"mode": "fixed", "bits": 72}
+    # P = ceil(L log2 beta - log2(beta - 1)) + 64: 21 + 64 at L = 2000 near 1
+    near_one = scalar_matrix(constant(2.0) + cosine(TWO_PI), 1 + 2**-20)
+    assert _orbit_info(near_one, xs, 2000) == {"mode": "fixed", "bits": 85}
     # other entries: raw powers beta^(m + shift) x
     M = beta_adapted_matrix([[cosine(1.0)]], GOLDEN, allow_nonperiodic=True)
     table = _orbit_table(M, xs, 6, shift=-2)
@@ -527,7 +541,7 @@ def test_lyapunov_reports_orbit_mode():
     modes = [
         (scalar_matrix(f, GOLDEN), {"mode": "trace", "denominator_bits": 40}),
         (scalar_matrix(f, 3), {"mode": "trace", "denominator_bits": 40}),
-        (scalar_matrix(f, 2.5), {"mode": "mpmath", "dps": 33}),  # 9 log10(2.5) + 30
+        (scalar_matrix(f, 2.5), {"mode": "fixed", "bits": 76}),  # 12 + 64 at L = 9
         (
             beta_adapted_matrix([[cosine(1.0)]], GOLDEN, allow_nonperiodic=True),
             {"mode": "float"},
@@ -537,6 +551,16 @@ def test_lyapunov_reports_orbit_mode():
     for M, orbit in modes:
         _, diag = lyapunov_top(M, 1, cfg)
         assert diag["orbit"] == orbit
+
+
+@pytest.mark.parametrize("beta", [2.5, math.e, 1.5])
+def test_lyapunov_top_scalar_oracle_at_a_plain_float_beta(beta):
+    # Koksma: beta^k x mod 1 is equidistributed for almost every x at any
+    # beta > 1, so the scalar oracle holds off the Pisot numbers too
+    cfg = EstimationSpec(n_ladder=(512, 1024), n_samples=200)
+    est, diag = lyapunov_top(scalar_matrix(constant(2.0) + cosine(TWO_PI), beta), 1, cfg)
+    assert diag["orbit"]["mode"] == "fixed"
+    assert est == pytest.approx(math.log((2 + math.sqrt(3)) / 2), abs=5e-3)
 
 
 def test_kingman_estimate_is_ladder_minimum():
