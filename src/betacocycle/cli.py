@@ -391,7 +391,7 @@ def _run_certify(cfg, report):
         M,
         q,
         cert,
-        m=_param(cfg, "verify_level", 8, int),
+        m=cert.lattice_level,
         n_list=range(1, _param(cfg, "verify_n", 40, int) + 1),
         grid=_param(cfg, "verify_grid", 256, int),
     )

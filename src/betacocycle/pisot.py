@@ -78,8 +78,8 @@ def as_base(base):
         b = math.nan
     if not 1.0 < b < math.inf:
         raise ValueError("beta must exceed 1, got %r" % (base,))
-    if abs(b - round(b)) < 1e-12:
-        return make_pisot([1, -round(b)])
+    if b.is_integer():
+        return make_pisot([1, -int(b)])
     return b
 
 
@@ -251,42 +251,20 @@ def _inverse_beta_coords(minpoly):
     return tuple(-f * top for f in fold[1:]) + (top,)
 
 
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    for k in range(1, int(math.isqrt(n)) + 1):
-        if n % k == 0:
-            out.update((k, n // k, -k, -(n // k)))
-    return sorted(out)
-
-
-def _check_irreducible(coeffs):
-    """Best-effort irreducibility test for monic integer polynomials.
-
-    Complete for degree <= 3 (rational-root test) and degree 4
-    (rational roots plus monic quadratic factorizations).
-    """
+def _is_squarefree(coeffs):
+    """Whether gcd(f, f') is a constant, by Euclid's algorithm over Q on
+    descending coefficient lists: the exact test for a repeated root."""
     deg = len(coeffs) - 1
-    if deg <= 1:
-        return
-    const = coeffs[-1]
-    if const == 0:
-        raise ReduciblePolynomial("zero constant term: x divides the polynomial")
-    for k in _divisors(const):
-        if sum(c * k ** (deg - i) for i, c in enumerate(coeffs)) == 0:
-            raise ReduciblePolynomial("integer root %d found" % k)
-    if deg == 4:
-        a, b, c, d = coeffs[1], coeffs[2], coeffs[3], coeffs[4]
-        for q in _divisors(d):
-            s = d // q
-            # (x^2+px+q)(x^2+rx+s): p+r=a, q+s+pr=b, ps+qr=c
-            prod_pr = b - q - s
-            for p in range(-abs(b) - abs(a) - 8, abs(b) + abs(a) + 9):
-                r_ = a - p
-                if p * r_ == prod_pr and p * s + q * r_ == c:
-                    raise ReduciblePolynomial(
-                        "quadratic factor x^2%+dx%+d found" % (p, q)
-                    )
+    a = [Fraction(c) for c in coeffs]
+    b = [Fraction(c * (deg - i)) for i, c in enumerate(coeffs[:-1])]
+    while b:
+        while len(a) >= len(b):  # a <- a mod b, one leading term at a time
+            q = a[0] / b[0]
+            a = [x - q * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+        while a and a[0] == 0:
+            a = a[1:]
+        a, b = b, a
+    return len(a) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +274,13 @@ def _check_irreducible(coeffs):
 def make_pisot(minpoly):
     """Build a PisotNumber from descending monic integer coefficients.
 
-    Raises NotPisot, NoRealRootAboveOne or ReduciblePolynomial when the
-    input fails the PV requirements.
+    The PV condition proves irreducibility: if f is squarefree, f(0) != 0
+    and every root but beta lies strictly inside the unit circle, a monic
+    integer factor (Gauss's lemma) without beta would have a nonzero integer
+    constant term of modulus below 1.  So a zero constant term or a repeated
+    root raises ReduciblePolynomial, any other reducible f has a second root
+    on or outside the unit circle (NotPisot), and no real root above 1 raises
+    NoRealRootAboveOne.
     """
     coeffs = tuple(int(c) for c in minpoly)
     if len(coeffs) < 2:
@@ -305,7 +288,10 @@ def make_pisot(minpoly):
     if coeffs[0] != 1:
         raise ValueError("polynomial must be monic")
     degree = len(coeffs) - 1
-    _check_irreducible(coeffs)
+    if degree > 1 and coeffs[-1] == 0:
+        raise ReduciblePolynomial("zero constant term: x divides the polynomial")
+    if not _is_squarefree(coeffs):
+        raise ReduciblePolynomial("repeated root: gcd(f, f') is not constant")
 
     beta_hp = _dominant_root(coeffs, _ROOT_DPS)
     roots = _roots_cached(coeffs, _ROOT_DPS)
@@ -390,39 +376,58 @@ def _quasi_greedy_one(p, n):
     return tuple(digits)
 
 
+def _parry_tops(p, digits):
+    """The Parry automaton on d*_beta(1) = t_1 t_2 ... run over the digits:
+    state j is the length of the running match, digit t_(j+1) moves it to
+    j + 1 and a smaller one to 0.  Returns the top t_(j+1) allowed at each
+    digit, or None once a digit is negative or above its top."""
+    t = _quasi_greedy_one(p, len(digits))
+    tops, j = [], 0
+    for e in digits:
+        if not 0 <= e <= t[j]:
+            return None
+        tops.append(t[j])
+        j = j + 1 if e == t[j] else 0
+    return tops
+
+
 def is_admissible(p, digits):
-    """Parry's test: the digits begin a greedy expansion exactly when none
-    is negative and every suffix is lexicographically at most the prefix of
-    d*_beta(1) of the same length."""
-    digits = tuple(digits)
-    if any(d < 0 for d in digits):
-        return False
-    n = len(digits)
-    star = _quasi_greedy_one(p, n)
-    return all(digits[k:] <= star[: n - k] for k in range(n))
+    """Parry's theorem: the digits begin a greedy expansion exactly when
+    the automaton of _parry_tops reads them all, in one pass."""
+    return _parry_tops(p, tuple(digits)) is not None
+
+
+def _admissible_levels(p, n):
+    """The admissible digit strings of levels 0..n, one int64 array of rows
+    per level in lexicographic order, extended together through the Parry
+    automaton: a row in state j takes each digit 0..t_(j+1) in turn."""
+    t = np.array(_quasi_greedy_one(p, n), dtype=np.int64)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    state = np.zeros(1, dtype=np.int64)
+    yield rows
+    for _ in range(n):
+        top = t[state]
+        parent, e = np.nonzero(np.arange(t[0] + 1) <= top[:, None])
+        rows = np.column_stack((rows[parent], e))
+        state = np.where(e == top[parent], state[parent] + 1, 0)
+        yield rows
 
 
 def admissible_strings(p, n):
-    """All greedy-admissible digit strings of length n, in lexicographic order."""
-    out = [()]
-    for _ in range(n):
-        out = [
-            s + (e,)
-            for s in out
-            for e in range(p.digit_max + 1)
-            if is_admissible(p, s + (e,))
-        ]
-    return out
+    """All greedy-admissible digit strings of length n, in lexicographic
+    order, read from _admissible_levels."""
+    *_, rows = _admissible_levels(p, n)
+    return [tuple(row) for row in rows.tolist()]
 
 
 def _successor(p, digits):
-    """Smallest admissible string of the same length lexicographically above."""
-    n = len(digits)
-    for k in range(n - 1, -1, -1):
-        for e in range(digits[k] + 1, p.digit_max + 1):
-            cand = digits[:k] + (e,)
-            if is_admissible(p, cand):
-                return cand + (0,) * (n - k - 1)
+    """Smallest admissible string of the same length lexicographically
+    above: the last digit below the top its state allows goes up by one and
+    zeros, allowed in every state, follow."""
+    tops = _parry_tops(p, digits)
+    for k in range(len(digits) - 1, -1, -1):
+        if digits[k] < tops[k]:
+            return digits[:k] + (digits[k] + 1,) + (0,) * (len(digits) - k - 1)
     return None
 
 

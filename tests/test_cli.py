@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from betacocycle import cli
+from betacocycle.cocycle import joint_period_certificate, joint_period_verify
 from betacocycle.errors import CertificateViolated, ConfigInvalid, UnknownSeries
 
 GOLDEN_SPEC = "1,-1,-1"
@@ -160,6 +161,18 @@ def test_run_certify_attaches_certificate():
     assert report.summary["verified_max_discrepancy"] <= cert["script_C"]
 
 
+def test_run_certify_verifies_the_lattice_level_it_certifies():
+    # script_C covers the translations of level lattice_level; verification
+    # reads the same level
+    params = {"lattice_level": 4, "verify_n": 10, "verify_grid": 32}
+    report = cli.run({"command": "certify", "matrix": BERNOULLI_MATRIX, "params": params})
+    M = cli._parse_matrix(cli.ExperimentConfig("certify", matrix=BERNOULLI_MATRIX))
+    cert = joint_period_certificate(M, q=1, lattice_level=4)
+    assert report.summary["verified_max_discrepancy"] == joint_period_verify(
+        M, 1, cert, m=4, n_list=range(1, 11), grid=32
+    )
+
+
 def test_run_certify_integer_base_matches_its_minpoly():
     # an integer beta is the degree-1 Pisot base whatever its spelling
     reports = [
@@ -167,7 +180,7 @@ def test_run_certify_integer_base_matches_its_minpoly():
             {
                 "command": "certify",
                 "matrix": dict(SCALAR_MATRIX, base=base),
-                "params": {"verify_level": 4, "verify_n": 10, "verify_grid": 32},
+                "params": {"lattice_level": 4, "verify_n": 10, "verify_grid": 32},
             }
         )
         for base in (3, "1,-3")
@@ -399,6 +412,15 @@ def test_main_exit_2_on_computation_error(tmp_path, capsys):
     code = cli.main(["asymptotics", "--config", str(cfg)])
     assert code == 2
     assert "computation error" in capsys.readouterr().err
+
+
+def test_main_exit_2_on_a_squared_minimal_polynomial(capsys):
+    # (x^3-x^2-x-1)^2 stops at the exact repeated-root test, before the
+    # root finder, which does not converge on it
+    assert cli.main(["pisot", "--minpoly", "1,-2,-1,0,3,2,1"]) == 2
+    err = capsys.readouterr().err
+    assert "computation error: pisot: repeated root" in err
+    assert "Traceback" not in err
 
 
 def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):

@@ -39,7 +39,7 @@ from betacocycle.cocycle import (
 )
 from betacocycle.errors import CertificateViolated, NoCertificate, SingularFactor
 from betacocycle.multiperiodic import MultiperiodicEquation, multiperiodic_equation
-from betacocycle.pisot import _lattice_points, make_pisot
+from betacocycle.pisot import _lattice_points, as_base, make_pisot
 
 TWO_PI = 2 * math.pi
 GOLDEN = make_pisot([1, -1, -1])
@@ -93,6 +93,15 @@ def mpmath_orbit(p, x, length, shift=0, tau=()):
 def circle_distance(a, b):
     """Largest distance between two arrays of fractional parts, mod 1."""
     return float(np.max(np.abs((np.asarray(a) - b + 0.5) % 1.0 - 0.5)))
+
+
+def test_a_float_near_an_integer_stays_a_plain_float_beta():
+    # only an integer-valued number is the degree-1 Pisot base; 2 + 2^-44
+    # run as 2 would be 0.42 off the exact orbit at k = 40
+    beta = 2 + 2**-44
+    assert type(as_base(beta)) is float and as_base(beta) == beta
+    fr = orbit_fractions(beta, Fraction(1, 3), 60)
+    assert circle_distance(fr, mpmath_orbit(beta, Fraction(1, 3), 60)) <= 1e-15
 
 
 def test_orbit_fractions_golden_precision():

@@ -393,11 +393,12 @@ def test_moment_growth_validates_inputs():
 
 
 @pytest.mark.parametrize(
-    "base, n_max", [(BASE2, 17), (GOLDEN, 13)], ids=["base2", "golden"]
+    "base, n_max", [(BASE2, 17), (GOLDEN, 23)], ids=["base2", "golden"]
 )
 def test_moment_growth_refuses_levels_beyond_the_quadrature(base, n_max):
-    # base 2 affords 600k nodes (level 16), the golden base level 12; every
-    # z_n past that level would be wrong, so the request is refused
+    # 600k nodes reach level 16 at base 2 and level 22 on the golden base
+    # (8 F_24 = 370944 nodes); every z_n past that level would be wrong, so
+    # the request is refused
     M = scalar_matrix(constant(2.0) + cosine(TWO_PI), base)
     with pytest.raises(QuadratureLevelExceeded, match="level %d" % n_max):
         moment_growth(M, 1, n_max)
@@ -416,6 +417,20 @@ def test_quadrature_edges_are_the_beta_interval_lefts(minpoly):
     lefts = [beta_interval(p, s).left for s in admissible_strings(p, 8)]
     assert np.max(np.abs(mid - half - lefts)) <= 1e-15
     assert mid[-1] + half[-1] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_base2_quadrature_edges_are_dyadic():
+    # at an integer base every digit string is admissible and its value
+    # strings @ 2^-k is exact: the edges, and so the nodes and weights, are
+    # those of arange(2^L + 1) / 2^L to the bit
+    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    for level in range(1, 17):
+        edges = np.arange(2**level + 1) / 2**level
+        mid = (edges[:-1] + edges[1:]) / 2.0
+        half = (edges[1:] - edges[:-1]) / 2.0
+        nodes, weights = _beta_quadrature(BASE2, level)
+        assert np.array_equal(nodes, (mid[:, None] + half[:, None] * gl_x).ravel())
+        assert np.array_equal(weights, (half[:, None] * gl_w).ravel())
 
 
 # --- moment integrals of the solution ---------------------------------------

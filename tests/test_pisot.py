@@ -8,10 +8,15 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from betacocycle.errors import InadmissibleDigits, NotPisot, ReduciblePolynomial
+from betacocycle.errors import (
+    BetaCocycleError,
+    InadmissibleDigits,
+    NotPisot,
+    ReduciblePolynomial,
+)
 from betacocycle.pisot import (
     FieldElement,
     _beta_power_coords,
@@ -63,13 +68,39 @@ def test_non_pisot_rejected():
 
 
 def test_reducible_rejected():
-    with pytest.raises(ReduciblePolynomial):
-        make_pisot([1, -1, -2])  # (x-2)(x+1)
+    # (x-2)(x+1): the factor without beta has its root -1 on the unit circle
+    with pytest.raises(NotPisot):
+        make_pisot([1, -1, -2])
 
 
 def test_reducible_quartic_without_rational_root_rejected():
-    with pytest.raises(ReduciblePolynomial, match="quadratic factor"):
-        make_pisot([1, -1, 0, -1, -1])  # (x^2-x-1)(x^2+1)
+    # (x^2-x-1)(x^2+1): the roots +-i of the factor without beta
+    with pytest.raises(NotPisot):
+        make_pisot([1, -1, 0, -1, -1])
+
+
+def test_zero_constant_term_and_repeated_root_are_reducible():
+    with pytest.raises(ReduciblePolynomial, match="zero constant term"):
+        make_pisot([1, -2, 0])  # x(x-2): the root 0 hides the factor x
+    with pytest.raises(ReduciblePolynomial, match="repeated root"):
+        make_pisot([1, -2, -1, 0, 3, 2, 1])  # (x^3-x^2-x-1)^2
+
+
+monic = st.integers(1, 3).flatmap(
+    lambda r: st.lists(st.integers(-3, 3), min_size=r, max_size=r).map(lambda c: [1] + c)
+)
+
+
+@given(monic, monic)
+# squares and cubes of Pisot polynomials: mpmath's root finder did not converge
+@example([1, -1, -1, -1], [1, -1, -1, -1])
+@example([1, -1, -1], [1, -2, -1, 2, 1])
+@settings(max_examples=40, deadline=None)
+def test_products_are_never_pisot(g, h):
+    # the PV rule alone (squarefree, f(0) != 0, one root outside the unit
+    # circle) refuses every product, whatever the degree
+    with pytest.raises(BetaCocycleError):
+        make_pisot(np.convolve(g, h).tolist())
 
 
 def test_string_roundtrip():
@@ -172,6 +203,26 @@ def test_parry_admissibility_matches_exact_reexpansion(minpoly):
     for n in range(7):
         for w in itertools.product(digits, repeat=n):
             assert is_admissible(p, w) == _reexpansion_admissible(p, w), w
+
+
+@st.composite
+def pisot_bases(draw):
+    """x^r + c_1 x^(r-1) + ... + c_r, r = 2..4, with c_1 in {-2, -1} and the
+    rest in [-1, 1], when make_pisot accepts it: about one draw in four,
+    every base below 3 (Cauchy's bound), so digits run over 0..2."""
+    r = draw(st.integers(2, 4))
+    tail = draw(st.lists(st.integers(-1, 1), min_size=r - 1, max_size=r - 1))
+    try:
+        return make_pisot([1, draw(st.integers(-2, -1))] + tail)
+    except BetaCocycleError:
+        reject()
+
+
+@given(pisot_bases(), st.integers(1, 5))
+@settings(max_examples=10, deadline=None)
+def test_admissible_strings_match_reexpansion_at_random_bases(p, n):
+    words = itertools.product(range(p.digit_max + 1), repeat=n)
+    assert admissible_strings(p, n) == [w for w in words if _reexpansion_admissible(p, w)]
 
 
 @pytest.mark.parametrize(
