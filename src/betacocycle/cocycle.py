@@ -40,6 +40,16 @@ from .errors import (
 from .pisot import PisotNumber, _lattice_points, as_base, trace_power
 
 
+# rows (points x steps) of one block: _factors evaluates M, and _trace_orbit
+# finishes its orbit table, over max(1, _BLOCK_ROWS // N) steps at a time
+_BLOCK_ROWS = 1024
+
+
+def _fraction(v):
+    """v as the exact Fraction it is, v itself when it already is one."""
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
 def _beta_value(base):
     """beta of a normalized base (as_base): the one reader of beta."""
     return base.beta if isinstance(base, PisotNumber) else base
@@ -85,7 +95,7 @@ def orbit_fractions(base, x, length, shift=0):
         y = xs * beta ** (shift + j)
         out[:, j] = y - np.floor(y)
     if head < length and values:
-        points = [Fraction(v) for v in values]
+        points = [_fraction(v) for v in values]
         if isinstance(base, PisotNumber):
             _trace_orbit(base, points, xs, out[:, head:], shift + head)
         else:
@@ -95,7 +105,14 @@ def orbit_fractions(base, x, length, shift=0):
 
 def _trace_orbit(p, points, xs, out, first):
     """Fill out (N, L) with frac(beta^(first+k) x), k = 0..L-1 and first
-    >= 0, by the trace recurrence; xs holds the points as floats."""
+    >= 0, by the trace recurrence; xs holds the points as floats.
+
+    The loop writes u / D into its column: numpy divides int64 in float64,
+    Python ints divide exactly and round once (casting="unsafe" lets the
+    object quotients land in the float table).  Each block of
+    max(1, _BLOCK_ROWS // N) columns is then finished in place: moved by
+    x sum sigma^k and reduced modulo 1.
+    """
     length = out.shape[1]
     a = [-c for c in p.minpoly[1:]]  # u_k = a_1 u_{k-1} + ... + a_r u_{k-r}
     r = p.degree
@@ -111,15 +128,17 @@ def _trace_orbit(p, points, xs, out, first):
     ks = np.arange(first, first + length)
     conj = np.array(p.conjugates, dtype=complex)
     drift = (conj[:, None] ** ks[None, :]).real.sum(axis=0)  # sum sigma^k
+    block = max(1, _BLOCK_ROWS // len(points))
     for k in range(first + length):
         u = window[0]
-        if k >= first:
-            col = u / D
-            if exact:
-                col = col.astype(float)
-            if r > 1:
-                col -= xs * drift[k - first]
-            np.subtract(col, np.floor(col), out=out[:, k - first])
+        j = k - first
+        if j >= 0:
+            np.true_divide(u, D, out=out[:, j], casting="unsafe")
+            if (j + 1) % block == 0 or j + 1 == length:
+                cols = out[:, j - j % block : j + 1]
+                if r > 1:
+                    cols -= xs[:, None] * drift[j - j % block : j + 1]
+                np.subtract(cols, np.floor(cols), out=cols)
         nxt = a[0] * window[-1]
         for i in range(1, r):
             nxt = nxt + a[i] * window[r - 1 - i]
@@ -171,7 +190,7 @@ def _orbit_info(M, points, length):
         return {"mode": "float"}
     if not isinstance(M.base, PisotNumber):
         return {"mode": "fixed", "bits": _fixed_point_bits(M.beta, length)}
-    bits = max(Fraction(v).denominator for v in points).bit_length()
+    bits = max(_fraction(v).denominator for v in points).bit_length()
     return {"mode": "trace", "denominator_bits": bits}
 
 
@@ -236,42 +255,91 @@ class BetaAdaptedMatrix:
         ]
         return constants, columns, others
 
-    def _fill(self, count, argument):
+    def _fill(self, count, argument, powers):
         """count matrices; a varying entry (i, j) is read at argument(scale_ij).
 
-        Harmonic entries run the Laurent evaluator: one z = e(argument) and
-        its powers per distinct scale, shared by every entry that reads that
-        argument column (a diagonal c_i + e(x) reads one column d times).
+        Harmonic entries run the Laurent evaluator on powers(scale, orders),
+        {k: z^k} for z = e(argument(scale)) and at least the k in orders: one
+        z and its powers per distinct scale, shared by every entry that reads
+        that argument column (a diagonal c_i + e(x) reads one column d times).
         Other entries evaluate term by term.
         """
         constants, columns, others = self._split_entries
         out = constants[None].repeat(count, axis=0)
         for scale, orders, cells in columns:
-            powers = _circle_powers(argument(scale), orders)
+            zs = powers(scale, orders)
             for i, j, poly in cells:
-                out[:, i, j] = poly._laurent(powers, count)
+                out[:, i, j] = poly._laurent(zs, count)
         for i, j, poly, scale in others:
             out[:, i, j] = poly.evaluate(argument(scale))
         return out
+
+    def _at_points(self, xs):
+        """M at a 1-D float array of points, arguments beta^l x taken directly."""
+        argument = lambda scale: (self.beta**scale) * xs
+        powers = lambda scale, orders: _circle_powers(argument(scale), orders)
+        return self._fill(xs.size, argument, powers)
 
     def evaluate(self, x):
         """M(x) as a complex matrix, arguments beta^l x taken directly.
 
         A one-point batch, so M(x) equals evaluate_batch([x])[0] to the bit."""
-        xs = np.array([x], dtype=float)
-        return self._fill(1, lambda scale: (self.beta**scale) * xs)[0]
+        return self._at_points(np.array([x], dtype=float))[0]
 
     def evaluate_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return self._fill(xs.size, lambda scale: (self.beta**scale) * xs)
+        return self._at_points(np.asarray(xs, dtype=float))
 
-    def eval_args(self, args, k):
-        """Batched M at step k from an argument table.
+    @cached_property
+    def _window(self):
+        """(lo, hi, orders) over the harmonic entries: the smallest and
+        largest scale and every power of z that one of them reads."""
+        columns = self._split_entries[1]
+        scales = [scale for scale, _, _ in columns] or [0]
+        orders = frozenset().union(*(orders for _, orders, _ in columns))
+        return min(scales), max(scales), orders
+
+    def eval_args(self, args, k, steps=1, carry=None):
+        """Batched M at steps k..k+steps-1 from an argument table, one
+        step-major (steps * N, d, d) stack: rows s N .. (s+1) N - 1 hold step
+        k + s, so steps=1 gives the (N, d, d) stack of step k.
 
         args[s, m] holds beta^m x_s (modulo 1 is fine: entries are
         1-periodic).  Entry (i, j) at step k reads column k + scale_ij.
+        Harmonic entries read one window of columns, k + lo .. k + hi +
+        steps - 1 (_window): z = e(column) and its powers are computed once
+        over the window, and each scale takes its slice.  carry, a dict that
+        _factors hands from one block to the next, keeps the powers of the
+        window's last hi - lo columns, where the next window starts, so that
+        each column's z is computed once per run.
         """
-        return self._fill(args.shape[0], lambda scale: args[:, k + scale])
+        N = args.shape[0]
+        lo, hi, orders = self._window
+        window = _window_powers(args, k + lo, k + hi + steps, orders, hi - lo, carry)
+        argument = lambda scale: args[:, k + scale : k + scale + steps].T.ravel()
+        powers = lambda scale, _: {
+            o: z[(scale - lo) * N : (scale - lo + steps) * N] for o, z in window.items()
+        }
+        return self._fill(steps * N, argument, powers)
+
+
+def _window_powers(args, first, stop, orders, keep, carry):
+    """{k: z^k} for k in orders and z = e(args[:, c]) over the columns c =
+    first..stop-1, column after column (step-major) in one flat array.
+
+    carry (a dict, or None) maps a column to the powers of the keep columns
+    from it on, left by the call before; at first they are reused, and
+    carry is left holding this window's last keep columns.
+    """
+    N = args.shape[0]
+    old = carry.pop(first, None) if carry else None
+    window = _circle_powers(args[:, first + (keep if old else 0) : stop].T.ravel(), orders)
+    if old:
+        window = {o: np.concatenate((old[o], z)) for o, z in window.items()}
+    if carry is not None:
+        carry.clear()
+        if keep:
+            carry[stop - keep] = {o: z[z.size - keep * N :] for o, z in window.items()}
+    return window
 
 
 def beta_adapted_matrix(entries, base, positivity_delta=None, allow_nonperiodic=False):
@@ -540,10 +608,23 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
 
 
 def _factors(M, args, n, q=1):
-    """M^{wedge q} at steps 0..n-1 of an argument table, one step at a time."""
-    for k in range(n):
-        A = M.eval_args(args, k)
-        yield exterior_power(A, q) if q > 1 else A
+    """M^{wedge q} at steps 0..n-1 of an argument table, yielded one (N, m, m)
+    step at a time.
+
+    M is evaluated a block of max(1, _BLOCK_ROWS // N) steps at a time, one
+    eval_args call per block, whose carry shares the z of the columns that
+    neighbouring blocks both read.  Each step is a view of its block, and
+    its exterior power is taken one step at a time.
+    """
+    N = args.shape[0]
+    block = max(1, _BLOCK_ROWS // max(N, 1))
+    carry = {}
+    for k in range(0, n, block):
+        steps = min(block, n - k)
+        factors = M.eval_args(args, k, steps, carry)
+        for s in range(steps):
+            A = factors[s * N : (s + 1) * N]
+            yield exterior_power(A, q) if q > 1 else A
 
 
 def _log_norms(M, q, args, checkpoints):
@@ -760,13 +841,20 @@ def _grid_norm_constants(M, norm):
     ||M^-1||_inf (max row sums, no SVD) for norm inf.  Callers inflate when
     they need a safe side.
     """
-    Ms = M.evaluate_batch(np.linspace(0.0, 1.0, 10000, endpoint=False))
-    inv = np.linalg.inv(Ms)
-    if norm == 2:
-        two_inv = _opnorm(inv)
-        return float(np.max(two_inv)), float(np.max(_opnorm(Ms) * two_inv))
+    grid = np.linspace(0.0, 1.0, 10000, endpoint=False)
     row_sums = lambda A: np.abs(A).sum(axis=2).max(axis=1)
-    return float(np.max(row_sums(Ms) * row_sums(inv)))
+    sups = []  # per chunk of _BLOCK_ROWS points: M, M^-1 and |M| stay small
+    for lo in range(0, grid.size, _BLOCK_ROWS):
+        Ms = M.evaluate_batch(grid[lo : lo + _BLOCK_ROWS])
+        inv = np.linalg.inv(Ms)
+        if norm == 2:
+            two_inv = _opnorm(inv)
+            sups.append((np.max(two_inv), np.max(_opnorm(Ms) * two_inv)))
+        else:
+            sups.append(np.max(row_sums(Ms) * row_sums(inv)))
+    if norm == 2:
+        return tuple(float(v) for v in np.max(sups, axis=0))
+    return float(np.max(sups))
 
 
 def distortion_bound(M, xs, ys, v):

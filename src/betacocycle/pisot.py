@@ -359,21 +359,25 @@ def beta_expand(p, x, n):
     return BetaDigits(tuple(_greedy_digits(p, elem, n)), p)
 
 
-@lru_cache(maxsize=256)
-def _quasi_greedy_one(p, n):
-    """First n digits of d*_beta(1), the quasi-greedy expansion of 1.
+def _quasi_greedy_digits(p):
+    """The digits of d*_beta(1), the quasi-greedy expansion of 1, one at a
+    time without end.
 
     Each digit is ceil(beta r) - 1, the largest that leaves a positive
     remainder r, so a finite greedy expansion of 1 comes out periodic.
     """
-    digits = []
     r = FieldElement.from_rational(p, 1)
-    for _ in range(n):
+    while True:
         r = r.times_beta()
         d = -r.scale(-1).floor() - 1
-        digits.append(d)
+        yield d
         r = r - d
-    return tuple(digits)
+
+
+@lru_cache(maxsize=256)
+def _quasi_greedy_one(p, n):
+    """First n digits of d*_beta(1) (_quasi_greedy_digits)."""
+    return tuple(itertools.islice(_quasi_greedy_digits(p), n))
 
 
 def _parry_tops(p, digits):
@@ -400,12 +404,16 @@ def is_admissible(p, digits):
 def _admissible_levels(p, n):
     """The admissible digit strings of levels 0..n, one int64 array of rows
     per level in lexicographic order, extended together through the Parry
-    automaton: a row in state j takes each digit 0..t_(j+1) in turn."""
-    t = np.array(_quasi_greedy_one(p, n), dtype=np.int64)
+    automaton: a row in state j takes each digit 0..t_(j+1) in turn.  The
+    digits t of d*_beta(1) grow one per level, as far as the caller reads:
+    a row of level k is in a state j <= k."""
+    digits = _quasi_greedy_digits(p)
+    t = np.zeros(0, dtype=np.int64)
     rows = np.zeros((1, 0), dtype=np.int64)
     state = np.zeros(1, dtype=np.int64)
     yield rows
     for _ in range(n):
+        t = np.append(t, next(digits))
         top = t[state]
         parent, e = np.nonzero(np.arange(t[0] + 1) <= top[:, None])
         rows = np.column_stack((rows[parent], e))

@@ -16,13 +16,17 @@ from hypothesis import strategies as st
 from betacocycle import cocycle
 from betacocycle.apcore import constant, cosine, harmonic
 from betacocycle.cocycle import (
+    _BLOCK_ROWS,
     BetaAdaptedMatrix,
     EstimationSpec,
     _batched_cocycle,
+    _factors,
+    _grid_norm_constants,
     _opnorm,
     _orbit_info,
     _orbit_table,
     _sample_argument_tables,
+    _sample_points,
     beta_adapted_matrix,
     constant_matrix,
     distortion_bound,
@@ -38,7 +42,11 @@ from betacocycle.cocycle import (
     subadditive_sequence,
 )
 from betacocycle.errors import CertificateViolated, NoCertificate, SingularFactor
-from betacocycle.multiperiodic import MultiperiodicEquation, multiperiodic_equation
+from betacocycle.multiperiodic import (
+    MultiperiodicEquation,
+    companion_matrix,
+    multiperiodic_equation,
+)
 from betacocycle.pisot import _lattice_points, as_base, make_pisot
 
 TWO_PI = 2 * math.pi
@@ -186,6 +194,32 @@ def test_orbit_fractions_negative_shift():
 @pytest.mark.parametrize("shift", [0, -2])
 def test_orbit_fractions_empty_batch(base, shift):
     assert orbit_fractions(base, [], 5, shift=shift).shape == (0, 5)
+
+
+@pytest.mark.parametrize("minpoly", [[1, -2], [1, -1, -1, -1]], ids=["base2", "tribonacci"])
+def test_orbit_fractions_batch_equals_per_point_across_blocks(minpoly):
+    """The trace orbit finishes its table a block of _BLOCK_ROWS // N columns
+    at a time (146 at N = 7, 128 at N = 8, 1024 for one point, 1 at N =
+    _BLOCK_ROWS + 1), on int64 and on exact Python ints alike; every row
+    matches its own call."""
+    p = make_pisot(minpoly)
+    xs = _sample_points(np.random.default_rng(3), 7, p)
+    wide = xs + [Fraction(2**62 + 3, 2**62 + 1)]  # D sum|a_i| >= 2^63: object dtype
+    for batch in (xs, wide):
+        table = orbit_fractions(p, batch, 2100, shift=-1)
+        rows = [orbit_fractions(p, x, 2100, shift=-1) for x in batch]
+        assert np.array_equal(table, np.array(rows))
+    many = _sample_points(np.random.default_rng(4), _BLOCK_ROWS + 1, p)
+    table = orbit_fractions(p, many, 40)
+    assert np.array_equal(table[:7], orbit_fractions(p, many[:7], 40))
+    assert np.array_equal(table[-1], orbit_fractions(p, many[-1], 40))
+
+
+def test_fractions_are_reused_not_rebuilt():
+    x = Fraction(5, 7)
+    assert cocycle._fraction(x) is x
+    assert cocycle._fraction(0.75) == Fraction(3, 4)
+    assert cocycle._fraction(3) == Fraction(3)
 
 
 def test_plain_float_beta_walks_only_nonnegative_exponents(monkeypatch):
@@ -367,6 +401,67 @@ def test_matrix_evaluation_paths_agree_with_entrywise_values():
     assert np.array_equal(M.evaluate_batch(xs), want)
     assert np.array_equal(M.eval_args(args, 0), want)
     assert np.array_equal(M.evaluate(xs[1]), want[1])
+
+
+def _block_matrix(name):
+    if name == "golden-bernoulli":  # harmonic scales 0 and 1
+        return bernoulli_companion(0.2)
+    if name == "tribonacci":  # harmonic scales 0, 1 and 2
+        fs = [constant(0.3) + cosine(TWO_PI, 0.2), constant(0.2) + harmonic(2, 0.05),
+              constant(0.15) + harmonic(-3, 0.1)]
+        return companion_matrix(multiperiodic_equation(fs, make_pisot([1, -1, -1, -1])))
+    return beta_adapted_matrix(  # one non-harmonic entry beside harmonic ones
+        [[(constant(2.0) + cosine(1.0), 1), (harmonic(1, 0.5), 0)],
+         [constant(1.0), (cosine(TWO_PI, 0.3), 2)]],
+        GOLDEN,
+        allow_nonperiodic=True,
+    )
+
+
+@pytest.mark.parametrize("name", ["golden-bernoulli", "tribonacci", "nonperiodic"])
+@pytest.mark.parametrize("N", [0, 1, 7, _BLOCK_ROWS + 1])
+def test_factors_in_blocks_equal_per_step_evaluation(name, N):
+    """_factors evaluates a block of _BLOCK_ROWS // N steps per eval_args call
+    and carries the z of shared columns between blocks; step by step it
+    yields exactly the per-step factors, across several block edges."""
+    M = _block_matrix(name)
+    block = max(1, _BLOCK_ROWS // max(N, 1))
+    n = 2 * block + 37 if N <= 7 else 5
+    points = _sample_points(np.random.default_rng(N), N, M.base)
+    args = orbit_fractions(M.base, points, n + M.max_scale + 1)
+    for q in (1, 2):
+        got = list(_factors(M, args, n, q))
+        assert len(got) == n
+        for k, A in enumerate(got):
+            want = M.eval_args(args, k)
+            if q > 1:
+                want = exterior_power(want, q)
+            assert A.shape == want.shape and np.array_equal(A, want), (q, k)
+
+
+def test_eval_args_steps_stack_the_steps_step_major():
+    M = _block_matrix("tribonacci")
+    args = orbit_fractions(M.base, [Fraction(1, 3), Fraction(2, 7), 1.25], 12)
+    stack = M.eval_args(args, 2, steps=4)
+    assert stack.shape == (12, 3, 3)
+    for s in range(4):
+        assert np.array_equal(stack[3 * s : 3 * s + 3], M.eval_args(args, 2 + s))
+
+
+def test_grid_norm_constants_in_chunks_equal_the_whole_grid():
+    late = beta_adapted_matrix(  # largest at x = 0.97, in the last chunk
+        [[constant(2.0) + cosine(TWO_PI, 1.0, -TWO_PI * 0.97), 0.0], [0.0, 1.0]], GOLDEN
+    )
+    for M in (bernoulli_companion(0.2), _d4_matrix(), late):
+        Ms = M.evaluate_batch(np.linspace(0.0, 1.0, 10000, endpoint=False))
+        inv = np.linalg.inv(Ms)
+        two_inv = _opnorm(inv)
+        rows = lambda A: np.abs(A).sum(axis=2).max(axis=1)
+        assert _grid_norm_constants(M, 2) == (
+            float(np.max(two_inv)),
+            float(np.max(_opnorm(Ms) * two_inv)),
+        )
+        assert _grid_norm_constants(M, math.inf) == float(np.max(rows(Ms) * rows(inv)))
 
 
 # --- exterior powers -------------------------------------------------------

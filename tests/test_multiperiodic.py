@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betacocycle import multiperiodic
+from betacocycle import multiperiodic, pisot
 from betacocycle.apcore import constant, cosine, harmonic, sine
 from betacocycle.cocycle import EstimationSpec, lyapunov_top, scalar_matrix
 from betacocycle.errors import (
@@ -402,6 +402,23 @@ def test_moment_growth_refuses_levels_beyond_the_quadrature(base, n_max):
     M = scalar_matrix(constant(2.0) + cosine(TWO_PI), base)
     with pytest.raises(QuadratureLevelExceeded, match="level %d" % n_max):
         moment_growth(M, 1, n_max)
+
+
+def test_refused_quadrature_reads_only_the_digits_it_enumerates(monkeypatch):
+    # the enumerator stops at level 23, the first past the node cap, so 23
+    # digits of d*_beta(1) are drawn for n_max = 1000, not 1000
+    drawn = []
+    digits = pisot._quasi_greedy_digits
+
+    def counted(p):
+        for d in digits(p):
+            drawn.append(d)
+            yield d
+
+    monkeypatch.setattr(pisot, "_quasi_greedy_digits", counted)
+    with pytest.raises(QuadratureLevelExceeded, match="level 1000 exceeds the deepest level 22"):
+        _beta_quadrature(GOLDEN, 1000)
+    assert len(drawn) == 23
 
 
 @pytest.mark.parametrize(
