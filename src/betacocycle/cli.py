@@ -395,6 +395,7 @@ def _run_certify(cfg, report):
         n_list=range(1, _param(cfg, "verify_n", 40, int) + 1),
         grid=_param(cfg, "verify_grid", 256, int),
     )
+    report.summary["exact_periods"] = not M.base.conjugates
 
 
 def _run_solve(cfg, report):

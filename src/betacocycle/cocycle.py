@@ -616,6 +616,8 @@ def _factors(M, args, n, q=1):
     neighbouring blocks both read.  Each step is a view of its block, and
     its exterior power is taken one step at a time.
     """
+    if not 1 <= q <= M.dim:
+        raise ValueError("q must satisfy 1 <= q <= d")
     N = args.shape[0]
     block = max(1, _BLOCK_ROWS // max(N, 1))
     carry = {}
@@ -995,6 +997,8 @@ def _holder_constant(M, q, lattice_level):
     """
     if lattice_level < 0:
         raise ValueError("lattice_level must be >= 0")
+    if not 1 <= q <= M.dim:
+        raise ValueError("q must satisfy 1 <= q <= d")
     p = M.base
     powers = np.arange(lattice_level + 1)
     S = p.digit_max * sum(_digit_box_sup(s**powers) for s in p.conjugates)
@@ -1062,22 +1066,26 @@ _VERIFY_ROWS = 2048
 def joint_period_verify(M, q, cert, m, n_list, grid=256, max_tau=64):
     """Empirical check of a joint-period certificate.
 
-    Returns the maximum of |f_n^{(q)}(x+tau) - f_n^{(q)}(x)| over lattice
-    translations of level m, the requested n values, and the grid x = j/grid;
-    raises CertificateViolated when it exceeds script_C by more than 10%.
-    Both orbits are exact: the grid orbit comes from orbit_fractions, and
-    each tau moves it by the trace shift of _shifted_tables.  The tau run in
-    chunks of _VERIFY_ROWS // grid (8 at grid 256), each chunk one stacked
-    (chunk * grid, L) table and one _log_norms call.
+    Returns the maximum of |f_n^{(q)}(x+tau) - f_n^{(q)}(x)| over max_tau
+    lattice translations of level m, the n in n_list and x = j/grid; raises
+    CertificateViolated above 1.1 script_C.  At an integer base every tau is
+    an exact period, so it returns 0.0 with no lattice, orbit or product.
+    Otherwise both orbits are exact (orbit_fractions, moved by the trace
+    shift of _shifted_tables), and the tau run in chunks of _VERIFY_ROWS //
+    grid, each one stacked (chunk * grid, L) table and one _log_norms call.
     """
     _require_certifiable(M)
     n_list = sorted(set(int(n) for n in n_list))
+    if not n_list or n_list[0] < 1:
+        raise ValueError("n_list must hold at least one n >= 1")
+    if not (1 <= q <= M.dim and m >= 0 and grid >= 1 and max_tau >= 2):
+        raise ValueError("need 1 <= q <= d, m >= 0, grid >= 1 and max_tau >= 2")
+    if not M.base.conjugates:
+        return 0.0
     L = n_list[-1] + M.max_scale + 1
-    taus = _lattice_points(M.base, m)
-    if len(taus) > max_tau:
-        idx = np.linspace(0, len(taus) - 1, max_tau).astype(int)
-        taus = [taus[i] for i in idx]
-    coords = [c for tau, c in taus if tau != 0.0]
+    values, coords = _lattice_points(M.base, m)
+    idx = np.linspace(0, len(values) - 1, min(len(values), max_tau)).astype(int)
+    coords = coords[idx][values[idx] != 0.0]
     base_args = orbit_fractions(M.base, [Fraction(j, grid) for j in range(grid)], L)
     base_res = _log_norms(M, q, base_args, n_list)
     chunk = max(1, _VERIFY_ROWS // grid)

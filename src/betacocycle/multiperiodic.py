@@ -175,11 +175,15 @@ class SolutionEvaluator:
 
     def depth(self, x):
         """Truncation depth making the product tail smaller than tol at x."""
-        beta = self.eq.beta
-        t = self.c_prime * abs(float(x)) / (self.tol * (1.0 - 1.0 / beta))
+        x, beta = abs(float(x)), self.eq.beta
+        if not math.isfinite(x):
+            raise ValueError("x must be finite")
+        den = self.tol * (1.0 - 1.0 / beta)
+        t = self.c_prime * x / den
         if t <= 1.0:
             return 1
-        return int(math.ceil(math.log(t) / math.log(beta))) + 2
+        log_t = math.log(t) if t < math.inf else math.log(self.c_prime / den) + math.log(x)
+        return int(math.ceil(log_t / math.log(beta))) + 2
 
     def G_batch(self, xs):
         """G at an array of points, shape (len(xs), d)."""

@@ -33,6 +33,7 @@ from .errors import (
 )
 
 _ROOT_DPS = 40
+_LATTICE_CAP = 10**6  # digit vectors _lattice_points enumerates, else samples
 
 
 @dataclass(frozen=True)
@@ -471,49 +472,45 @@ def _times_beta(minpoly):
     return C
 
 
-@lru_cache(maxsize=None)
-def _beta_power_coords(minpoly, max_power):
-    """Integer coordinate rows of beta^0 .. beta^max_power: row i is
-    _times_beta^i applied to the coordinates (1, 0, ..., 0) of 1."""
-    C = _times_beta(minpoly)
-    rows = np.zeros((max_power + 1, len(C)), dtype=object)
-    rows[0, 0] = 1
-    for i in range(max_power):
-        rows[i + 1] = C @ rows[i]
-    return rows
-
-
 def translation_lattice(p, m):
     """Lattice of tau = sum_i eta_i beta^i with eta_i in {0..digit_max}.
 
-    Enumerates all digit vectors when their count is at most 10^6, otherwise
-    samples 10^6 of them uniformly with seed 0.  Returns sorted distinct
-    floats; gaps between consecutive values never exceed beta.
+    Enumerates all digit vectors when their count is at most _LATTICE_CAP
+    (10^6), otherwise samples that many uniformly with seed 0.  Returns
+    sorted distinct floats; gaps between consecutive values never exceed beta.
     """
-    return [value for value, _ in _lattice_points(p, m)]
+    return _lattice_points(p, m)[0].tolist()
 
 
 def _lattice_points(p, m):
-    """translation_lattice as sorted (float value, integer power-basis
-    coordinates) pairs."""
+    """translation_lattice as (values, coords): sorted floats and their int64
+    power-basis coordinates, ties in coordinate order.  Enumeration adds eta
+    beta^i, eta = 0..digit_max, one power i at a time and drops repeats;
+    ValueError if digit_max sum |coords of beta^0..beta^m| reaches 2^63."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    top = p.digit_max
-    count = (top + 1) ** (m + 1)
-    powmat = _beta_power_coords(p.minpoly, m).astype(object)
-    cap = 10**6
-    if count <= cap:
-        etas = np.array(
-            list(itertools.product(range(top + 1), repeat=m + 1)), dtype=object
-        )
-    else:
-        rng = np.random.default_rng(0)
-        etas = rng.integers(0, top + 1, size=(cap, m + 1)).astype(object)
-    coords = etas @ powmat  # exact integer coordinates of each tau
+    top, C = p.digit_max, _times_beta(p.minpoly)
+    rows = [np.linalg.matrix_power(C, i)[:, 0] for i in range(m + 1)]  # beta^i
+    if top * sum(abs(c) for row in rows for c in row) >= 2**63:
+        raise ValueError("lattice level %d overflows int64 coordinates" % m)
+    powmat = np.array(rows, dtype=np.int64)
     with mp.workdps(_ROOT_DPS):
         b = p.beta_mp()
         powers = [float(b**i) for i in range(p.degree)]
-    uniq = {tuple(int(c) for c in row) for row in coords}
-    return sorted(
-        (float(sum(c * powers[i] for i, c in enumerate(row))), row) for row in uniq
-    )
+
+    def sorted_unique(pts):
+        values = sum(c * w for c, w in zip(pts.T, powers))
+        # value, then coordinates: equal rows sum to equal values, so repeats meet
+        order = np.lexsort((*pts.T[::-1], values))
+        values, pts = values[order], pts[order]
+        keep = np.append(True, (pts[1:] != pts[:-1]).any(axis=1))
+        return values[keep], pts[keep]
+
+    if (top + 1) ** (m + 1) > _LATTICE_CAP:
+        etas = np.random.default_rng(0).integers(0, top + 1, (_LATTICE_CAP, m + 1))
+        return sorted_unique(etas @ powmat)
+    pts = np.zeros((1, len(C)), dtype=np.int64)
+    for row in powmat:
+        grown = pts[:, None] + np.outer(np.arange(top + 1), row)
+        values, pts = sorted_unique(grown.reshape(-1, len(C)))
+    return values, pts

@@ -190,6 +190,24 @@ def test_run_certify_integer_base_matches_its_minpoly():
     assert reports[0].certificates[0]["rho_alpha"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "matrix, exact",
+    [(SCALAR_MATRIX, True), (dict(SCALAR_MATRIX, base=3), True), (BERNOULLI_MATRIX, False)],
+)
+def test_run_certify_says_whether_the_translations_are_exact_periods(matrix, exact):
+    # at an integer base the discrepancy 0 is known, not measured
+    params = {"lattice_level": 4, "verify_n": 10, "verify_grid": 32}
+    summary = cli.run({"command": "certify", "matrix": matrix, "params": params}).summary
+    assert summary["exact_periods"] is exact
+    assert (summary["verified_max_discrepancy"] == 0.0) is exact
+
+
+def test_run_solve_at_the_largest_floats():
+    params = {"x": [1e308, -1.7e308]}
+    rows = cli.run({"command": "solve", "equation": VIETE_EQUATION, "params": params}).series["F"]
+    assert all(math.isfinite(row["F_re"]) and math.isfinite(row["residual"]) for row in rows)
+
+
 def test_run_pisot_integer_base():
     report = cli.run({"command": "pisot", "base": 2})
     assert report.summary == {"beta": 2.0, "rho": 0.0, "degree": 1, "minpoly": [1, -2]}
@@ -498,6 +516,15 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
         ("lyapunov", {"matrix": SCALAR_MATRIX, "sed": 5}, "config"),
         ("solve", {"equation": dict(VIETE_EQUATION, bse="1,-3")}, "equation"),
         ("lyapunov", {"matrix": SCALAR_MATRIX, "output": {"fromat": "csv"}}, "output"),
+        ("lyapunov", {"matrix": SCALAR_MATRIX, "params": {"q": 0}}, "lyapunov"),
+        ("lyapunov", {"matrix": BERNOULLI_MATRIX, "params": {"q": 0}}, "lyapunov"),
+        ("certify", {"matrix": BERNOULLI_MATRIX, "params": {"q": 0}}, "certify"),
+        ("certify", {"matrix": BERNOULLI_MATRIX, "params": {"verify_n": 0}}, "certify"),
+        ("certify", {"matrix": BERNOULLI_MATRIX, "params": {"verify_grid": 0}}, "certify"),
+        ("certify", {"matrix": BERNOULLI_MATRIX, "params": {"verify_grid": -3}}, "certify"),
+        ("certify", {"matrix": SCALAR_MATRIX, "params": {"verify_n": 0}}, "certify"),
+        ("solve", {"equation": VIETE_EQUATION, "params": {"x": [float("nan")]}}, "solve"),
+        ("solve", {"equation": VIETE_EQUATION, "params": {"x": [float("inf")]}}, "solve"),
     ],
     ids=[
         "moments-n_max-1",
@@ -529,6 +556,15 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
         "top-level-sed",
         "equation-bse",
         "output-fromat",
+        "lyapunov-q-0",
+        "lyapunov-companion-q-0",
+        "certify-q-0",
+        "certify-verify_n-0",
+        "certify-verify_grid-0",
+        "certify-verify_grid-negative",
+        "certify-integer-base-verify_n-0",
+        "solve-nan-x",
+        "solve-infinite-x",
     ],
 )
 def test_main_exit_1_on_library_value_error(tmp_path, capsys, command, cfg, where):

@@ -615,6 +615,19 @@ def test_subadditivity_spot_check():
         assert f_nm <= f_n + f_m + 1e-9
 
 
+@pytest.mark.parametrize("q", [0, 3])
+def test_exterior_degree_outside_1_to_d_is_refused(q):
+    # q = 0 used to run the q = 1 product, and the certificate the q = 1 bound
+    M = bernoulli_companion(0.2, BASE2)
+    with pytest.raises(ValueError, match="q must satisfy 1 <= q <= d"):
+        subadditive_sequence(M, q, Fraction(2, 7), 8)
+    with pytest.raises(ValueError, match="q must satisfy 1 <= q <= d"):
+        lyapunov_top(M, q, EstimationSpec(n_ladder=(4, 8), n_samples=4))
+    for base in (GOLDEN, BASE2):
+        with pytest.raises(ValueError, match="q must satisfy 1 <= q <= d"):
+            joint_period_certificate(bernoulli_companion(0.2, base), q=q)
+
+
 # --- Lyapunov estimation ---------------------------------------------------
 
 
@@ -939,12 +952,68 @@ def test_verify_integer_base_exact_periods():
 
 @pytest.mark.parametrize("grid", [8, 32, 256])
 def test_verify_integer_base_pair_is_exact(grid):
-    # script_C is exactly 0 at an integer base, so the grid rows and the
-    # stacked shifted rows must agree to the bit whatever their batch sizes
+    # script_C is exactly 0 at an integer base, where every translation is
+    # an exact period; that rows agree whatever their batch sizes is pinned
+    # on real products by test_log_norms_row_does_not_depend_on_its_batch
     M = bernoulli_companion(0.2, base=BASE2)
     cert = joint_period_certificate(M, q=1)
     assert cert.script_C == 0.0
     assert joint_period_verify(M, 1, cert, m=6, n_list=range(1, 41), grid=grid) == 0.0
+
+
+@pytest.mark.parametrize("base", [BASE2, make_pisot([1, -3])], ids=["base2", "base3"])
+def test_verify_at_an_integer_base_runs_no_product(monkeypatch, base):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verification ran work whose answer is known")
+
+    for name in ("_lattice_points", "orbit_fractions", "_log_norms"):
+        monkeypatch.setattr(cocycle, name, refuse)
+    for M in (bernoulli_companion(0.2, base=base), _d4_matrix()):
+        cert = joint_period_certificate(M, q=1)
+        assert joint_period_verify(M, 1, cert, m=8, n_list=range(1, 41)) == 0.0
+
+
+_BATCH_CASES = {
+    **{"base2-q%d" % q: (bernoulli_companion(0.2, base=BASE2), q) for q in (1, 2)},
+    **{"golden-q%d" % q: (bernoulli_companion(0.2), q) for q in (1, 2)},
+    **{"d4-q%d" % q: (_d4_matrix(), q) for q in range(1, 5)},
+}
+
+
+@pytest.mark.parametrize("M, q", _BATCH_CASES.values(), ids=_BATCH_CASES.keys())
+def test_log_norms_row_does_not_depend_on_its_batch(M, q):
+    # verification compares grid rows with the same rows in a larger stack:
+    # 1600 rows run one step per block, the 8-row table 128
+    grid = orbit_fractions(M.base, [Fraction(j, 8) for j in range(8)], 41 + M.max_scale)
+    assert 200 * len(grid) > _BLOCK_ROWS
+    alone = cocycle._log_norms(M, q, grid, range(1, 41))
+    stacked = cocycle._log_norms(M, q, np.tile(grid, (200, 1)), range(1, 41))
+    for n in range(1, 41):
+        assert np.array_equal(stacked[n], np.tile(alone[n], 200))
+
+
+@pytest.mark.parametrize("base", [BASE2, GOLDEN], ids=["base2", "golden"])
+@pytest.mark.parametrize(
+    "q, m, n_list, grid, max_tau",
+    [
+        (1, 4, [], 8, 64),
+        (1, 4, [0, 4], 8, 64),
+        (1, 4, [4], 0, 64),
+        (1, 4, [4], -3, 64),
+        (1, 4, [4], 8, 1),
+        (0, 4, [4], 8, 64),
+        (3, 4, [4], 8, 64),
+        (1, -1, [4], 8, 64),
+    ],
+    ids=["no-n", "n-0", "grid-0", "grid-negative", "max_tau-1", "q-0", "q-above-d", "m-negative"],
+)
+def test_verify_rejects_what_it_cannot_check(base, q, m, n_list, grid, max_tau):
+    # each used to fail inside the check, return a q = 1 answer, or compare
+    # no translation at all; an integer base refuses them before its 0.0
+    M = bernoulli_companion(0.2, base=base)
+    cert = joint_period_certificate(M, q=1)
+    with pytest.raises(ValueError):
+        joint_period_verify(M, q, cert, m=m, n_list=n_list, grid=grid, max_tau=max_tau)
 
 
 def test_verify_certified_bernoulli():
@@ -989,7 +1058,8 @@ def _verify_per_tau(M, q, m, n_list, grid, max_tau=64):
     per lattice translation, the shift built from the conjugates directly."""
     n_list = sorted(n_list)
     L = n_list[-1] + M.max_scale + 1
-    taus = _lattice_points(M.base, m)
+    values, lattice = _lattice_points(M.base, m)
+    taus = list(zip(values.tolist(), lattice.tolist()))
     if len(taus) > max_tau:
         idx = np.linspace(0, len(taus) - 1, max_tau).astype(int)
         taus = [taus[i] for i in idx]
@@ -1053,16 +1123,16 @@ PISOT_BASES = {
 }
 
 
-# the level-8 lattice of 2+sqrt3 takes about a second to enumerate
+# several tests read the same lattices; 2+sqrt3 has 182440 points at level 8
 _lattice = lru_cache(maxsize=None)(_lattice_points)
 
 
 def _sampled_holder_maxima(M, q, m, steps=20, grid=96, count=24):
     """Per-k maxima of ||M^q(beta^k(x+tau)) - M^q(beta^k x)||_F / rho^k over
     x = j/grid and count of the level-m translations, on exact orbits."""
-    lattice = _lattice(M.base, m)
-    idx = np.linspace(0, len(lattice) - 1, count).astype(int)
-    taus = [lattice[i][1] for i in idx if lattice[i][0] != 0.0]
+    values, coords = _lattice(M.base, m)
+    idx = np.linspace(0, len(values) - 1, count).astype(int)
+    taus = [coords[i] for i in idx if values[i] != 0.0]
     points = [Fraction(j, grid) for j in range(grid)]
     base_args = orbit_fractions(M.base, points, steps + M.max_scale)
     shifted = cocycle._shifted_tables(M.base, base_args, taus)
@@ -1097,7 +1167,7 @@ def test_digit_box_sup_matches_the_lattice(minpoly):
     M = scalar_matrix(harmonic(1, 1.0 / TWO_PI), p)
     conj = np.array(p.conjugates, dtype=complex)
     for m in range(9):
-        coords = np.array([c for _, c in _lattice(p, m)], dtype=float)
+        coords = _lattice(p, m)[1].astype(float)
         sigma_tau = coords @ conj[None, :] ** np.arange(p.degree)[:, None]
         brute = np.abs(sigma_tau).sum(axis=1).max()
         assert cocycle._holder_constant(M, 1, m) == pytest.approx(brute, rel=1e-9)

@@ -192,6 +192,19 @@ def test_depth_grows_logarithmically():
     )
 
 
+def test_depth_is_finite_at_every_finite_x():
+    # t = C' |x| / (tol (1 - 1/beta)) overflows near 1e308; log t then comes
+    # from its factors, within a step of the depth just below the overflow
+    sol = solve(viete_equation())
+    deepest = sol.depth(1.7e308)
+    assert 0 <= deepest - sol.depth(1e300) == pytest.approx(8 / math.log10(2.0), abs=2)
+    assert deepest == sol.depth(-1.7e308)
+    assert np.isfinite(sol.F(1e308))
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x must be finite"):
+            sol.depth(x)
+
+
 # --- asymptotic exponents ---------------------------------------------------
 
 

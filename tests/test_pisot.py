@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from betacocycle import pisot
 from betacocycle.errors import (
     BetaCocycleError,
     InadmissibleDigits,
@@ -19,10 +20,11 @@ from betacocycle.errors import (
 )
 from betacocycle.pisot import (
     FieldElement,
-    _beta_power_coords,
     _digits_value,
     _greedy_digits,
+    _lattice_points,
     _quasi_greedy_one,
+    _times_beta,
     admissible_strings,
     beta_expand,
     beta_interval,
@@ -281,6 +283,73 @@ def test_lattice_orbit_stays_near_integers():
                 assert min(frac, 1.0 - frac) <= c_prime * GOLDEN.rho**k + 1e-6
 
 
+def _reference_lattice(p, m, cap=10**6):
+    """The lattice in Python ints: every digit vector, or a seed-0 sample of
+    cap of them, times the coordinates of beta^0..beta^m, kept once each
+    and sorted as (float value, coordinate tuple) pairs."""
+    top, C = p.digit_max, _times_beta(p.minpoly)
+    powmat = np.array([np.linalg.matrix_power(C, i)[:, 0] for i in range(m + 1)])
+    if (top + 1) ** (m + 1) <= cap:
+        etas = list(itertools.product(range(top + 1), repeat=m + 1))
+    else:
+        etas = np.random.default_rng(0).integers(0, top + 1, size=(cap, m + 1)).tolist()
+    uniq = {tuple(int(c) for c in row) for row in np.array(etas, dtype=object) @ powmat}
+    with mp.workdps(40):
+        powers = [float(p.beta_mp() ** i) for i in range(p.degree)]
+    return sorted((float(sum(c * w for c, w in zip(row, powers))), row) for row in uniq)
+
+
+def _assert_lattice_equals(got, want):
+    values, coords = got
+    assert values.tolist() == [v for v, _ in want]  # to the bit
+    assert [tuple(row) for row in coords.tolist()] == [row for _, row in want]
+
+
+LATTICE_BASES = {
+    name: make_pisot(minpoly)
+    for name, minpoly in [
+        ("golden", [1, -1, -1]),
+        ("1+sqrt2", [1, -2, -1]),
+        ("2+sqrt3", [1, -4, 1]),
+        ("plastic", [1, 0, -1, -1]),
+        ("tribonacci", [1, -1, -1, -1]),
+        ("base2", [1, -2]),
+        ("base3", [1, -3]),
+    ]
+}
+
+
+@pytest.mark.parametrize("p", LATTICE_BASES.values(), ids=LATTICE_BASES.keys())
+def test_lattice_points_match_the_python_int_reference(p):
+    for m in range(9):
+        _assert_lattice_equals(_lattice_points(p, m), _reference_lattice(p, m))
+
+
+@pytest.mark.parametrize(
+    "p, m",
+    [(GOLDEN, 14), (LATTICE_BASES["base3"], 6), (LATTICE_BASES["2+sqrt3"], 6)],
+    ids=["golden-14", "base3-6", "2+sqrt3-6"],
+)
+def test_sampled_lattice_matches_the_python_int_reference(monkeypatch, p, m):
+    monkeypatch.setattr(pisot, "_LATTICE_CAP", 4096)
+    assert (p.digit_max + 1) ** (m + 1) > 4096
+    _assert_lattice_equals(_lattice_points(p, m), _reference_lattice(p, m, cap=4096))
+
+
+def test_lattice_refuses_coordinates_beyond_int64(monkeypatch):
+    # golden beta^i = F_(i-1) + F_i beta for i >= 1, so digit_max times the
+    # sum of |coords| over levels 0..m is F_(m+3) - 1: 2^63 from m = 90 on
+    monkeypatch.setattr(pisot, "_LATTICE_CAP", 64)
+    fib = [0, 1]
+    while len(fib) < 94:
+        fib.append(fib[-1] + fib[-2])
+    assert fib[92] - 1 < 2**63 <= fib[93] - 1
+    got = _lattice_points(GOLDEN, 89)
+    _assert_lattice_equals(got, _reference_lattice(GOLDEN, 89, cap=64))
+    with pytest.raises(ValueError, match="lattice level 90 overflows int64"):
+        _lattice_points(GOLDEN, 90)
+
+
 @given(st.fractions(min_value=0, max_value=1).filter(lambda q: q < 1))
 # beta^3 x lies 6.5e-18 below 1: a 53-bit rounding of the floor gave digit 1
 @example(Fraction(2226702113149062, 9432461516941855))
@@ -320,7 +389,8 @@ def test_trace_power_is_nearest_integer_to_power_sum(p, n):
 @given(property_bases, st.integers(min_value=0, max_value=60))
 @settings(max_examples=30, deadline=None)
 def test_beta_power_rows_evaluate_to_powers(p, i):
-    row = _beta_power_coords(p.minpoly, i)[i]
+    # column 0 of _times_beta^i is beta^i applied to the coordinates of 1
+    row = np.linalg.matrix_power(_times_beta(p.minpoly), i)[:, 0]
     with mp.workdps(60):
         want = p.beta_mp(60) ** i
         assert abs(FieldElement(p, row).evaluate_mp(60) - want) <= want * mp.mpf(10) ** -40
@@ -338,7 +408,7 @@ def test_times_beta_multiplies_by_beta(p, coords):
     shifted = (0,) + e.coords
     want = [c - shifted[-1] * m for c, m in zip(shifted, reversed(p.minpoly[1:]))]
     assert got.coords == tuple(want)
-    assert got == FieldElement(p, _beta_power_coords(p.minpoly, 1)[1]) * e
+    assert got == FieldElement(p, _times_beta(p.minpoly)[:, 0]) * e
 
 
 @given(st.integers(min_value=0, max_value=60))
