@@ -473,15 +473,7 @@ def exterior_power(A, q):
 
     Accepts a single matrix or a stack (..., d, d); anything else raises
     ValueError.  q = 1 returns a copy of A in its own dtype; q >= 2 returns
-    complex128.  For q = d the one minor is np.linalg.det(A).  Otherwise
-    level r = 2..q expands every r x r minor along its first row,
-
-        det A[I, J] = sum_t (-1)^t A[I[0], J[t]] det A[I - I[0], J - J[t]],
-
-    from the level r-1 minors: r whole-stack products of gathered entries
-    and minors, indexed by the cached _laplace_tables(d, r), in float64 for
-    real input and complex128 for complex.  No per-minor loop and no
-    determinant call.
+    complex128: np.linalg.det(A) for q = d, else _exterior_levels(A, q)[-1].
     """
     A = np.asarray(A)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -493,11 +485,27 @@ def exterior_power(A, q):
         return A.copy()
     if q == d:
         return np.linalg.det(A)[..., None, None].astype(complex)
+    return _exterior_levels(A, q)[-1].astype(complex, copy=False)
+
+
+def _exterior_levels(A, q):
+    """[wedge^1 A, ..., wedge^q A] of a stack (..., d, d), one Laplace chain.
+
+    Level 1 is A in float64 for real input, complex128 for complex (A itself
+    if complex128).  Level r = 2..min(q, d - 1) expands every r x r minor
+    along its first row, from level r - 1 in level 1's dtype,
+
+        det A[I, J] = sum_t (-1)^t A[I[0], J[t]] det A[I - I[0], J - J[t]]:
+
+    r whole-stack products indexed by the cached _laplace_tables(d, r), no
+    per-minor loop.  Level d (q = d > 1) is np.linalg.det(A), complex128.
+    """
+    d = A.shape[-1]
     A = A.astype(np.result_type(A.dtype, float), copy=False)
-    minors = A  # the 1 x 1 minors
-    for r in range(2, q + 1):
+    levels = [A]
+    for r in range(2, min(q, d - 1) + 1):
         first, rest, cols, drop = _laplace_tables(d, r)
-        below = minors[..., rest, :]  # rows I - I[0] of the level r-1 minors
+        below = levels[-1][..., rest, :]  # rows I - I[0] of the level r-1 minors
         level = A[..., first, cols[:, 0]] * below[..., drop[:, 0]]
         for t in range(1, r):
             term = A[..., first, cols[:, t]] * below[..., drop[:, t]]
@@ -505,8 +513,10 @@ def exterior_power(A, q):
                 level -= term
             else:
                 level += term
-        minors = level
-    return minors.astype(complex, copy=False)
+        levels.append(level)
+    if q == d > 1:
+        levels.append(np.linalg.det(A)[..., None, None].astype(complex))
+    return levels
 
 
 def _opnorm(A):
@@ -548,6 +558,9 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
     is exp(logs) * acc; a vanished row keeps acc = 0 and logs = -inf, a
     non-finite scale raises.  Returns (at, logs, acc) after the last step,
     with at[n] = logs + log(norm(acc)) after step n for each checkpoint n.
+    start may also be a list of stacks, accumulators run in lockstep: factors
+    then yields a list per step, one stack for each, every accumulator takes
+    the step it would take alone, and a list of (at, logs, acc) is returned.
 
     The step is a product of scalars for 1 x 1, explicit entry formulas
     (_mul2x2) for a (N, 2, 2) accumulator, and batched @ for every other
@@ -567,57 +580,55 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
     There is no 3 x 3 kernel: the 3 x 3 products measured run at N = 1,
     where an unrolled step lost to @.
     """
+    many = isinstance(start, list)
+    accs = [np.asarray(s) for s in (start if many else [start])]
     slots = {n: i for i, n in enumerate(sorted(set(checkpoints)))}
-    acc = np.asarray(start)
-    # checkpoint values are rows of one table: a small array kept per
-    # checkpoint, between the step temporaries, fragmented the heap (about
-    # 1 MB more peak RSS for 40 checkpoints at N = 2048)
-    table = np.empty((len(slots), acc.shape[0]))
-    scalar = acc.shape[1:] == (1, 1)
-    pair = acc.shape[1:] == (2, 2)
-    logs = np.zeros(acc.shape[0])
-    at = {}
+    # checkpoint values are rows of one table per accumulator: a small array
+    # kept per checkpoint, between the step temporaries, fragmented the heap
+    # (about 1 MB more peak RSS for 40 checkpoints at N = 2048)
+    tables = [np.empty((len(slots), acc.shape[0])) for acc in accs]
+    kinds = [acc.shape[1:] for acc in accs]
+    logs = [np.zeros(acc.shape[0]) for acc in accs]
+    ats = [{} for _ in accs]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k, A in enumerate(factors, start=1):
-            if scalar:  # 1 x 1: a product of scalars
-                acc = A * acc
-            elif pair:
-                acc = _mul2x2(A, acc)
-            else:
-                acc = A @ acc
-            if scalar:
-                fro = np.abs(acc[:, 0, 0])
-            else:  # real and imaginary parts side by side
-                parts = acc.view(np.float64)
-                fro = np.sqrt(np.einsum("nij,nij->n", parts, parts))
-            step = np.log(fro)
-            total = np.add.reduce(step)
-            if not total < math.inf:  # an inf or nan scale
-                if not np.isfinite(A).all():
-                    raise NonFinite("factor at step %d is not finite" % (k - 1))
-                raise SingularFactor("product norm degenerate at step %d" % (k - 1))
-            if total == -math.inf:  # a vanished row keeps acc = 0
-                fro[fro == 0.0] = 1.0
-            acc /= fro[:, None, None]
-            logs += step
-            if k in slots:
-                at[k] = row = table[slots[k]]
-                np.log(norm(acc), out=row)
-                row += logs
-    return at, logs, acc
+        for k, As in enumerate(factors if many else zip(factors), start=1):
+            slot = slots.get(k)
+            for i, A in enumerate(As):
+                acc, kind = accs[i], kinds[i]
+                if kind == (1, 1):  # a product of scalars
+                    acc = A * acc
+                    fro = np.abs(acc[:, 0, 0])
+                else:
+                    acc = _mul2x2(A, acc) if kind == (2, 2) else A @ acc
+                    parts = acc.view(np.float64)  # real and imaginary parts side by side
+                    fro = np.sqrt(np.einsum("nij,nij->n", parts, parts))
+                step = np.log(fro)
+                total = np.add.reduce(step)
+                if not total < math.inf:  # an inf or nan scale
+                    if not np.isfinite(A).all():
+                        raise NonFinite("factor at step %d is not finite" % (k - 1))
+                    raise SingularFactor("product norm degenerate at step %d" % (k - 1))
+                if total == -math.inf:  # a vanished row keeps acc = 0
+                    fro[fro == 0.0] = 1.0
+                acc /= fro[:, None, None]
+                logs[i] += step
+                accs[i] = acc
+                if slot is not None:
+                    ats[i][k] = row = tables[i][slot]
+                    np.log(norm(acc), out=row)
+                    row += logs[i]
+    return list(zip(ats, logs, accs)) if many else (ats[0], logs[0], accs[0])
 
 
 def _factors(M, args, n, q=1):
     """M^{wedge q} at steps 0..n-1 of an argument table, yielded one (N, m, m)
-    step at a time.
+    step at a time; for q = None, the list of every degree q = 1..d.
 
     M is evaluated a block of max(1, _BLOCK_ROWS // N) steps at a time, one
     eval_args call per block, whose carry shares the z of the columns that
-    neighbouring blocks both read.  Each step is a view of its block, and
-    its exterior power is taken one step at a time.
+    neighbouring blocks both read.  Each step is a view of its block; one q
+    calls exterior_power per step, every q shares one _exterior_levels chain.
     """
-    if not 1 <= q <= M.dim:
-        raise ValueError("q must satisfy 1 <= q <= d")
     N = args.shape[0]
     block = max(1, _BLOCK_ROWS // max(N, 1))
     carry = {}
@@ -626,24 +637,36 @@ def _factors(M, args, n, q=1):
         factors = M.eval_args(args, k, steps, carry)
         for s in range(steps):
             A = factors[s * N : (s + 1) * N]
-            yield exterior_power(A, q) if q > 1 else A
+            yield _exterior_levels(A, M.dim) if q is None else exterior_power(A, q) if q > 1 else A
+
+
+def _wedge_products(M, q, args, checkpoints):
+    """[(at, acc)] of M^{wedge q} over the rows of args: at[n] = log ||P_n^{wedge
+    q}|| at the checkpoints, acc the unit product after the last step.  One
+    pair for one q, whose bare stacks the engine takes as lists of one; for q
+    = None, d pairs, every q = 1..d from one pass."""
+    qs = range(1, M.dim + 1) if q is None else [q]
+    eyes = [np.eye(math.comb(M.dim, r), dtype=complex) for r in qs]
+    starts = [np.broadcast_to(eye, (args.shape[0],) + eye.shape) for eye in eyes]
+    factors = _factors(M, args, max(checkpoints), q)
+    passes = _batched_cocycle(factors if q is None else zip(factors), starts, checkpoints)
+    for r, (_, logs, _) in zip(qs, passes):
+        if np.isneginf(logs).any():
+            raise SingularFactor("product of wedge power %d vanishes" % r)
+    return [(at, acc) for at, _, acc in passes]
 
 
 def _log_norms(M, q, args, checkpoints):
     """{n: log ||P_n^{wedge q}||} at the checkpoints, one value per row of args."""
-    eye = np.eye(math.comb(M.dim, q), dtype=complex)
-    start = np.broadcast_to(eye, (args.shape[0],) + eye.shape)
-    factors = _factors(M, args, max(checkpoints), q)
-    at, logs, _ = _batched_cocycle(factors, start, checkpoints)
-    if np.isneginf(logs).any():
-        raise SingularFactor("product of wedge power %d vanishes" % q)
-    return at
+    return _wedge_products(M, q, args, checkpoints)[0][0]
 
 
 def subadditive_sequence(M, q, x, n_max):
     """f_n^{(q)}(x) = log ||(P_n(x))^{wedge q}|| for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if not 1 <= q <= M.dim:  # before any table is built
+        raise ValueError("q must satisfy 1 <= q <= d")
     args = _orbit_table(M, [x], n_max + M.max_scale + 1)
     res = _log_norms(M, q, args, range(1, n_max + 1))
     return np.array([res[n][0] for n in range(1, n_max + 1)])
@@ -703,6 +726,8 @@ def lyapunov_top(M, q, cfg=None):
     per-n means and standard deviations, the cross-sample dispersion at the
     largest n, and a Richardson-style extrapolation over the last doubling.
     """
+    if not 1 <= q <= M.dim:  # before any table is built
+        raise ValueError("q must satisfy 1 <= q <= d")
     cfg = cfg or EstimationSpec()
     ladder = sorted(set(cfg.n_ladder))
     n_max = ladder[-1]
@@ -749,18 +774,16 @@ def lyapunov_spectrum(M, cfg=None):
     """All Lyapunov exponents with multiplicities, ascending.
 
     Computes the top growth rate of every exterior power q = 1..d over a
-    shared sample and turns those sums into clustered exponents
-    (_exponent_groups).
+    shared sample, all from one renormalized pass (_wedge_products), and
+    turns those sums into clustered exponents (_exponent_groups).
     """
     cfg = cfg or EstimationSpec()
     ladder = sorted(set(cfg.n_ladder))
     n_max = ladder[-1]
     tol = cfg.cluster_tol if cfg.cluster_tol is not None else 5.0 / n_max
     args, _ = _sample_argument_tables(M, cfg, n_max)
-    sums = [0.0]
-    for q in range(1, M.dim + 1):
-        res = _log_norms(M, q, args, ladder)
-        sums.append(min(float(np.mean(res[n] / n)) for n in ladder))
+    passes = _wedge_products(M, None, args, ladder)
+    sums = [0.0] + [min(float(np.mean(at[n] / n)) for n in ladder) for at, _ in passes]
     return _exponent_groups(sums, tol)
 
 
@@ -789,10 +812,10 @@ class OseledecSpectrum:
 def oseledec_at(M, x, n, cluster_tol=None):
     """Oseledec spectrum and filtration of P_n(x) from its exterior powers.
 
-    log sigma_q = log ||P_n^{wedge q}|| - log ||P_n^{wedge (q-1)}||, each norm
-    one renormalized pass; the exponents log sigma_q / n group within
-    cluster_tol (default 5/n) as in lyapunov_spectrum.  No SVD of P_n, so a
-    sigma_q far below eps * sigma_1 stays exact.  V^(r) is the complement of
+    log sigma_q = log ||P_n^{wedge q}|| - log ||P_n^{wedge (q-1)}||, all norms
+    from one pass (_wedge_products); log sigma_q / n group within cluster_tol
+    (default 5/n) as in lyapunov_spectrum.  No SVD of P_n, so a sigma_q far
+    below eps * sigma_1 stays exact.  V^(r) is the complement of
     the fast k-space above group r: the span of the top right singular vector
     omega of P_n^{wedge k} (accurate to the gap sigma_k / sigma_(k+1)), which
     is the column space of its interior products W[J[t], J - J[t]] =
@@ -804,14 +827,9 @@ def oseledec_at(M, x, n, cluster_tol=None):
     tol = cluster_tol if cluster_tol is not None else 5.0 / n
     d = M.dim
     args = _orbit_table(M, [x], n + M.max_scale + 1)
-    sums, units = [0.0], [None]
-    for q in range(1, d + 1):
-        eye = np.eye(math.comb(d, q), dtype=complex)[None]
-        at, logs, acc = _batched_cocycle(_factors(M, args, n, q), eye, (n,))
-        if logs[0] == -math.inf:
-            raise SingularFactor("product of wedge power %d vanishes" % q)
-        sums.append(float(at[n][0]) / n)
-        units.append(acc[0])
+    passes = _wedge_products(M, None, args, (n,))
+    sums = [0.0] + [float(at[n][0]) / n for at, _ in passes]
+    units = [None] + [acc[0] for _, acc in passes]
     exponents, multiplicities = zip(*_exponent_groups(sums, tol))
     basis = np.empty((d, 0), dtype=complex)  # slowest first, built fastest first
     for k in itertools.accumulate(reversed(multiplicities)):

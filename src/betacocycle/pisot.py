@@ -34,6 +34,7 @@ from .errors import (
 
 _ROOT_DPS = 40
 _LATTICE_CAP = 10**6  # digit vectors _lattice_points enumerates, else samples
+_LATTICE_ROWS = 2**14  # rows per chunk of that sample: chunks of one draw
 
 
 @dataclass(frozen=True)
@@ -507,8 +508,9 @@ def _lattice_points(p, m):
         return values[keep], pts[keep]
 
     if (top + 1) ** (m + 1) > _LATTICE_CAP:
-        etas = np.random.default_rng(0).integers(0, top + 1, (_LATTICE_CAP, m + 1))
-        return sorted_unique(etas @ powmat)
+        rng, chunks = np.random.default_rng(0), range(0, _LATTICE_CAP, _LATTICE_ROWS)
+        draw = lambda lo: rng.integers(0, top + 1, (min(_LATTICE_ROWS, _LATTICE_CAP - lo), m + 1))
+        return sorted_unique(np.concatenate([draw(lo) @ powmat for lo in chunks]))
     pts = np.zeros((1, len(C)), dtype=np.int64)
     for row in powmat:
         grown = pts[:, None] + np.outer(np.arange(top + 1), row)

@@ -20,13 +20,17 @@ from betacocycle.cocycle import (
     BetaAdaptedMatrix,
     EstimationSpec,
     _batched_cocycle,
+    _exponent_groups,
+    _exterior_levels,
     _factors,
     _grid_norm_constants,
+    _log_norms,
     _opnorm,
     _orbit_info,
     _orbit_table,
     _sample_argument_tables,
     _sample_points,
+    _wedge_products,
     beta_adapted_matrix,
     constant_matrix,
     distortion_bound,
@@ -564,8 +568,14 @@ def test_spectrum_unchanged_against_det_per_minor(monkeypatch):
     M = beta_adapted_matrix(entries, make_pisot([1, -3]))
     cfg = EstimationSpec(n_ladder=(32,), n_samples=40, seed=5, cluster_tol=1e-3)
     shipped = lyapunov_spectrum(M, cfg)
-    monkeypatch.setattr(cocycle, "exterior_power", _minors_by_det)
-    reference = lyapunov_spectrum(M, cfg)
+    # the reference: one _log_norms pass per q, each minor a determinant
+    degrees = []
+    by_det = lambda A, q: degrees.append(q) or _minors_by_det(A, q)
+    monkeypatch.setattr(cocycle, "exterior_power", by_det)
+    args, _ = _sample_argument_tables(M, cfg, 32)
+    sums = [0.0] + [float(np.mean(_log_norms(M, q, args, [32])[32] / 32)) for q in range(1, 5)]
+    reference = _exponent_groups(sums, cfg.cluster_tol)
+    assert sorted(set(degrees)) == [2, 3, 4]
     assert [m for _, m in shipped] == [m for _, m in reference]
     assert np.allclose([lam for lam, _ in shipped], [lam for lam, _ in reference], rtol=0, atol=1e-12)
 
@@ -583,6 +593,76 @@ def test_exterior_power_algebra(d, seed):
     assert np.allclose(exterior_power(A, d)[..., 0, 0], np.linalg.det(A), rtol=1e-12, atol=0)
     wT = exterior_power(np.swapaxes(A, -1, -2), q)
     assert np.max(np.abs(wT - np.swapaxes(wA, -1, -2))) <= 1e-13 * np.max(np.abs(wA))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_exterior_levels_are_the_exterior_powers(d):
+    rng = np.random.default_rng(90 + d)
+    A = _complex_normal(rng, (20, d, d))
+    levels = _exterior_levels(A, d)
+    assert len(levels) == d and levels[0] is A
+    for q in range(2, d + 1):
+        assert np.array_equal(levels[q - 1], exterior_power(A, q))
+        assert np.array_equal(_exterior_levels(A, q)[-1], exterior_power(A, q))
+
+
+def _per_degree_products(M, q, args, checkpoints):
+    """Reference for _wedge_products(M, None, ...): one engine run per degree,
+    with exterior_power taken per step, as the per-q passes ran."""
+    assert q is None
+    out = []
+    for r in range(1, M.dim + 1):
+        eye = np.eye(math.comb(M.dim, r), dtype=complex)
+        start = np.broadcast_to(eye, (args.shape[0],) + eye.shape)
+        factors = _factors(M, args, max(checkpoints), r)
+        at, logs, acc = _batched_cocycle(factors, start, checkpoints)
+        if np.isneginf(logs).any():
+            raise SingularFactor("product of wedge power %d vanishes" % r)
+        out.append((at, acc))
+    return out
+
+
+@pytest.mark.parametrize("name", ["d4", "golden-bernoulli", "tribonacci"])
+@pytest.mark.parametrize("N", [1, 7, _BLOCK_ROWS + 1])
+def test_every_degree_pass_equals_per_degree_passes(name, N):
+    """One pass with d accumulators gives, to the bit, what one pass per q
+    gives, across block edges and at a checkpoint inside a block."""
+    M = _d4_matrix() if name == "d4" else _block_matrix(name)
+    block = max(1, _BLOCK_ROWS // N)
+    n = block + 37 if N <= 7 else 5
+    checkpoints = [1, 3 + block // 2, n]
+    points = _sample_points(np.random.default_rng(N), N, M.base)
+    args = orbit_fractions(M.base, points, n + M.max_scale + 1)
+    got = _wedge_products(M, None, args, checkpoints)
+    want = _per_degree_products(M, None, args, checkpoints)
+    assert len(got) == M.dim
+    for q, ((at, acc), (ref_at, ref_acc)) in enumerate(zip(got, want), start=1):
+        ref_log_norms = _log_norms(M, q, args, checkpoints)
+        for c in checkpoints:
+            assert np.array_equal(at[c], ref_at[c]) and np.array_equal(at[c], ref_log_norms[c])
+        assert np.array_equal(acc, ref_acc), q
+
+
+@pytest.mark.parametrize("name", ["d4", "golden-bernoulli", "tribonacci"])
+def test_spectrum_and_oseledec_equal_the_per_degree_passes(monkeypatch, name):
+    M = _d4_matrix() if name == "d4" else _block_matrix(name)
+    cfg = EstimationSpec(n_ladder=(16, 40), n_samples=30, seed=3)
+    x = Fraction(123, 457)
+    spectrum, spec = lyapunov_spectrum(M, cfg), oseledec_at(M, x, 50)
+    monkeypatch.setattr(cocycle, "_wedge_products", _per_degree_products)
+    assert lyapunov_spectrum(M, cfg) == spectrum
+    want = oseledec_at(M, x, 50)
+    assert spec.exponents == want.exponents
+    assert spec.multiplicities == want.multiplicities
+    assert len(spec.filtration) == len(want.filtration)
+    assert all(np.array_equal(a, b) for a, b in zip(spec.filtration, want.filtration))
+
+
+def test_spectrum_of_a_rank_one_matrix_raises():
+    rank_one = np.outer([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0])
+    M = constant_matrix(rank_one, BASE2)
+    with pytest.raises(SingularFactor, match="product of wedge power 2 vanishes"):
+        lyapunov_spectrum(M, EstimationSpec(n_ladder=(4, 8), n_samples=4))
 
 
 # --- subadditive sequences -------------------------------------------------
@@ -615,9 +695,14 @@ def test_subadditivity_spot_check():
         assert f_nm <= f_n + f_m + 1e-9
 
 
-@pytest.mark.parametrize("q", [0, 3])
-def test_exterior_degree_outside_1_to_d_is_refused(q):
-    # q = 0 used to run the q = 1 product, and the certificate the q = 1 bound
+@pytest.mark.parametrize("q", [-1, 0, 3])
+def test_exterior_degree_outside_1_to_d_is_refused(monkeypatch, q):
+    # q = 0 used to run the q = 1 product, and the certificate the q = 1 bound;
+    # the refusal comes before any argument table is built
+    def no_table(*args):
+        raise AssertionError("an argument table was built")
+
+    monkeypatch.setattr(cocycle, "_orbit_table", no_table)
     M = bernoulli_companion(0.2, BASE2)
     with pytest.raises(ValueError, match="q must satisfy 1 <= q <= d"):
         subadditive_sequence(M, q, Fraction(2, 7), 8)

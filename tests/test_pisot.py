@@ -336,6 +336,16 @@ def test_sampled_lattice_matches_the_python_int_reference(monkeypatch, p, m):
     _assert_lattice_equals(_lattice_points(p, m), _reference_lattice(p, m, cap=4096))
 
 
+@pytest.mark.parametrize(
+    "p, m", [(GOLDEN, 30), (LATTICE_BASES["base3"], 8)], ids=["golden-30", "base3-8"]
+)
+def test_sampled_lattice_in_row_chunks_equals_one_draw(monkeypatch, p, m):
+    # 5001 rows in chunks of 333: the last chunk is short, every chunk odd
+    monkeypatch.setattr(pisot, "_LATTICE_CAP", 5001)
+    monkeypatch.setattr(pisot, "_LATTICE_ROWS", 333)
+    _assert_lattice_equals(_lattice_points(p, m), _reference_lattice(p, m, cap=5001))
+
+
 def test_lattice_refuses_coordinates_beyond_int64(monkeypatch):
     # golden beta^i = F_(i-1) + F_i beta for i >= 1, so digit_max times the
     # sum of |coords| over levels 0..m is F_(m+3) - 1: 2^63 from m = 90 on
