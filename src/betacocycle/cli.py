@@ -15,14 +15,17 @@ import io
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
+from . import __version__
 from . import multiperiodic as mpq
 from .apcore import trig_poly
 from .cocycle import (
@@ -113,7 +116,8 @@ class ExperimentConfig:
 
 @dataclass
 class RunReport:
-    """Self-contained run record: config echo, result rows, diagnostics."""
+    """Self-contained run record: config echo, result rows, diagnostics, and
+    provenance (package, numpy, mpmath and Python versions, platform, seed)."""
 
     config: dict
     series: dict = field(default_factory=dict)
@@ -121,6 +125,7 @@ class RunReport:
     warnings: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)
 
     def to_dict(self):
         return _field_dict(self)
@@ -498,7 +503,10 @@ def run(config):
     """Execute one experiment and return its RunReport."""
     if not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_dict(config)
-    report = RunReport(config=config.to_dict())
+    report = RunReport(config=config.to_dict(), provenance={
+        "betacocycle": __version__, "numpy": np.__version__, "mpmath": mpmath.__version__,
+        "python": platform.python_version(), "platform": platform.platform(), "seed": config.seed,
+    })
     start = time.perf_counter()
     try:
         _RUNNERS[config.command](config, report)

@@ -4,12 +4,14 @@ import dataclasses
 import json
 import math
 import os
+import platform
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from betacocycle import cli
+from betacocycle import __version__, cli
 from betacocycle.cocycle import joint_period_certificate, joint_period_verify
 from betacocycle.errors import CertificateViolated, ConfigInvalid, UnknownSeries
 
@@ -316,41 +318,57 @@ def test_write_report_csv(tmp_path):
 SMALL_ESTIMATION = {"n_ladder": [4, 8], "n_samples": 8}
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        {"command": "pisot", "base": GOLDEN_SPEC},
-        {"command": "expand", "base": GOLDEN_SPEC, "params": {"x": "1/2", "digits": 10}},
-        {"command": "lyapunov", "matrix": SCALAR_MATRIX, "estimation": SMALL_ESTIMATION},
-        {"command": "spectrum", "matrix": BERNOULLI_MATRIX, "estimation": SMALL_ESTIMATION},
-        {"command": "oseledec", "matrix": BERNOULLI_MATRIX, "params": {"n": 8}},
-        {
-            "command": "certify",
-            "matrix": BERNOULLI_MATRIX,
-            "params": {"verify_n": 10, "verify_grid": 64},
-        },
-        {"command": "solve", "equation": VIETE_EQUATION, "params": {"x": [0.5, 1.0]}},
-        {
-            "command": "asymptotics",
-            "equation": VIETE_EQUATION,
-            "params": {"n_max": 20},
-            "estimation": SMALL_ESTIMATION,
-        },
-        {"command": "moments", "matrix": SCALAR_MATRIX, "params": {"n_max": 4}},
-        {
-            "command": "bernoulli",
-            "base": GOLDEN_SPEC,
-            "params": {"p": 0.2, "n_max": 20, "n_points": 4},
-            "estimation": SMALL_ESTIMATION,
-        },
-    ],
-    ids=lambda config: config["command"],
-)
+EVERY_COMMAND = [
+    {"command": "pisot", "base": GOLDEN_SPEC},
+    {"command": "expand", "base": GOLDEN_SPEC, "params": {"x": "1/2", "digits": 10}},
+    {"command": "lyapunov", "matrix": SCALAR_MATRIX, "estimation": SMALL_ESTIMATION},
+    {"command": "spectrum", "matrix": BERNOULLI_MATRIX, "estimation": SMALL_ESTIMATION},
+    {"command": "oseledec", "matrix": BERNOULLI_MATRIX, "params": {"n": 8}},
+    {
+        "command": "certify",
+        "matrix": BERNOULLI_MATRIX,
+        "params": {"verify_n": 10, "verify_grid": 64},
+    },
+    {"command": "solve", "equation": VIETE_EQUATION, "params": {"x": [0.5, 1.0]}},
+    {
+        "command": "asymptotics",
+        "equation": VIETE_EQUATION,
+        "params": {"n_max": 20},
+        "estimation": SMALL_ESTIMATION,
+    },
+    {"command": "moments", "matrix": SCALAR_MATRIX, "params": {"n_max": 4}},
+    {
+        "command": "bernoulli",
+        "base": GOLDEN_SPEC,
+        "params": {"p": 0.2, "n_max": 20, "n_points": 4},
+        "estimation": SMALL_ESTIMATION,
+    },
+]
+
+
+@pytest.mark.parametrize("config", EVERY_COMMAND, ids=lambda config: config["command"])
 def test_report_json_equals_deep_copied_report(config):
     # to_dict shares the report's values instead of deep-copying them
     report = cli.run(config)
     want = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True, default=str)
     assert cli._report_text(report, "json") == want
+
+
+@pytest.mark.parametrize("config", EVERY_COMMAND, ids=lambda config: config["command"])
+def test_report_carries_its_provenance(tmp_path, config):
+    assert sorted(c["command"] for c in EVERY_COMMAND) == sorted(cli.COMMANDS)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert cli.main([config["command"], "--config", str(path), "--seed", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["provenance"] == {
+        "betacocycle": __version__,
+        "numpy": np.__version__,
+        "mpmath": mpmath.__version__,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "seed": 3,
+    }
 
 
 @pytest.mark.parametrize("base", ["1,-2", 2], ids=["minpoly", "number"])

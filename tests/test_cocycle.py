@@ -371,6 +371,46 @@ def test_explicit_2x2_step_matches_matmul(N):
     assert rel.max() <= 1e-14
 
 
+@pytest.mark.parametrize("N", [0, 1, 7, 1025])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_float64_step_matches_complex_matmul(m, N):
+    # a square complex accumulator with m >= 3 steps on two float64 matmuls;
+    # the factor is a view into a larger block, one start a read-only broadcast
+    rng = np.random.default_rng(10 * m + N)
+    A = _complex_normal(rng, (3, N, m, m))[1]
+    shared = np.broadcast_to(_complex_normal(rng, (m, m)), (N, m, m))
+    for B in (shared, _complex_normal(rng, (N, m, m))):
+        _, logs, acc = _batched_cocycle(iter([A]), B)
+        want = A @ B
+        fro = np.linalg.norm(want, axis=(1, 2))
+        want /= fro[:, None, None]
+        assert np.max(np.abs(acc - want), initial=0.0) <= 1e-15 * np.max(np.abs(want), initial=0.0)
+        assert np.allclose(logs, np.log(fro), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 1), (6, 1)])
+def test_renormalization_equals_complex_division(shape):
+    """The engine scales a complex product on its float view; an in-test loop
+    that divides the complex product by its norm gets the same values."""
+    rng = np.random.default_rng(60 + sum(shape))
+    m = shape[0]
+    factors = _complex_normal(rng, (20, 50, m, m))
+    start = _complex_normal(rng, (50,) + shape)
+    _, logs, acc = _batched_cocycle(iter(factors), start)
+    want, want_logs = start, np.zeros(50)
+    for F in factors:
+        if shape == (1, 1):
+            want = F * want
+            fro = np.abs(want[:, 0, 0])
+        else:
+            want = cocycle._mul2x2(F, want) if shape == (2, 2) else F @ want
+            parts = want.view(np.float64)
+            fro = np.sqrt(np.einsum("nij,nij->n", parts, parts))
+        want /= fro[:, None, None]
+        want_logs += np.log(fro)
+    assert np.array_equal(acc, want) and np.array_equal(logs, want_logs)
+
+
 def test_batched_cocycle_keeps_vanishing_rows():
     # row 1 meets a zero factor at step 2; row 0 runs on unaffected
     B = np.array([[[3.0]], [[5.0]]], dtype=complex)
@@ -543,6 +583,15 @@ def test_exterior_single_matrix_and_dtypes():
     assert exterior_power(ints, 1).dtype == ints.dtype
     assert exterior_power(ints.astype(np.complex64), 1).dtype == np.complex64
     assert exterior_power(ints.astype(np.complex64), 2).dtype == np.complex128
+
+
+def test_top_exterior_power_is_exact_on_integers():
+    # the d-term Laplace level, where LU gave -2.0000000000000004
+    assert exterior_power(np.array([[1, 2], [3, 4]]), 2)[0, 0] == -2
+    singular = np.array([[2, -1, 3, 0], [1, 4, -2, 5], [3, 3, 1, 5], [0, 7, -1, 2]])
+    assert singular[2].tolist() == (singular[0] + singular[1]).tolist()
+    assert exterior_power(singular, 4)[0, 0] == 0
+    assert exterior_power(singular + np.eye(4, dtype=int), 4)[0, 0] == round(np.linalg.det(singular + np.eye(4)))
 
 
 def test_exterior_exact_zeros():
@@ -1062,6 +1111,7 @@ _BATCH_CASES = {
     **{"base2-q%d" % q: (bernoulli_companion(0.2, base=BASE2), q) for q in (1, 2)},
     **{"golden-q%d" % q: (bernoulli_companion(0.2), q) for q in (1, 2)},
     **{"d4-q%d" % q: (_d4_matrix(), q) for q in range(1, 5)},
+    "tribonacci-q1": (_block_matrix("tribonacci"), 1),
 }
 
 
