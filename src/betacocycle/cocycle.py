@@ -575,11 +575,10 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
         256     15 / 75 us      64 / 122 us     63 / 100 us
         2048    54 / 583 us     454 / 659 us    560 / 765 us
 
-    numpy's complex @ pays about 0.3 us per matrix for m <= 6; float64 @
-    pays less, and the entry formulas a fixed dozen array operations.  At
-    8192 rows of 6 x 6 the float64 kernel lost (4.6 ms against 2.9 ms).  A
-    complex product is renormalized on its float view by 1 / fro, which is
-    what numpy's complex division multiplies by.
+    numpy's complex @ pays about 0.3 us per matrix for m <= 6, float64 @
+    less; at 8192 rows of 6 x 6 the float64 kernel lost (4.6 against 2.9 ms).
+    A complex product is scaled by 1 / fro, which is what complex division
+    by fro multiplies by (11.5 against 20 us at 2500 rows of 1 x 1).
     """
     many = isinstance(start, list)
     accs = [np.asarray(s) for s in (start if many else [start])]
@@ -607,8 +606,11 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
                     acc = X.view(complex)
                 else:
                     acc = A @ acc
-                parts = acc.view(np.float64)  # real and imaginary parts side by side
-                fro = np.abs(acc[:, 0, 0]) if kind == (1, 1) else np.sqrt(np.einsum("nij,nij->n", parts, parts))
+                if kind == (1, 1):
+                    fro = np.abs(acc[:, 0, 0])
+                else:
+                    parts = acc.view(np.float64)  # real and imaginary parts side by side
+                    fro = np.sqrt(np.einsum("nij,nij->n", parts, parts))
                 step = np.log(fro)
                 total = np.add.reduce(step)
                 if not total < math.inf:  # an inf or nan scale
@@ -617,8 +619,8 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
                     raise SingularFactor("product norm degenerate at step %d" % (k - 1))
                 if total == -math.inf:  # a vanished row keeps acc = 0
                     fro[fro == 0.0] = 1.0
-                if acc.dtype == complex:  # as complex division does: times 1 / fro
-                    parts *= (1.0 / fro)[:, None, None]
+                if acc.dtype == complex:  # complex division multiplies by 1 / fro
+                    acc *= (1.0 / fro)[:, None, None]
                 else:
                     acc /= fro[:, None, None]
                 logs[i] += step

@@ -390,8 +390,8 @@ def test_float64_step_matches_complex_matmul(m, N):
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 1), (6, 1)])
 def test_renormalization_equals_complex_division(shape):
-    """The engine scales a complex product on its float view; an in-test loop
-    that divides the complex product by its norm gets the same values."""
+    """The engine multiplies a complex product by 1 / fro; an in-test loop
+    that divides it by fro, as the engine once did, gets the same values."""
     rng = np.random.default_rng(60 + sum(shape))
     m = shape[0]
     factors = _complex_normal(rng, (20, 50, m, m))
