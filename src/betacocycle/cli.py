@@ -116,8 +116,7 @@ class ExperimentConfig:
 
 @dataclass
 class RunReport:
-    """Self-contained run record: config echo, result rows, diagnostics, and
-    provenance (package, numpy, mpmath and Python versions, platform, seed)."""
+    """Self-contained run record: config echo, result rows, diagnostics, provenance."""
 
     config: dict
     series: dict = field(default_factory=dict)

@@ -604,6 +604,7 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
                     X[..., 0::2] -= Y[..., 1::2]  # Re A Re P - Im A Im P
                     X[..., 1::2] += Y[..., 0::2]  # Re A Im P + Im A Re P
                     acc = X.view(complex)
+                    del Y  # else it outlives the checkpoint norm and the next accumulator's step
                 else:
                     acc = A @ acc
                 if kind == (1, 1):
