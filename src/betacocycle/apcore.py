@@ -37,14 +37,16 @@ class TrigPolynomial:
 
         A polynomial whose frequencies are all exactly 2 pi k runs the
         Laurent evaluator in z = e(x) (see _laurent), one cos/sin pair per
-        point whatever the number of terms; any other polynomial takes one
-        complex exp per term and point.  A scalar runs as a one-point batch,
-        so it matches the batch value to the bit.
+        point whatever the number of terms (one cos for a _cos_only one);
+        any other polynomial takes one complex exp per term and point.  A
+        scalar runs as a one-point batch, so it matches the batch value to
+        the bit.
         """
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
         if self._harmonics is not None:
-            acc = self._laurent(_circle_powers(flat, self._orders), flat.size)
+            powers = _circle_powers(flat, self._orders, self._cos_only)
+            acc = self._laurent(powers, flat.size, self._real).astype(complex, copy=False)
         else:
             acc = np.zeros(flat.shape, dtype=complex)
             for freq, coeff in self.terms:
@@ -72,20 +74,42 @@ class TrigPolynomial:
             return None
         return frozenset(abs(k) for k, _ in self._harmonics if k)
 
-    def _laurent(self, powers, size):
+    @cached_property
+    def _real(self):
+        """Harmonic and real-valued: A_{-k} = conj(A_k) for every k."""
+        if self._harmonics is None:
+            return False
+        coeffs = dict(self._harmonics)
+        return all(coeffs.get(-k, 0) == c.conjugate() for k, c in coeffs.items())
+
+    @cached_property
+    def _cos_only(self):
+        """A real cosine series of order 1, a + b cos 2 pi x: it reads Re z."""
+        return self._real and self._orders <= {1} and all(not c.imag for _, c in self._harmonics)
+
+    def _laurent(self, powers, size, real=False):
         """sum_k A_k z^k over size points z on the unit circle.
 
         powers[k] holds z^k for every k in _orders (_circle_powers); a
         negative k reads conj(z^|k|), which is z^k since |z| = 1.  Entries of
-        a matrix that read the same argument share one powers dict.
+        a matrix that read the same argument share one powers dict.  real (a
+        _real polynomial) sums in float64, in the same order, the real part
+        Re A_k Re z^k - Im A_k Im z^k of each complex term; Im z^k is read
+        only where Im A_k != 0, so _cos_only ones need only Re z.
         """
         acc = None
-        const = 0j
+        const = 0.0 if real else 0j
         for k, coeff in self._harmonics:
             if k == 0:
-                const = coeff
+                const = coeff.real if real else coeff
                 continue
-            term = coeff * (powers[k] if k > 0 else np.conj(powers[-k]))
+            if real:
+                z = powers[abs(k)]
+                term = coeff.real * z.real
+                if coeff.imag:  # Im conj(z^|k|) = -Im z^|k|
+                    term -= (coeff.imag if k > 0 else -coeff.imag) * z.imag
+            else:
+                term = coeff * (powers[k] if k > 0 else np.conj(powers[-k]))
             if acc is None:
                 acc = term
             else:
@@ -128,7 +152,7 @@ class TrigPolynomial:
     __rmul__ = __mul__
 
 
-def _circle_powers(x, orders):
+def _circle_powers(x, orders, cos_only=False):
     """{k: z^k} for the k in orders (positive integers) and z = e(x) =
     exp(2 pi i x), x a 1-D float array.
 
@@ -136,12 +160,15 @@ def _circle_powers(x, orders):
     accuracy at large arguments; z comes from one cos/sin pair per point
     (measured a little faster than a complex exp).  z^k is z^(k-1) z up to
     the largest order, so each power has the same value whichever others
-    are asked for, and only the asked-for ones stay in memory.
+    are asked for, and only the asked-for ones stay in memory.  cos_only
+    (every reader is _cos_only) returns {1: Re z}, one cos per point.
     """
     if not orders:
         return {}
     w = x - np.floor(x)
     w *= TWO_PI
+    if cos_only:
+        return {1: np.cos(w, out=w)}
     z = np.empty(w.shape, dtype=complex)
     np.cos(w, out=z.real)
     np.sin(w, out=z.imag)

@@ -255,21 +255,28 @@ class BetaAdaptedMatrix:
         ]
         return constants, columns, others
 
-    def _fill(self, count, argument, powers):
+    @cached_property
+    def _real(self):
+        """Real constants, and varying entries all _real harmonic ones."""
+        constants, columns, others = self._split_entries
+        cells = [poly for _, _, cells in columns for _, _, poly in cells]
+        return not others and not constants.imag.any() and all(p._real for p in cells)
+
+    def _fill(self, count, argument, powers, real=False):
         """count matrices; a varying entry (i, j) is read at argument(scale_ij).
 
         Harmonic entries run the Laurent evaluator on powers(scale, orders),
         {k: z^k} for z = e(argument(scale)) and at least the k in orders: one
         z and its powers per distinct scale, shared by every entry that reads
         that argument column (a diagonal c_i + e(x) reads one column d times).
-        Other entries evaluate term by term.
+        Other entries evaluate term by term.  real (a _real M) fills float64.
         """
         constants, columns, others = self._split_entries
-        out = constants[None].repeat(count, axis=0)
+        out = (constants.real if real else constants)[None].repeat(count, axis=0)
         for scale, orders, cells in columns:
             zs = powers(scale, orders)
             for i, j, poly in cells:
-                out[:, i, j] = poly._laurent(zs, count)
+                out[:, i, j] = poly._laurent(zs, count, real)
         for i, j, poly, scale in others:
             out[:, i, j] = poly.evaluate(argument(scale))
         return out
@@ -291,12 +298,14 @@ class BetaAdaptedMatrix:
 
     @cached_property
     def _window(self):
-        """(lo, hi, orders) over the harmonic entries: the smallest and
-        largest scale and every power of z that one of them reads."""
+        """(lo, hi, orders, cos_only) over the harmonic entries: the smallest
+        and largest scale, every power of z that one of them reads, and
+        whether M is _real and they all read Re z alone (_cos_only)."""
         columns = self._split_entries[1]
         scales = [scale for scale, _, _ in columns] or [0]
         orders = frozenset().union(*(orders for _, orders, _ in columns))
-        return min(scales), max(scales), orders
+        cos_only = self._real and all(p._cos_only for _, _, cells in columns for _, _, p in cells)
+        return min(scales), max(scales), orders, cos_only
 
     def eval_args(self, args, k, steps=1, carry=None):
         """Batched M at steps k..k+steps-1 from an argument table, one
@@ -310,19 +319,20 @@ class BetaAdaptedMatrix:
         over the window, and each scale takes its slice.  carry, a dict that
         _factors hands from one block to the next, keeps the powers of the
         window's last hi - lo columns, where the next window starts, so that
-        each column's z is computed once per run.
+        each column's z is computed once per run.  A _real M gives a float64
+        stack, from cos alone when every entry is _cos_only (_circle_powers).
         """
         N = args.shape[0]
-        lo, hi, orders = self._window
-        window = _window_powers(args, k + lo, k + hi + steps, orders, hi - lo, carry)
+        lo, hi, orders, cos_only = self._window
+        window = _window_powers(args, k + lo, k + hi + steps, orders, cos_only, hi - lo, carry)
         argument = lambda scale: args[:, k + scale : k + scale + steps].T.ravel()
         powers = lambda scale, _: {
             o: z[(scale - lo) * N : (scale - lo + steps) * N] for o, z in window.items()
         }
-        return self._fill(steps * N, argument, powers)
+        return self._fill(steps * N, argument, powers, self._real)
 
 
-def _window_powers(args, first, stop, orders, keep, carry):
+def _window_powers(args, first, stop, orders, cos_only, keep, carry):
     """{k: z^k} for k in orders and z = e(args[:, c]) over the columns c =
     first..stop-1, column after column (step-major) in one flat array.
 
@@ -332,7 +342,8 @@ def _window_powers(args, first, stop, orders, keep, carry):
     """
     N = args.shape[0]
     old = carry.pop(first, None) if carry else None
-    window = _circle_powers(args[:, first + (keep if old else 0) : stop].T.ravel(), orders)
+    columns = args[:, first + (keep if old else 0) : stop].T.ravel()
+    window = _circle_powers(columns, orders, cos_only)
     if old:
         window = {o: np.concatenate((old[o], z)) for o, z in window.items()}
     if carry is not None:
@@ -441,11 +452,12 @@ def product(M, x, n):
     if n == 0:
         return NormalizedProduct(0.0, eye, 0)
     args = _orbit_table(M, [x], n + M.max_scale + 1)
-    _, logs, acc = _batched_cocycle(_factors(M, args, n), eye[None])
+    _, logs, acc = _batched_cocycle(_factors(M, args, n), (eye.real if M._real else eye)[None])
     if logs[0] == -math.inf:
         raise SingularFactor("product P_%d vanishes" % n)
     s = _opnorm(acc[0])
-    return NormalizedProduct(float(logs[0]) + math.log(s), acc[0] / s, n)
+    unit = (acc[0] / s).astype(complex, copy=False)  # float64 for a _real M
+    return NormalizedProduct(float(logs[0]) + math.log(s), unit, n)
 
 
 @lru_cache(maxsize=None)
@@ -526,8 +538,11 @@ def _opnorm(A):
         return np.abs(A[..., 0, 0])
     if A.shape[-2:] == (2, 2):
         a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-        p = a.real**2 + a.imag**2 + c.real**2 + c.imag**2  # Gram diagonal
-        s = b.real**2 + b.imag**2 + d.real**2 + d.imag**2
+        if A.dtype == complex:  # Gram diagonal
+            p = a.real**2 + a.imag**2 + c.real**2 + c.imag**2
+            s = b.real**2 + b.imag**2 + d.real**2 + d.imag**2
+        else:
+            p, s = a**2 + c**2, b**2 + d**2
         r = np.abs(np.conj(a) * b + np.conj(c) * d)  # Gram off-diagonal
         return np.sqrt((p + s) / 2.0 + np.hypot((p - s) / 2.0, r))
     return np.linalg.svd(A, compute_uv=False)[..., 0]
@@ -546,6 +561,31 @@ def _mul2x2(A, B):
     return out
 
 
+# complex bytes per row chunk of _complex_matmul: 500 rows of 6 x 6
+_KERNEL_BYTES = 288 * 1024
+
+
+def _complex_matmul(A, P, out=None):
+    """A @ P (into out if given) for complex (N, m, m) stacks: Re A and Im A
+    times the float view of P, whose Re P and Im P columns alternate.  Above
+    _KERNEL_BYTES the rows run in chunks, which changes no bit and keeps both
+    products in cache: 8192 rows of 6 x 6 took 2.0 against 2.3-4.2 ms
+    one-shot, 2500 rows of 3 x 3 the same 0.45-0.53 ms."""
+    rows = max(1, _KERNEL_BYTES // (16 * P.shape[-1] ** 2))
+    if len(P) > rows:
+        A, P = np.broadcast_arrays(A, P)
+        out = np.empty(P.shape, complex)
+        for lo in range(0, len(P), rows):
+            _complex_matmul(A[lo : lo + rows], P[lo : lo + rows], out[lo : lo + rows])
+        return out
+    Pf = P.view(np.float64)
+    X = np.matmul(A.real, Pf, out=None if out is None else out.view(np.float64))
+    Y = A.imag @ Pf
+    X[..., 0::2] -= Y[..., 1::2]  # Re A Re P - Im A Im P
+    X[..., 1::2] += Y[..., 0::2]  # Re A Im P + Im A Re P
+    return X.view(complex)
+
+
 def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
     """The renormalized product engine; every cocycle product runs here.
 
@@ -561,14 +601,14 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
 
     The step is a product of scalars for 1 x 1, explicit entry formulas
     (_mul2x2) for a (N, 2, 2) accumulator, two float64 matmuls for a square
-    complex one with m >= 3, and batched @ for every other (columns, real).
-    The kernel follows the accumulator's shape and dtype alone, so a row's
-    value does not depend on the batch it runs in: joint_period_verify
-    compares rows of batches of different sizes, which at an exact period
-    must agree to the bit.  The float64 kernel multiplies Re A and Im A into
-    the float view of P, whose Re P and Im P columns alternate, and
-    recombines the halves.  Complex m x m times m x m per step, kernel / @,
-    on a 2-core x86-64 machine:
+    complex one with m >= 3 (_complex_matmul), and batched @ for every other
+    (columns, real).  The kernel follows the accumulator's shape and dtype
+    alone, so a row's value does not depend on the batch it runs in:
+    joint_period_verify compares rows of batches of different sizes, which
+    at an exact period must agree to the bit.  A real start with float64
+    factors (a _real M, _wedge_products) stays float64 throughout, and its
+    real part is what the complex product's would be.  Complex m x m times
+    m x m per step, _complex_matmul / @, on a 2-core x86-64 machine:
 
         N       m = 2           m = 4           m = 6
         1       8.9 / 1.8 us    7.7 / 2.6 us    7.6 / 2.3 us
@@ -576,9 +616,9 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
         2048    54 / 583 us     454 / 659 us    560 / 765 us
 
     numpy's complex @ pays about 0.3 us per matrix for m <= 6, float64 @
-    less; at 8192 rows of 6 x 6 the float64 kernel lost (4.6 against 2.9 ms).
-    A complex product is scaled by 1 / fro, which is what complex division
-    by fro multiplies by (11.5 against 20 us at 2500 rows of 1 x 1).
+    less.  Every product, real or complex, is scaled by one multiply by 1 /
+    fro, which is what complex division by fro multiplies by (11.5 against
+    20 us at 2500 rows of 1 x 1).
     """
     many = isinstance(start, list)
     accs = [np.asarray(s) for s in (start if many else [start])]
@@ -599,12 +639,8 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
                     acc = A * acc
                 elif kind == (2, 2):
                     acc = _mul2x2(A, acc)
-                elif kind[0] == kind[1] and acc.dtype == complex:  # float64 matmuls
-                    X, Y = A.real @ acc.view(np.float64), A.imag @ acc.view(np.float64)
-                    X[..., 0::2] -= Y[..., 1::2]  # Re A Re P - Im A Im P
-                    X[..., 1::2] += Y[..., 0::2]  # Re A Im P + Im A Re P
-                    acc = X.view(complex)
-                    del Y  # else it outlives the checkpoint norm and the next accumulator's step
+                elif kind[0] == kind[1] and acc.dtype == complex:
+                    acc = _complex_matmul(A, acc)
                 else:
                     acc = A @ acc
                 if kind == (1, 1):
@@ -620,10 +656,7 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
                     raise SingularFactor("product norm degenerate at step %d" % (k - 1))
                 if total == -math.inf:  # a vanished row keeps acc = 0
                     fro[fro == 0.0] = 1.0
-                if acc.dtype == complex:  # complex division multiplies by 1 / fro
-                    acc *= (1.0 / fro)[:, None, None]
-                else:
-                    acc /= fro[:, None, None]
+                acc *= (1.0 / fro)[:, None, None]  # as complex division by fro does
                 logs[i] += step
                 accs[i] = acc
                 if slot is not None:
@@ -657,9 +690,11 @@ def _wedge_products(M, q, args, checkpoints):
     """[(at, acc)] of M^{wedge q} over the rows of args: at[n] = log ||P_n^{wedge
     q}|| at the checkpoints, acc the unit product after the last step.  One
     pair for one q, whose bare stacks the engine takes as lists of one; for q
-    = None, d pairs, every q = 1..d from one pass."""
+    = None, d pairs, every q = 1..d from one pass; float64 for a _real M at
+    q = 1 or None, where the factors are float64."""
     qs = range(1, M.dim + 1) if q is None else [q]
-    eyes = [np.eye(math.comb(M.dim, r), dtype=complex) for r in qs]
+    dtype = float if M._real and q in (None, 1) else complex
+    eyes = [np.eye(math.comb(M.dim, r), dtype=dtype) for r in qs]
     starts = [np.broadcast_to(eye, (args.shape[0],) + eye.shape) for eye in eyes]
     factors = _factors(M, args, max(checkpoints), q)
     passes = _batched_cocycle(factors if q is None else zip(factors), starts, checkpoints)
@@ -790,14 +825,20 @@ def lyapunov_spectrum(M, cfg=None):
     shared sample, all from one renormalized pass (_wedge_products), and
     turns those sums into clustered exponents (_exponent_groups).
     """
+    return _spectrum_and_orbit(M, cfg)[0]
+
+
+def _spectrum_and_orbit(M, cfg=None):
+    """(lyapunov_spectrum, how the orbit of its sample was computed
+    (_orbit_info)): the spectrum command reports both."""
     cfg = cfg or EstimationSpec()
     ladder = sorted(set(cfg.n_ladder))
     n_max = ladder[-1]
     tol = cfg.cluster_tol if cfg.cluster_tol is not None else 5.0 / n_max
-    args, _ = _sample_argument_tables(M, cfg, n_max)
+    args, orbit = _sample_argument_tables(M, cfg, n_max)
     passes = _wedge_products(M, None, args, ladder)
     sums = [0.0] + [min(float(np.mean(at[n] / n)) for n in ladder) for at, _ in passes]
-    return _exponent_groups(sums, tol)
+    return _exponent_groups(sums, tol), orbit
 
 
 @dataclass(frozen=True)

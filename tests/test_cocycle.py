@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betacocycle import cocycle
-from betacocycle.apcore import constant, cosine, harmonic
+from betacocycle.apcore import _circle_powers, constant, cosine, harmonic, sine
 from betacocycle.cocycle import (
     _BLOCK_ROWS,
     BetaAdaptedMatrix,
@@ -49,6 +49,7 @@ from betacocycle.errors import CertificateViolated, NoCertificate, SingularFacto
 from betacocycle.multiperiodic import (
     MultiperiodicEquation,
     companion_matrix,
+    moment_growth,
     multiperiodic_equation,
 )
 from betacocycle.pisot import _lattice_points, as_base, make_pisot
@@ -490,6 +491,188 @@ def test_eval_args_steps_stack_the_steps_step_major():
     assert stack.shape == (12, 3, 3)
     for s in range(4):
         assert np.array_equal(stack[3 * s : 3 * s + 3], M.eval_args(args, 2 + s))
+
+
+# --- real-valued cocycles ---------------------------------------------------
+
+
+def _complex_stack(M, args, k):
+    """M at step k of args on the complex path, as eval_args evaluates a
+    complex-valued M: z = cos + i sin, complex powers and complex terms."""
+    out = np.empty((args.shape[0], M.dim, M.dim), dtype=complex)
+    for i, row in enumerate(M.entries):
+        for j, (poly, scale) in enumerate(row):
+            powers = _circle_powers(args[:, k + scale], poly._orders)
+            out[:, i, j] = poly._laurent(powers, args.shape[0])
+    return out
+
+
+def _real_matrix(poly):
+    return beta_adapted_matrix([[(poly, 1), 0.5], [constant(0.25), poly]], GOLDEN)
+
+
+COSINE_SERIES = {
+    "2+cos": constant(2.0) + cosine(TWO_PI),
+    "a+b-cos": constant(0.7) + cosine(TWO_PI, 2.0 / 3.0),  # b / 2 = 1/3, not dyadic
+    "a-b-cos": constant(1.1) + cosine(TWO_PI, -0.3),
+}
+
+
+@pytest.mark.parametrize("poly", COSINE_SERIES.values(), ids=COSINE_SERIES.keys())
+def test_cosine_series_stack_is_the_real_part_of_the_complex_stack(poly):
+    M = _real_matrix(poly)
+    assert poly._cos_only and M._real and M._window[3]
+    args = orbit_fractions(M.base, _sample_points(np.random.default_rng(5), 300, M.base), 12)
+    got = M.eval_args(args, 0, steps=10)
+    want = np.concatenate([_complex_stack(M, args, k) for k in range(10)])
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want.real) and not want.imag.any()
+    # the public evaluator reads cos alone too, and stays complex128
+    xs = args[:, 3]
+    value = poly.evaluate(xs)
+    assert value.dtype == np.complex128
+    assert np.array_equal(value, poly._laurent(_circle_powers(xs, poly._orders), xs.size))
+
+
+REAL_SERIES = {
+    "sine": constant(1.5) + sine(TWO_PI, 0.4),
+    "phase": constant(2.0) + cosine(TWO_PI, 0.5, 0.7),
+    "order-2": constant(2.0) + cosine(2 * TWO_PI, 0.3) + cosine(TWO_PI, 0.2),
+}
+
+
+@pytest.mark.parametrize("poly", REAL_SERIES.values(), ids=REAL_SERIES.keys())
+def test_real_entries_that_read_im_z_match_the_complex_stack(poly):
+    M = _real_matrix(poly)
+    assert M._real and not poly._cos_only and not M._window[3]
+    args = orbit_fractions(M.base, _sample_points(np.random.default_rng(6), 300, M.base), 12)
+    got = M.eval_args(args, 0, steps=10)
+    want = np.concatenate([_complex_stack(M, args, k) for k in range(10)])
+    assert got.dtype == np.float64
+    assert np.all(np.abs(got - want.real) <= 1e-15 * np.abs(want))
+    assert np.all(np.abs(want.imag) <= 1e-15 * np.abs(want))  # a rounding residue
+
+
+def test_complex_valued_matrices_keep_complex_stacks():
+    imaginary_constant = beta_adapted_matrix(
+        [[(constant(2.0) + cosine(TWO_PI), 1), 0.5j], [constant(0.25), constant(1.0)]], GOLDEN
+    )
+    for M in (bernoulli_companion(0.2), _d4_matrix(), imaginary_constant):
+        assert not M._real and not M._window[3]
+        args = orbit_fractions(M.base, [Fraction(1, 3), Fraction(2, 7), 1.25], 8)
+        got = M.eval_args(args, 0, steps=3)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, np.concatenate([_complex_stack(M, args, k) for k in range(3)]))
+
+
+def test_a_cosine_matrix_runs_float64_and_no_sine(monkeypatch):
+    """On a real M the factors and accumulators of every product are float64,
+    and an order-1 cosine series evaluates no sine."""
+    M = beta_adapted_matrix(
+        [[(COSINE_SERIES["2+cos"], 1), 0.5], [constant(0.25), COSINE_SERIES["a+b-cos"]]], GOLDEN
+    )
+    seen = set()
+    engine = cocycle._batched_cocycle
+
+    def spy(factors, start, *args, **kwargs):
+        def watched():
+            for As in factors:
+                seen.update(A.dtype for A in As)
+                yield As
+
+        out = engine(watched(), start, *args, **kwargs)
+        seen.update(acc.dtype for _, _, acc in out)
+        return out
+
+    def no_sine(*args, **kwargs):
+        raise AssertionError("np.sin called")
+
+    monkeypatch.setattr(cocycle, "_batched_cocycle", spy)
+    monkeypatch.setattr(np, "sin", no_sine)
+    cfg = EstimationSpec(n_ladder=(8, 16), n_samples=20)
+    lyapunov_top(M, 1, cfg)
+    lyapunov_spectrum(M, cfg)
+    oseledec_at(M, Fraction(2, 7), 16)
+    moment_growth(M, 1.0, 6)
+    assert seen == {np.dtype(np.float64)}
+
+
+def _real_3x3(middle):
+    return beta_adapted_matrix(
+        [
+            [(COSINE_SERIES["2+cos"], 2), 0.5, 0.0],
+            [0.25, (middle, 1), 0.3],
+            [0.1, 0.2, COSINE_SERIES["a-b-cos"]],
+        ],
+        GOLDEN,
+    )
+
+
+REAL_MATRICES = {
+    "scalar": lambda: SCALAR,
+    "2x2": lambda: _real_matrix(COSINE_SERIES["a+b-cos"]),
+    "3x3": lambda: _real_3x3(COSINE_SERIES["a+b-cos"]),
+    "2x2-order-2": lambda: _real_matrix(REAL_SERIES["order-2"]),
+    "3x3-sine": lambda: _real_3x3(REAL_SERIES["sine"]),
+}
+
+
+@pytest.mark.parametrize("name", REAL_MATRICES.keys())
+def test_real_matrix_results_equal_the_complex_path(monkeypatch, name):
+    """lyapunov_top, moment_growth, lyapunov_spectrum, oseledec_at and
+    product on a real M, against the same M forced onto the complex path.
+    A scalar M gives the same bits.  For m >= 2 the Frobenius scale sums the
+    m^2 squares of a float64 product, where the complex one sums them with m^2
+    zeros between, so it may round differently (1.7e-15 relative here)."""
+    cfg = EstimationSpec(n_ladder=(8, 16, 32), n_samples=40, seed=4)
+    x = Fraction(2, 7)
+
+    def results(M):
+        top, diag = lyapunov_top(M, 1, cfg)
+        zs, rate = moment_growth(M, 1.0, 8)
+        spectrum = itertools.chain(*lyapunov_spectrum(M, cfg))
+        P = product(M, x, 24)
+        values = [top, *diag["per_n"].values(), *zs, *rate.values(), *spectrum]
+        values += [*oseledec_at(M, x, 24).exponents, P.log_norm]
+        return np.array(values), P.unit_matrix
+
+    build = REAL_MATRICES[name]
+    M = build()
+    assert M._real
+    got, got_unit = results(M)
+    monkeypatch.setattr(BetaAdaptedMatrix, "_real", property(lambda self: False))
+    want, want_unit = results(build())
+    assert got_unit.dtype == np.complex128
+    if M.dim == 1:
+        assert np.array_equal(got, want) and np.array_equal(got_unit, want_unit)
+    else:
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+        assert np.allclose(got_unit, want_unit, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [3, 6])
+def test_kernel_in_row_chunks_equals_one_shot(monkeypatch, m):
+    """Above _KERNEL_BYTES the float64 kernel runs in row chunks, bit for bit
+    the one-shot product, also for a factor broadcast over the rows; every
+    workload stack (at most 500 rows of 6 x 6) is one chunk."""
+    assert cocycle._KERNEL_BYTES // (16 * 6 * 6) >= 500
+    rows = cocycle._KERNEL_BYTES // (16 * m * m)
+    rng = np.random.default_rng(70 + m)
+    factors = _complex_normal(rng, (3, 2 * rows + 7, m, m))
+    start = _complex_normal(rng, (2 * rows + 7, m, m))
+
+    def run():
+        kernel = cocycle._complex_matmul
+        chunks = kernel(factors[0], start), kernel(factors[0, :1], start)
+        return chunks, _batched_cocycle(iter(factors), start, (1, 3))
+
+    (got, got_shared), (got_at, got_logs, got_acc) = run()
+    monkeypatch.setattr(cocycle, "_KERNEL_BYTES", 2**62)
+    (want, want_shared), (want_at, want_logs, want_acc) = run()
+    assert np.array_equal(got, want) and np.array_equal(got_shared, want_shared)
+    assert np.array_equal(got_acc, want_acc) and np.array_equal(got_logs, want_logs)
+    assert all(np.array_equal(got_at[n], want_at[n]) for n in (1, 3))
+    assert np.max(np.abs(want - factors[0] @ start)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_grid_norm_constants_in_chunks_equal_the_whole_grid():
