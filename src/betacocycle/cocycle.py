@@ -259,8 +259,8 @@ class BetaAdaptedMatrix:
     def _real(self):
         """Real constants, and varying entries all _real harmonic ones."""
         constants, columns, others = self._split_entries
-        cells = [poly for _, _, cells in columns for _, _, poly in cells]
-        return not others and not constants.imag.any() and all(p._real for p in cells)
+        polys = [poly for _, _, cells in columns for _, _, poly in cells]
+        return not others and not constants.imag.any() and all(p._real for p in polys)
 
     def _fill(self, count, argument, powers, real=False):
         """count matrices; a varying entry (i, j) is read at argument(scale_ij).
@@ -568,9 +568,9 @@ _KERNEL_BYTES = 288 * 1024
 def _complex_matmul(A, P, out=None):
     """A @ P (into out if given) for complex (N, m, m) stacks: Re A and Im A
     times the float view of P, whose Re P and Im P columns alternate.  Above
-    _KERNEL_BYTES the rows run in chunks, which changes no bit and keeps both
-    products in cache: 8192 rows of 6 x 6 took 2.0 against 2.3-4.2 ms
-    one-shot, 2500 rows of 3 x 3 the same 0.45-0.53 ms."""
+    _KERNEL_BYTES the rows run in chunks, which changes no bit: 8192 rows of
+    6 x 6 took 2.0 against 2.3-4.2 ms one-shot, 2500 rows of 3 x 3 the same
+    0.45-0.53 ms."""
     rows = max(1, _KERNEL_BYTES // (16 * P.shape[-1] ** 2))
     if len(P) > rows:
         A, P = np.broadcast_arrays(A, P)
@@ -606,9 +606,10 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
     alone, so a row's value does not depend on the batch it runs in:
     joint_period_verify compares rows of batches of different sizes, which
     at an exact period must agree to the bit.  A real start with float64
-    factors (a _real M, _wedge_products) stays float64 throughout, and its
-    real part is what the complex product's would be.  Complex m x m times
-    m x m per step, _complex_matmul / @, on a 2-core x86-64 machine:
+    factors (a _real M, _wedge_products) stays float64 throughout; its 1 x 1
+    values are the complex path's bits, and above that its Frobenius scale
+    can round an ulp apart.  Complex m x m times m x m per step,
+    _complex_matmul / @, on a 2-core x86-64 machine:
 
         N       m = 2           m = 4           m = 6
         1       8.9 / 1.8 us    7.7 / 2.6 us    7.6 / 2.3 us
