@@ -37,16 +37,14 @@ class TrigPolynomial:
 
         A polynomial whose frequencies are all exactly 2 pi k runs the
         Laurent evaluator in z = e(x) (see _laurent), one cos/sin pair per
-        point whatever the number of terms (one cos for a _cos_only one);
-        any other polynomial takes one complex exp per term and point.  A
-        scalar runs as a one-point batch, so it matches the batch value to
-        the bit.
+        point whatever the number of terms; any other polynomial takes one
+        complex exp per term and point.  A scalar runs as a one-point batch,
+        so it matches the batch value to the bit.
         """
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
         if self._harmonics is not None:
-            powers = _circle_powers(flat, self._orders, self._cos_only)
-            acc = self._laurent(powers, flat.size, self._real).astype(complex, copy=False)
+            acc = self._laurent(_circle_powers(flat, self._orders), flat.size)
         else:
             acc = np.zeros(flat.shape, dtype=complex)
             for freq, coeff in self.terms:

@@ -31,10 +31,10 @@ from .apcore import trig_poly
 from .cocycle import (
     EstimationSpec,
     _sample_points,
-    _spectrum_and_orbit,
     beta_adapted_matrix,
     joint_period_certificate,
     joint_period_verify,
+    lyapunov_spectrum,
     lyapunov_top,
     oseledec_at,
 )
@@ -360,8 +360,8 @@ def _run_spectrum(cfg, report):
     M = _parse_matrix(cfg)
     est = _parse_estimation(cfg)
     _try_certificate(M, 1, report)
-    spectrum, orbit = _spectrum_and_orbit(M, est)
-    report.summary = {"count": len(spectrum), "orbit": orbit}
+    spectrum = lyapunov_spectrum(M, est)
+    report.summary = {"count": len(spectrum)}
     report.series["spectrum"] = [
         {"r": r + 1, "lambda": lam, "multiplicity": m}
         for r, (lam, m) in enumerate(spectrum)

@@ -342,8 +342,7 @@ def _window_powers(args, first, stop, orders, cos_only, keep, carry):
     """
     N = args.shape[0]
     old = carry.pop(first, None) if carry else None
-    columns = args[:, first + (keep if old else 0) : stop].T.ravel()
-    window = _circle_powers(columns, orders, cos_only)
+    window = _circle_powers(args[:, first + (keep if old else 0) : stop].T.ravel(), orders, cos_only)
     if old:
         window = {o: np.concatenate((old[o], z)) for o, z in window.items()}
     if carry is not None:
@@ -561,31 +560,6 @@ def _mul2x2(A, B):
     return out
 
 
-# complex bytes per row chunk of _complex_matmul: 500 rows of 6 x 6
-_KERNEL_BYTES = 288 * 1024
-
-
-def _complex_matmul(A, P, out=None):
-    """A @ P (into out if given) for complex (N, m, m) stacks: Re A and Im A
-    times the float view of P, whose Re P and Im P columns alternate.  Above
-    _KERNEL_BYTES the rows run in chunks, which changes no bit: 8192 rows of
-    6 x 6 took 2.0 against 2.3-4.2 ms one-shot, 2500 rows of 3 x 3 the same
-    0.45-0.53 ms."""
-    rows = max(1, _KERNEL_BYTES // (16 * P.shape[-1] ** 2))
-    if len(P) > rows:
-        A, P = np.broadcast_arrays(A, P)
-        out = np.empty(P.shape, complex)
-        for lo in range(0, len(P), rows):
-            _complex_matmul(A[lo : lo + rows], P[lo : lo + rows], out[lo : lo + rows])
-        return out
-    Pf = P.view(np.float64)
-    X = np.matmul(A.real, Pf, out=None if out is None else out.view(np.float64))
-    Y = A.imag @ Pf
-    X[..., 0::2] -= Y[..., 1::2]  # Re A Re P - Im A Im P
-    X[..., 1::2] += Y[..., 0::2]  # Re A Im P + Im A Re P
-    return X.view(complex)
-
-
 def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
     """The renormalized product engine; every cocycle product runs here.
 
@@ -601,15 +575,16 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
 
     The step is a product of scalars for 1 x 1, explicit entry formulas
     (_mul2x2) for a (N, 2, 2) accumulator, two float64 matmuls for a square
-    complex one with m >= 3 (_complex_matmul), and batched @ for every other
-    (columns, real).  The kernel follows the accumulator's shape and dtype
-    alone, so a row's value does not depend on the batch it runs in:
-    joint_period_verify compares rows of batches of different sizes, which
-    at an exact period must agree to the bit.  A real start with float64
-    factors (a _real M, _wedge_products) stays float64 throughout; its 1 x 1
-    values are the complex path's bits, and above that its Frobenius scale
-    can round an ulp apart.  Complex m x m times m x m per step,
-    _complex_matmul / @, on a 2-core x86-64 machine:
+    complex one with m >= 3, and batched @ for every other (columns, real).
+    The kernel follows the accumulator's shape and dtype alone, so a row's
+    value does not depend on the batch it runs in: joint_period_verify
+    compares rows of batches of different sizes, which at an exact period
+    must agree to the bit.  A real start and float64 factors (a _real M)
+    stay float64: 1 x 1 rows are the complex path's bits, larger ones may
+    round an ulp apart in the Frobenius scale.  The float64 kernel multiplies
+    Re A and Im A into the float view of P, whose Re P and Im P columns
+    alternate, and recombines the halves.  Complex m x m times m x m per
+    step, kernel / @, on a 2-core x86-64 machine:
 
         N       m = 2           m = 4           m = 6
         1       8.9 / 1.8 us    7.7 / 2.6 us    7.6 / 2.3 us
@@ -617,9 +592,9 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
         2048    54 / 583 us     454 / 659 us    560 / 765 us
 
     numpy's complex @ pays about 0.3 us per matrix for m <= 6, float64 @
-    less.  Every product, real or complex, is scaled by one multiply by 1 /
-    fro, which is what complex division by fro multiplies by (11.5 against
-    20 us at 2500 rows of 1 x 1).
+    less; at 8192 rows of 6 x 6 the float64 kernel lost (4.6 against 2.9 ms).
+    Every product is scaled by 1 / fro, which is what complex division by
+    fro multiplies by (11.5 against 20 us at 2500 rows of 1 x 1).
     """
     many = isinstance(start, list)
     accs = [np.asarray(s) for s in (start if many else [start])]
@@ -640,8 +615,12 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
                     acc = A * acc
                 elif kind == (2, 2):
                     acc = _mul2x2(A, acc)
-                elif kind[0] == kind[1] and acc.dtype == complex:
-                    acc = _complex_matmul(A, acc)
+                elif kind[0] == kind[1] and acc.dtype == complex:  # float64 matmuls
+                    X, Y = A.real @ acc.view(np.float64), A.imag @ acc.view(np.float64)
+                    X[..., 0::2] -= Y[..., 1::2]  # Re A Re P - Im A Im P
+                    X[..., 1::2] += Y[..., 0::2]  # Re A Im P + Im A Re P
+                    acc = X.view(complex)
+                    del Y  # else it outlives the checkpoint norm and the next accumulator's step
                 else:
                     acc = A @ acc
                 if kind == (1, 1):
@@ -826,20 +805,14 @@ def lyapunov_spectrum(M, cfg=None):
     shared sample, all from one renormalized pass (_wedge_products), and
     turns those sums into clustered exponents (_exponent_groups).
     """
-    return _spectrum_and_orbit(M, cfg)[0]
-
-
-def _spectrum_and_orbit(M, cfg=None):
-    """(lyapunov_spectrum, how the orbit of its sample was computed
-    (_orbit_info)): the spectrum command reports both."""
     cfg = cfg or EstimationSpec()
     ladder = sorted(set(cfg.n_ladder))
     n_max = ladder[-1]
     tol = cfg.cluster_tol if cfg.cluster_tol is not None else 5.0 / n_max
-    args, orbit = _sample_argument_tables(M, cfg, n_max)
+    args, _ = _sample_argument_tables(M, cfg, n_max)
     passes = _wedge_products(M, None, args, ladder)
     sums = [0.0] + [min(float(np.mean(at[n] / n)) for n in ladder) for at, _ in passes]
-    return _exponent_groups(sums, tol), orbit
+    return _exponent_groups(sums, tol)
 
 
 @dataclass(frozen=True)

@@ -129,24 +129,6 @@ def test_run_lyapunov_reports_orbit_mode():
     "base, orbit",
     [
         (GOLDEN_SPEC, {"mode": "trace", "denominator_bits": 40}),
-        (2.5, {"mode": "fixed", "bits": 76}),  # 12 + 64 at L = 8 + 0 + 1
-    ],
-    ids=["golden", "float"],
-)
-def test_run_spectrum_reports_orbit_mode_as_lyapunov_does(base, orbit):
-    config = {
-        "matrix": dict(SCALAR_MATRIX, base=base),
-        "estimation": {"n_ladder": [4, 8], "n_samples": 8},
-    }
-    spectrum = cli.run(dict(config, command="spectrum"))
-    assert spectrum.summary["orbit"] == orbit
-    assert spectrum.summary["orbit"] == cli.run(dict(config, command="lyapunov")).summary["orbit"]
-
-
-@pytest.mark.parametrize(
-    "base, orbit",
-    [
-        (GOLDEN_SPEC, {"mode": "trace", "denominator_bits": 40}),
         (2.5, {"mode": "fixed", "bits": 77}),  # 13 + 64 at L = 8 + 1 + 1
     ],
     ids=["golden", "float"],

@@ -527,11 +527,10 @@ def test_cosine_series_stack_is_the_real_part_of_the_complex_stack(poly):
     want = np.concatenate([_complex_stack(M, args, k) for k in range(10)])
     assert got.dtype == np.float64
     assert np.array_equal(got, want.real) and not want.imag.any()
-    # the public evaluator reads cos alone too, and stays complex128
-    xs = args[:, 3]
-    value = poly.evaluate(xs)
+    # the public evaluator stays complex; its real part is entry (1, 1) at step 3
+    value = poly.evaluate(args[:, 3])
     assert value.dtype == np.complex128
-    assert np.array_equal(value, poly._laurent(_circle_powers(xs, poly._orders), xs.size))
+    assert np.array_equal(value.real, got[3 * 300 : 4 * 300, 1, 1])
 
 
 REAL_SERIES = {
@@ -648,31 +647,6 @@ def test_real_matrix_results_equal_the_complex_path(monkeypatch, name):
     else:
         assert np.allclose(got, want, rtol=1e-14, atol=0)
         assert np.allclose(got_unit, want_unit, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("m", [3, 6])
-def test_kernel_in_row_chunks_equals_one_shot(monkeypatch, m):
-    """Above _KERNEL_BYTES the float64 kernel runs in row chunks, bit for bit
-    the one-shot product, also for a factor broadcast over the rows; every
-    workload stack (at most 500 rows of 6 x 6) is one chunk."""
-    assert cocycle._KERNEL_BYTES // (16 * 6 * 6) >= 500
-    rows = cocycle._KERNEL_BYTES // (16 * m * m)
-    rng = np.random.default_rng(70 + m)
-    factors = _complex_normal(rng, (3, 2 * rows + 7, m, m))
-    start = _complex_normal(rng, (2 * rows + 7, m, m))
-
-    def run():
-        kernel = cocycle._complex_matmul
-        chunks = kernel(factors[0], start), kernel(factors[0, :1], start)
-        return chunks, _batched_cocycle(iter(factors), start, (1, 3))
-
-    (got, got_shared), (got_at, got_logs, got_acc) = run()
-    monkeypatch.setattr(cocycle, "_KERNEL_BYTES", 2**62)
-    (want, want_shared), (want_at, want_logs, want_acc) = run()
-    assert np.array_equal(got, want) and np.array_equal(got_shared, want_shared)
-    assert np.array_equal(got_acc, want_acc) and np.array_equal(got_logs, want_logs)
-    assert all(np.array_equal(got_at[n], want_at[n]) for n in (1, 3))
-    assert np.max(np.abs(want - factors[0] @ start)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_grid_norm_constants_in_chunks_equal_the_whole_grid():
