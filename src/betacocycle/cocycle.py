@@ -14,7 +14,8 @@ integer trace recurrence Tr(beta^k) mod D gives the orbit exactly up to a
 float term that decays like rho^k, batched over sample points; a plain
 float beta, which has no minimal polynomial, is exactly m / 2^e and walks
 the orbit in fixed point on Python ints to within 2^-64.  Plain float powers
-of beta would lose the orbit after ~50 steps.
+of beta would lose the orbit after ~50 steps.  The products read the orbit
+a block of columns at a time (_orbit_blocks), so its memory is O(N block).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .errors import (
 from .pisot import PisotNumber, _lattice_points, as_base, trace_power
 
 
-# rows (points x steps) of one block: _factors evaluates M, and _trace_orbit
-# finishes its orbit table, over max(1, _BLOCK_ROWS // N) steps at a time
+# rows (points x steps) of one block: _orbit_blocks makes, and _factors
+# evaluates M over, max(1, _BLOCK_ROWS // N) columns (steps) at a time
 _BLOCK_ROWS = 1024
 
 
@@ -82,42 +83,56 @@ def orbit_fractions(base, x, length, shift=0):
     companion-matrix cocycles need; those columns x beta^j (j < 0) never
     grow and are taken in plain float for every base.  A plain float beta,
     which has no minimal polynomial, walks the columns j >= 0 in fixed point
-    (_fixed_point_orbit), within 2^-64 of the exact orbit.
+    (_fixed_point_orbit), within 2^-64 of the exact orbit.  The table joins
+    the column blocks of _orbit_blocks, which products read one at a time.
     """
-    batch = np.ndim(x) == 1
-    values = list(x) if batch else [x]
-    xs = np.array([float(v) for v in values])
-    base = as_base(base)
-    beta = _beta_value(base)
-    out = np.empty((len(values), length), order="F")  # columns are filled
-    head = min(max(-shift, 0), length)  # columns with a negative exponent
-    for j in range(head):
-        y = xs * beta ** (shift + j)
-        out[:, j] = y - np.floor(y)
-    if head < length and values:
-        points = [_fraction(v) for v in values]
-        if isinstance(base, PisotNumber):
-            _trace_orbit(base, points, xs, out[:, head:], shift + head)
-        else:
-            _fixed_point_orbit(beta, points, out[:, head:], shift + head)
-    return out if batch else out[0]
+    values = list(x) if np.ndim(x) == 1 else [x]
+    blocks = _orbit_blocks(as_base(base), values, length, shift)
+    out = np.concatenate([np.empty((0, len(values)))] + [b.T for b in blocks]).T
+    return out if np.ndim(x) == 1 else out[0]
 
 
-def _trace_orbit(p, points, xs, out, first):
-    """Fill out (N, L) with frac(beta^(first+k) x), k = 0..L-1 and first
-    >= 0, by the trace recurrence; xs holds the points as floats.
-
-    The loop writes u / D into its column: numpy divides int64 in float64,
-    Python ints divide exactly and round once (casting="unsafe" lets the
-    object quotients land in the float table).  Each block of
-    max(1, _BLOCK_ROWS // N) columns is then finished in place: moved by
-    x sum sigma^k and reduced modulo 1.
+def _orbit_blocks(base, points, length, shift=0, exact=True):
+    """The columns of orbit_fractions(base, points, length, shift), or with
+    exact=False the raw float x beta^(k+shift), in blocks of _BLOCK_ROWS //
+    N: the producer of every argument column.  It keeps only its state (the
+    head's exponent, the recurrence window or Z), and finishes a block of
+    walked columns in place: moved by x sum sigma^k on the trace orbit, and
+    reduced modulo 1.
     """
-    length = out.shape[1]
+    xs = np.asarray(points, dtype=float)
+    beta, width = _beta_value(base), max(1, _BLOCK_ROWS // max(xs.size, 1))
+    head = min(max(-shift, 0), length) if exact else length
+    for lo in range(shift, shift + head, width):
+        ks = np.arange(lo, min(lo + width, shift + head))
+        y = xs[:, None] * (np.array([beta ** int(k) for k in ks]) if exact else beta**ks)
+        yield y - np.floor(y) if exact else y
+    if head < length:
+        pisot = isinstance(base, PisotNumber)
+        walk = _trace_orbit if pisot else _fixed_point_orbit
+        columns = walk(base, [_fraction(v) for v in points], length - head, shift + head)
+        conj = np.array(base.conjugates if pisot else [], dtype=complex)
+        for lo in range(shift + head, shift + length, width):
+            cols = np.empty((xs.size, min(width, shift + length - lo)), order="F")
+            for j in range(cols.shape[1]):
+                cols[:, j] = next(columns)
+            if conj.size:  # sum sigma^k, one conjugate after another
+                ks = np.arange(lo, lo + cols.shape[1])
+                cols -= xs[:, None] * sum((s**ks).real for s in conj)
+            yield np.subtract(cols, np.floor(cols), out=cols)
+
+
+def _trace_orbit(p, points, length, first):
+    """The columns u_k / D, k = first..first+length-1 (first >= 0), of the
+    trace recurrence, which _orbit_blocks finishes into frac(beta^k x).
+
+    numpy divides int64 in float64, and Python ints (object dtype) divide
+    exactly and round once.
+    """
     a = [-c for c in p.minpoly[1:]]  # u_k = a_1 u_{k-1} + ... + a_r u_{k-r}
     r = p.degree
     dens = [v.denominator for v in points]
-    exact = max(dens) * sum(abs(c) for c in a) >= 2**63
+    exact = max(dens, default=1) * sum(abs(c) for c in a) >= 2**63
     dtype = object if exact else np.int64
     D = np.array(dens, dtype=dtype)
     traces = [trace_power(p, k) for k in range(r)]  # Tr(beta^0 .. beta^(r-1))
@@ -125,58 +140,50 @@ def _trace_orbit(p, points, xs, out, first):
         np.array([v.numerator * t % v.denominator for v in points], dtype=dtype)
         for t in traces
     ]
-    ks = np.arange(first, first + length)
-    conj = np.array(p.conjugates, dtype=complex)
-    drift = (conj[:, None] ** ks[None, :]).real.sum(axis=0)  # sum sigma^k
-    block = max(1, _BLOCK_ROWS // len(points))
     for k in range(first + length):
-        u = window[0]
-        j = k - first
-        if j >= 0:
-            np.true_divide(u, D, out=out[:, j], casting="unsafe")
-            if (j + 1) % block == 0 or j + 1 == length:
-                cols = out[:, j - j % block : j + 1]
-                if r > 1:
-                    cols -= xs[:, None] * drift[j - j % block : j + 1]
-                np.subtract(cols, np.floor(cols), out=cols)
+        if k >= first:
+            yield window[0] / D
         nxt = a[0] * window[-1]
         for i in range(1, r):
             nxt = nxt + a[i] * window[r - 1 - i]
         window = window[1:] + [nxt % D]
 
 
-def _fixed_point_orbit(beta, points, out, first):
-    """Fill out (N, L) with frac(beta^(first+k) x), k = 0..L-1 and first
-    >= 0, for a plain float beta = m / 2^e: Z = floor(beta^k x 2^P) on Python
-    ints for the whole batch, stepped as Z <- (Z m) >> e.  Each step adds
-    less than one unit of 2^-P to an error that grows by beta per step, so
-    after L columns it is below beta^L / (beta - 1) 2^-P <= 2^-64
+def _fixed_point_orbit(beta, points, length, first):
+    """The columns frac(beta^(first+k) x), k = 0..length-1 and first >= 0,
+    for a plain float beta = m / 2^e: Z = floor(beta^k x 2^P) on Python ints
+    for the whole batch, stepped as Z <- (Z m) >> e.  Each step adds less
+    than one unit of 2^-P to an error that grows by beta per step, so after
+    length columns it is below beta^length / (beta - 1) 2^-P <= 2^-64
     (_fixed_point_bits).  A column is the top 53 fraction bits of Z.
     """
     m, q = beta.as_integer_ratio()
     e = q.bit_length() - 1
-    P = _fixed_point_bits(beta, out.shape[1])
+    P = _fixed_point_bits(beta, length)
     Z = [(v.numerator * m**first << P) // (v.denominator << e * first) for v in points]
     Z = np.array(Z, dtype=object)
-    for k in range(out.shape[1]):
-        out[:, k] = ((Z >> (P - 53)) & (2**53 - 1)).astype(float) / 2.0**53
+    for _ in range(length):
+        yield ((Z >> (P - 53)) & (2**53 - 1)).astype(float) / 2.0**53
         Z = (Z * m) >> e
 
 
-def _orbit_table(M, points, length, shift=0):
-    """The argument table of M over a batch of points, the one place that
-    picks how beta^k x is formed: column m holds beta^(m+shift) x.
+def _orbit_stream(M, points, length, shift=0):
+    """The argument columns of M over a batch of points in successive (N, w)
+    blocks (_orbit_blocks), the one place that picks how beta^k x is formed:
+    column m holds beta^(m+shift) x.
 
-    Exact orbit_fractions when every entry is 1-periodic, raw float powers
-    otherwise (usable only while beta^k x stays in the float range), and for
-    a constant M one zero row, which the engine broadcasts against any start.
+    Exact orbit_fractions columns when every entry is 1-periodic, raw float
+    powers otherwise (usable only while beta^k x stays in the float range),
+    and for a constant M, which reads no column, the orbit of 0: one zero
+    row, which the engine broadcasts against any start.
     """
-    if M.is_constant:
-        return np.zeros((1, length))
-    if M.entries_one_periodic:
-        return orbit_fractions(M.base, points, length, shift)
-    xs = np.array([float(v) for v in points])
-    return xs[:, None] * M.beta ** (np.arange(length) + shift)[None, :]
+    points = [0] if M.is_constant else points
+    return _orbit_blocks(M.base, points, length, shift, M.entries_one_periodic)
+
+
+def _orbit_table(M, points, length, shift=0):
+    """The argument table of M over a batch of points: _orbit_stream joined."""
+    return np.hstack(list(_orbit_stream(M, points, length, shift)))
 
 
 def _orbit_info(M, points, length):
@@ -313,14 +320,15 @@ class BetaAdaptedMatrix:
         k + s, so steps=1 gives the (N, d, d) stack of step k.
 
         args[s, m] holds beta^m x_s (modulo 1 is fine: entries are
-        1-periodic).  Entry (i, j) at step k reads column k + scale_ij.
-        Harmonic entries read one window of columns, k + lo .. k + hi +
-        steps - 1 (_window): z = e(column) and its powers are computed once
-        over the window, and each scale takes its slice.  carry, a dict that
-        _factors hands from one block to the next, keeps the powers of the
-        window's last hi - lo columns, where the next window starts, so that
-        each column's z is computed once per run.  A _real M gives a float64
-        stack, from cos alone when every entry is _cos_only (_circle_powers).
+        1-periodic); _factors passes its window of streamed columns, k = 0.
+        Entry (i, j) at step k reads column k + scale_ij.  Harmonic entries
+        read one window of columns, k + lo .. k + hi + steps - 1 (_window):
+        z = e(column) and its powers are computed once over the window, and
+        each scale takes its slice.  carry, a dict that _factors hands from
+        one block to the next, keeps the powers of the window's last hi - lo
+        columns, where the next window starts, so that each column's z is
+        computed once per run.  A _real M gives a float64 stack, from cos
+        alone when every entry is _cos_only (_circle_powers).
         """
         N = args.shape[0]
         lo, hi, orders, cos_only = self._window
@@ -336,19 +344,17 @@ def _window_powers(args, first, stop, orders, cos_only, keep, carry):
     """{k: z^k} for k in orders and z = e(args[:, c]) over the columns c =
     first..stop-1, column after column (step-major) in one flat array.
 
-    carry (a dict, or None) maps a column to the powers of the keep columns
-    from it on, left by the call before; at first they are reused, and
-    carry is left holding this window's last keep columns.
+    carry (a dict, or None) holds the powers of the keep columns that ended
+    the window before, which are this window's first keep columns: they are
+    reused, and carry is left holding this window's last keep columns.
     """
     N = args.shape[0]
-    old = carry.pop(first, None) if carry else None
-    window = _circle_powers(args[:, first + (keep if old else 0) : stop].T.ravel(), orders, cos_only)
-    if old:
-        window = {o: np.concatenate((old[o], z)) for o, z in window.items()}
+    window = _circle_powers(args[:, first + (keep if carry else 0) : stop].T.ravel(), orders, cos_only)
+    if carry:
+        window = {o: np.concatenate((carry[o], z)) for o, z in window.items()}
     if carry is not None:
         carry.clear()
-        if keep:
-            carry[stop - keep] = {o: z[z.size - keep * N :] for o, z in window.items()}
+        carry.update((o, z[z.size - keep * N :]) for o, z in window.items() if keep)
     return window
 
 
@@ -450,8 +456,8 @@ def product(M, x, n):
     eye = np.eye(M.dim, dtype=complex)
     if n == 0:
         return NormalizedProduct(0.0, eye, 0)
-    args = _orbit_table(M, [x], n + M.max_scale + 1)
-    _, logs, acc = _batched_cocycle(_factors(M, args, n), (eye.real if M._real else eye)[None])
+    columns = _orbit_stream(M, [x], n + M.max_scale + 1)
+    _, logs, acc = _batched_cocycle(_factors(M, columns, n), (eye.real if M._real else eye)[None])
     if logs[0] == -math.inf:
         raise SingularFactor("product P_%d vanishes" % n)
     s = _opnorm(acc[0])
@@ -647,36 +653,47 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
 
 
 def _factors(M, args, n, q=1):
-    """M^{wedge q} at steps 0..n-1 of an argument table, yielded one (N, m, m)
-    step at a time; for q = None, the list of every degree q = 1..d.
+    """M^{wedge q} at steps 0..n-1 of an argument table or of a stream of its
+    column blocks (_orbit_stream), yielded one (N, m, m) step at a time; for
+    q = None, the list of every degree q = 1..d.
 
     M is evaluated a block of max(1, _BLOCK_ROWS // N) steps at a time, one
-    eval_args call per block, whose carry shares the z of the columns that
+    eval_args call per block on a window of the max_scale + steps columns
+    from the block's first step on, so a stream holds about two blocks of
+    columns at any n.  The carry shares the z of the columns that
     neighbouring blocks both read.  Each step is a view of its block; one q
     calls exterior_power per step, every q shares one _exterior_levels chain.
     """
-    N = args.shape[0]
+    blocks = iter([args] if isinstance(args, np.ndarray) else args)
+    window = next(blocks)
+    N = window.shape[0]
     block = max(1, _BLOCK_ROWS // max(N, 1))
     carry = {}
     for k in range(0, n, block):
         steps = min(block, n - k)
-        factors = M.eval_args(args, k, steps, carry)
+        while window.shape[1] < M.max_scale + steps:
+            more = next(blocks)
+            window = np.concatenate((window.T, more.T)).T if window.shape[1] else more
+        factors = M.eval_args(window, 0, steps, carry)
+        window = window[:, steps:]
         for s in range(steps):
             A = factors[s * N : (s + 1) * N]
             yield _exterior_levels(A, M.dim) if q is None else exterior_power(A, q) if q > 1 else A
 
 
 def _wedge_products(M, q, args, checkpoints):
-    """[(at, acc)] of M^{wedge q} over the rows of args: at[n] = log ||P_n^{wedge
-    q}|| at the checkpoints, acc the unit product after the last step.  One
-    pair for one q, whose bare stacks the engine takes as lists of one; for q
-    = None, d pairs, every q = 1..d from one pass; float64 for a _real M at
-    q = 1 or None, where the factors are float64."""
+    """[(at, acc)] of M^{wedge q} over the rows of args (_factors): at[n] = log
+    ||P_n^{wedge q}|| at the checkpoints, acc the unit product after the last
+    step.  One pair for one q, whose bare stacks the engine takes as lists of
+    one; for q = None, d pairs, every q = 1..d from one pass; float64 for a
+    _real M at q = 1 or None, where the factors are float64."""
     qs = range(1, M.dim + 1) if q is None else [q]
     dtype = float if M._real and q in (None, 1) else complex
     eyes = [np.eye(math.comb(M.dim, r), dtype=dtype) for r in qs]
-    starts = [np.broadcast_to(eye, (args.shape[0],) + eye.shape) for eye in eyes]
-    factors = _factors(M, args, max(checkpoints), q)
+    blocks = iter([args] if isinstance(args, np.ndarray) else args)
+    first = next(blocks)  # its rows are the batch
+    starts = [np.broadcast_to(eye, (first.shape[0],) + eye.shape) for eye in eyes]
+    factors = _factors(M, itertools.chain([first], blocks), max(checkpoints), q)
     passes = _batched_cocycle(factors if q is None else zip(factors), starts, checkpoints)
     for r, (_, logs, _) in zip(qs, passes):
         if np.isneginf(logs).any():
@@ -693,10 +710,10 @@ def subadditive_sequence(M, q, x, n_max):
     """f_n^{(q)}(x) = log ||(P_n(x))^{wedge q}|| for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if not 1 <= q <= M.dim:  # before any table is built
+    if not 1 <= q <= M.dim:  # before any column is made
         raise ValueError("q must satisfy 1 <= q <= d")
-    args = _orbit_table(M, [x], n_max + M.max_scale + 1)
-    res = _log_norms(M, q, args, range(1, n_max + 1))
+    columns = _orbit_stream(M, [x], n_max + M.max_scale + 1)
+    res = _log_norms(M, q, columns, range(1, n_max + 1))
     return np.array([res[n][0] for n in range(1, n_max + 1)])
 
 
@@ -737,12 +754,17 @@ def _sample_points(rng, count, base):
     return [Fraction(a, d) for a, d in zip(nums.tolist(), dens.tolist())]
 
 
-def _sample_argument_tables(M, cfg, n_max):
-    """Argument tables (N, n_max + max_scale + 1) for the _sample_points of
-    cfg (_orbit_table), and how their orbits were computed (_orbit_info)."""
-    L = n_max + M.max_scale + 1
+def _sample_orbit(M, cfg):
+    """(n-ladder, argument columns (_orbit_stream) of cfg's _sample_points,
+    _orbit_info); first a ValueError unless cfg asks for a point and n >= 1."""
+    ladder = sorted(set(cfg.n_ladder))
+    if cfg.n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if not ladder or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in ladder):
+        raise ValueError("n_ladder must be a non-empty list of positive integers")
+    L = ladder[-1] + M.max_scale + 1
     xs = _sample_points(np.random.default_rng(cfg.seed), cfg.n_samples, M.base)
-    return _orbit_table(M, xs, L), _orbit_info(M, xs, L)
+    return ladder, _orbit_stream(M, xs, L), _orbit_info(M, xs, L)
 
 
 def lyapunov_top(M, q, cfg=None):
@@ -754,13 +776,12 @@ def lyapunov_top(M, q, cfg=None):
     per-n means and standard deviations, the cross-sample dispersion at the
     largest n, and a Richardson-style extrapolation over the last doubling.
     """
-    if not 1 <= q <= M.dim:  # before any table is built
+    if not 1 <= q <= M.dim:  # before any column is made
         raise ValueError("q must satisfy 1 <= q <= d")
     cfg = cfg or EstimationSpec()
-    ladder = sorted(set(cfg.n_ladder))
+    ladder, columns, orbit = _sample_orbit(M, cfg)
     n_max = ladder[-1]
-    args, orbit = _sample_argument_tables(M, cfg, n_max)
-    res = _log_norms(M, q, args, ladder)
+    res = _log_norms(M, q, columns, ladder)
     per_n = {n: float(np.mean(res[n] / n)) for n in ladder}
     per_n_std = {n: float(np.std(res[n] / n)) for n in ladder}
     estimate = min(per_n.values())
@@ -769,7 +790,7 @@ def lyapunov_top(M, q, cfg=None):
         "per_n_std": per_n_std,
         "dispersion": per_n_std[n_max],
         "seed": cfg.seed,
-        "n_samples": int(args.shape[0]),
+        "n_samples": res[n_max].size,
         "orbit": orbit,
     }
     if len(ladder) >= 2 and ladder[-1] == 2 * ladder[-2]:
@@ -806,11 +827,9 @@ def lyapunov_spectrum(M, cfg=None):
     turns those sums into clustered exponents (_exponent_groups).
     """
     cfg = cfg or EstimationSpec()
-    ladder = sorted(set(cfg.n_ladder))
-    n_max = ladder[-1]
-    tol = cfg.cluster_tol if cfg.cluster_tol is not None else 5.0 / n_max
-    args, _ = _sample_argument_tables(M, cfg, n_max)
-    passes = _wedge_products(M, None, args, ladder)
+    ladder, columns, _ = _sample_orbit(M, cfg)
+    tol = cfg.cluster_tol if cfg.cluster_tol is not None else 5.0 / ladder[-1]
+    passes = _wedge_products(M, None, columns, ladder)
     sums = [0.0] + [min(float(np.mean(at[n] / n)) for n in ladder) for at, _ in passes]
     return _exponent_groups(sums, tol)
 
@@ -854,8 +873,8 @@ def oseledec_at(M, x, n, cluster_tol=None):
         raise ValueError("n must be >= 1")
     tol = cluster_tol if cluster_tol is not None else 5.0 / n
     d = M.dim
-    args = _orbit_table(M, [x], n + M.max_scale + 1)
-    passes = _wedge_products(M, None, args, (n,))
+    columns = _orbit_stream(M, [x], n + M.max_scale + 1)
+    passes = _wedge_products(M, None, columns, (n,))
     sums = [0.0] + [float(at[n][0]) / n for at, _ in passes]
     units = [None] + [acc[0] for _, acc in passes]
     exponents, multiplicities = zip(*_exponent_groups(sums, tol))

@@ -23,7 +23,8 @@ from .cocycle import (
     _beta_value,
     _factors,
     _log_norms,
-    _orbit_table,
+    _orbit_blocks,
+    _orbit_stream,
     beta_adapted_matrix,
 )
 from .errors import (
@@ -167,10 +168,10 @@ class SolutionEvaluator:
     def _truncated(self, xs, n):
         """Q_n v = M(x/beta) ... M(x/beta^n) v at each x, shape (len(xs), d)."""
         d = self.eq.d
-        # run from the right: table column m holds x beta^(m - n - (d-1))
-        args = _orbit_table(self.M, xs, n + d - 1, shift=-(n + d - 1))
+        # run from the right: column m holds x beta^(m - n - (d-1))
+        columns = _orbit_stream(self.M, xs, n + d - 1, shift=-(n + d - 1))
         start = np.broadcast_to(self.v[:, None], (xs.size, d, 1))
-        _, logs, acc = _batched_cocycle(_factors(self.M, args, n), start)
+        _, logs, acc = _batched_cocycle(_factors(self.M, columns, n), start)
         return np.exp(logs)[:, None] * acc[:, :, 0]
 
     def depth(self, x):
@@ -222,11 +223,11 @@ def solve(eq, tol=1e-10):
 
 def _propagate(sol, xs, g, n, norm):
     """({k: log norm(G(beta^k x))} for k = 1..n, final log scales) from
-    g = G(x) by G(beta^k x) = P_k(x) G(x).  Column m of the argument table
-    (_orbit_table) is beta^(m+1-d) x."""
-    args = _orbit_table(sol.M, xs, n + sol.eq.d - 1, shift=1 - sol.eq.d)
+    g = G(x) by G(beta^k x) = P_k(x) G(x).  Argument column m
+    (_orbit_stream) is beta^(m+1-d) x."""
+    columns = _orbit_stream(sol.M, xs, n + sol.eq.d - 1, shift=1 - sol.eq.d)
     return _batched_cocycle(
-        _factors(sol.M, args, n), g[:, :, None], range(1, n + 1), norm=norm
+        _factors(sol.M, columns, n), g[:, :, None], range(1, n + 1), norm=norm
     )[:2]
 
 
@@ -352,22 +353,21 @@ def moment_growth(M, q, n_max):
     quadrature level raises QuadratureLevelExceeded.  Returns (z sequence,
     rate dict) with the Fekete-style min of z_n/n and the last difference.
 
-    The one argument table not built by _orbit_table.  Float powers of the
-    float nodes give the exact orbit at base 2 up to the quadrature cap
-    (level 16), and stay within 4.7e-14 of it on the golden base at level
-    10, 1.8e-13 at level 12 and 3.1e-11 at the cap, level 22; base 3 at its
-    cap, level 10, is within 3.6e-12.  orbit_fractions on them costs 0.087 s
-    against 0.0016 s at base 2, level 12: Gauss nodes near 0 have
-    denominators up to 2^70, so the whole batch runs on Python ints.
+    The argument columns are the float powers nodes beta^k, a block at a
+    time (_orbit_blocks, exact=False).  They give the exact orbit at base 2
+    up to the quadrature cap (level 16), and stay within 4.7e-14 of it on the
+    golden base at level 10, 1.8e-13 at level 12 and 3.1e-11 at the cap,
+    level 22; base 3 at its cap, level 10, is within 3.6e-12.  The exact
+    orbit costs 0.087 s against 0.0016 s at base 2, level 12: Gauss nodes
+    near 0 have denominators up to 2^70, so it runs on Python ints.
     """
     if q < 0:
         raise ValueError("q must be >= 0")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     nodes, weights = _beta_quadrature(M.base, n_max)
-    powers = M.beta ** np.arange(n_max + M.max_scale + 1)
-    args = nodes[:, None] * powers[None, :]
-    res = _log_norms(M, 1, args, range(1, n_max + 1))
+    columns = _orbit_blocks(M.base, nodes, n_max + M.max_scale + 1, exact=False)
+    res = _log_norms(M, 1, columns, range(1, n_max + 1))
     log_w = np.log(weights)
     zs = np.array([_logsumexp(q * res[n] + log_w) for n in range(1, n_max + 1)])
     rate = {

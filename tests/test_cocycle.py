@@ -28,7 +28,7 @@ from betacocycle.cocycle import (
     _opnorm,
     _orbit_info,
     _orbit_table,
-    _sample_argument_tables,
+    _sample_orbit,
     _sample_points,
     _wedge_products,
     beta_adapted_matrix,
@@ -169,7 +169,8 @@ def test_integer_base_sample_table_unchanged():
     """The base-2 sample table against the modular loop it replaced."""
     cfg = EstimationSpec(n_ladder=(256,), n_samples=300, seed=11)
     L = 256 + SCALAR.max_scale + 1
-    args, orbit = _sample_argument_tables(SCALAR, cfg, 256)
+    _, columns, orbit = _sample_orbit(SCALAR, cfg)
+    args = np.hstack(list(columns))
     rng = np.random.default_rng(cfg.seed)
     dens = np.empty(cfg.n_samples, dtype=np.int64)
     filled = 0
@@ -778,7 +779,8 @@ def test_spectrum_unchanged_against_det_per_minor(monkeypatch):
     degrees = []
     by_det = lambda A, q: degrees.append(q) or _minors_by_det(A, q)
     monkeypatch.setattr(cocycle, "exterior_power", by_det)
-    args, _ = _sample_argument_tables(M, cfg, 32)
+    _, columns, _ = _sample_orbit(M, cfg)
+    args = np.hstack(list(columns))
     sums = [0.0] + [float(np.mean(_log_norms(M, q, args, [32])[32] / 32)) for q in range(1, 5)]
     reference = _exponent_groups(sums, cfg.cluster_tol)
     assert sorted(set(degrees)) == [2, 3, 4]
@@ -814,8 +816,10 @@ def test_exterior_levels_are_the_exterior_powers(d):
 
 def _per_degree_products(M, q, args, checkpoints):
     """Reference for _wedge_products(M, None, ...): one engine run per degree,
-    with exterior_power taken per step, as the per-q passes ran."""
+    with exterior_power taken per step, as the per-q passes ran; a stream
+    of argument columns is gathered into its table first."""
     assert q is None
+    args = args if isinstance(args, np.ndarray) else np.hstack(list(args))
     out = []
     for r in range(1, M.dim + 1):
         eye = np.eye(math.comb(M.dim, r), dtype=complex)
@@ -904,11 +908,12 @@ def test_subadditivity_spot_check():
 @pytest.mark.parametrize("q", [-1, 0, 3])
 def test_exterior_degree_outside_1_to_d_is_refused(monkeypatch, q):
     # q = 0 used to run the q = 1 product, and the certificate the q = 1 bound;
-    # the refusal comes before any argument table is built
+    # the refusal comes before any argument column is made
     def no_table(*args):
-        raise AssertionError("an argument table was built")
+        raise AssertionError("an argument column was made")
 
-    monkeypatch.setattr(cocycle, "_orbit_table", no_table)
+    for name in ("_orbit_table", "_orbit_stream", "_orbit_blocks"):
+        monkeypatch.setattr(cocycle, name, no_table)
     M = bernoulli_companion(0.2, BASE2)
     with pytest.raises(ValueError, match="q must satisfy 1 <= q <= d"):
         subadditive_sequence(M, q, Fraction(2, 7), 8)

@@ -545,8 +545,9 @@ def test_moment_integral_reads_an_exact_orbit(monkeypatch):
     factors = multiperiodic._factors
 
     def record(M, args, n, q=1):
-        tables.append(args)
-        return factors(M, args, n, q)
+        blocks = list(args)  # the streamed column blocks, gathered
+        tables.append(np.hstack(blocks))
+        return factors(M, iter(blocks), n, q)
 
     monkeypatch.setattr(multiperiodic, "_factors", record)
     n_max = 80
