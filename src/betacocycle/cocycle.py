@@ -41,8 +41,9 @@ from .errors import (
 from .pisot import PisotNumber, _lattice_points, as_base, trace_power
 
 
-# rows (points x steps) of one block: _orbit_blocks makes, and _factors
-# evaluates M over, max(1, _BLOCK_ROWS // N) columns (steps) at a time
+# rows (points x steps) of one block: _factors evaluates M over _width(N)
+# steps at a time, and _orbit_blocks makes the columns of 8 blocks at once,
+# so that finishing the trace orbit takes few numpy calls per column
 _BLOCK_ROWS = 1024
 
 
@@ -92,42 +93,35 @@ def orbit_fractions(base, x, length, shift=0):
     return out if np.ndim(x) == 1 else out[0]
 
 
+def _width(rows, blocks=1):
+    """Columns (steps) of that many blocks over rows points."""
+    return blocks * max(1, _BLOCK_ROWS // max(rows, 1))
+
+
 def _orbit_blocks(base, points, length, shift=0, exact=True):
     """The columns of orbit_fractions(base, points, length, shift), or with
-    exact=False the raw float x beta^(k+shift), in blocks of _BLOCK_ROWS //
-    N: the producer of every argument column.  It keeps only its state (the
-    head's exponent, the recurrence window or Z), and finishes a block of
-    walked columns in place: moved by x sum sigma^k on the trace orbit, and
-    reduced modulo 1.
+    exact=False the raw float x beta^(k+shift), in successive blocks of
+    _width(N, 8) columns: the producer of every argument column.  It keeps
+    only its state (the head's exponent, the recurrence window or Z).
     """
     xs = np.asarray(points, dtype=float)
-    beta, width = _beta_value(base), max(1, _BLOCK_ROWS // max(xs.size, 1))
+    beta, width = _beta_value(base), _width(xs.size, 8)
     head = min(max(-shift, 0), length) if exact else length
     for lo in range(shift, shift + head, width):
         ks = np.arange(lo, min(lo + width, shift + head))
         y = xs[:, None] * (np.array([beta ** int(k) for k in ks]) if exact else beta**ks)
         yield y - np.floor(y) if exact else y
     if head < length:
-        pisot = isinstance(base, PisotNumber)
-        walk = _trace_orbit if pisot else _fixed_point_orbit
-        columns = walk(base, [_fraction(v) for v in points], length - head, shift + head)
-        conj = np.array(base.conjugates if pisot else [], dtype=complex)
-        for lo in range(shift + head, shift + length, width):
-            cols = np.empty((xs.size, min(width, shift + length - lo)), order="F")
-            for j in range(cols.shape[1]):
-                cols[:, j] = next(columns)
-            if conj.size:  # sum sigma^k, one conjugate after another
-                ks = np.arange(lo, lo + cols.shape[1])
-                cols -= xs[:, None] * sum((s**ks).real for s in conj)
-            yield np.subtract(cols, np.floor(cols), out=cols)
+        walk = _trace_orbit if isinstance(base, PisotNumber) else _fixed_point_orbit
+        yield from walk(base, [_fraction(v) for v in points], length - head, shift + head)
 
 
 def _trace_orbit(p, points, length, first):
-    """The columns u_k / D, k = first..first+length-1 (first >= 0), of the
-    trace recurrence, which _orbit_blocks finishes into frac(beta^k x).
-
-    numpy divides int64 in float64, and Python ints (object dtype) divide
-    exactly and round once.
+    """frac(beta^(first+k) x), k = 0..length-1 and first >= 0, by the trace
+    recurrence, in blocks of _width(N, 8) columns.  The loop writes u / D
+    into its column (numpy divides int64 in float64, Python ints exactly,
+    rounding once); a full block is then moved by x sum sigma^k and reduced
+    modulo 1 in place.
     """
     a = [-c for c in p.minpoly[1:]]  # u_k = a_1 u_{k-1} + ... + a_r u_{k-r}
     r = p.degree
@@ -140,9 +134,19 @@ def _trace_orbit(p, points, length, first):
         np.array([v.numerator * t % v.denominator for v in points], dtype=dtype)
         for t in traces
     ]
+    xs, width = np.asarray(points, dtype=float), _width(len(points), 8)
+    conj = np.array(p.conjugates, dtype=complex)
     for k in range(first + length):
-        if k >= first:
-            yield window[0] / D
+        j, c = k - first, (k - first) % width
+        if j >= 0:
+            if c == 0:
+                cols = np.empty((len(points), min(width, length - j)), order="F")
+            np.true_divide(window[0], D, out=cols[:, c], casting="unsafe")
+            if c == cols.shape[1] - 1:
+                if r > 1:  # sum sigma^k, one conjugate after another
+                    ks = np.arange(k - c, k + 1)
+                    cols -= xs[:, None] * sum((s**ks).real for s in conj)
+                yield np.subtract(cols, np.floor(cols), out=cols)
         nxt = a[0] * window[-1]
         for i in range(1, r):
             nxt = nxt + a[i] * window[r - 1 - i]
@@ -150,32 +154,32 @@ def _trace_orbit(p, points, length, first):
 
 
 def _fixed_point_orbit(beta, points, length, first):
-    """The columns frac(beta^(first+k) x), k = 0..length-1 and first >= 0,
-    for a plain float beta = m / 2^e: Z = floor(beta^k x 2^P) on Python ints
-    for the whole batch, stepped as Z <- (Z m) >> e.  Each step adds less
-    than one unit of 2^-P to an error that grows by beta per step, so after
-    length columns it is below beta^length / (beta - 1) 2^-P <= 2^-64
-    (_fixed_point_bits).  A column is the top 53 fraction bits of Z.
+    """frac(beta^(first+k) x), k = 0..length-1 and first >= 0, in blocks of
+    _width(N, 8) columns, for a plain float beta = m / 2^e: Z = floor(beta^k
+    x 2^P) on Python ints for the whole batch, stepped as Z <- (Z m) >> e.
+    Each step adds less than one unit of 2^-P to an error that grows by beta
+    per step, so after length columns it is below beta^length / (beta - 1)
+    2^-P <= 2^-64 (_fixed_point_bits).  A column is Z's top 53 fraction bits.
     """
     m, q = beta.as_integer_ratio()
-    e = q.bit_length() - 1
-    P = _fixed_point_bits(beta, length)
+    e, P, width = q.bit_length() - 1, _fixed_point_bits(beta, length), _width(len(points), 8)
     Z = [(v.numerator * m**first << P) // (v.denominator << e * first) for v in points]
     Z = np.array(Z, dtype=object)
-    for _ in range(length):
-        yield ((Z >> (P - 53)) & (2**53 - 1)).astype(float) / 2.0**53
-        Z = (Z * m) >> e
+    for lo in range(0, length, width):
+        cols = np.empty((len(points), min(width, length - lo)), order="F")
+        for k in range(cols.shape[1]):
+            cols[:, k] = ((Z >> (P - 53)) & (2**53 - 1)).astype(float) / 2.0**53
+            Z = (Z * m) >> e
+        yield cols
 
 
 def _orbit_stream(M, points, length, shift=0):
-    """The argument columns of M over a batch of points in successive (N, w)
-    blocks (_orbit_blocks), the one place that picks how beta^k x is formed:
-    column m holds beta^(m+shift) x.
-
-    Exact orbit_fractions columns when every entry is 1-periodic, raw float
-    powers otherwise (usable only while beta^k x stays in the float range),
-    and for a constant M, which reads no column, the orbit of 0: one zero
-    row, which the engine broadcasts against any start.
+    """The argument columns of M over a batch of points, column m holding
+    beta^(m+shift) x, in blocks (_orbit_blocks): the one place that picks how
+    beta^k x is formed.  Exact orbit_fractions columns when every entry is
+    1-periodic, raw float powers otherwise (usable only while beta^k x stays
+    in the float range), and for a constant M, which reads no column, the
+    orbit of 0: one zero row, which the engine broadcasts against any start.
     """
     points = [0] if M.is_constant else points
     return _orbit_blocks(M.base, points, length, shift, M.entries_one_periodic)
@@ -657,21 +661,19 @@ def _factors(M, args, n, q=1):
     column blocks (_orbit_stream), yielded one (N, m, m) step at a time; for
     q = None, the list of every degree q = 1..d.
 
-    M is evaluated a block of max(1, _BLOCK_ROWS // N) steps at a time, one
-    eval_args call per block on a window of the max_scale + steps columns
-    from the block's first step on, so a stream holds about two blocks of
-    columns at any n.  The carry shares the z of the columns that
-    neighbouring blocks both read.  Each step is a view of its block; one q
+    M is evaluated a block of _width(N) steps at a time, one eval_args call
+    per block on a window of the max_scale + steps columns from the block's
+    first step on, so a stream holds one or two orbit blocks at any n.  The
+    carry shares the z of the columns that neighbouring blocks both read.  Each step is a view of its block; one q
     calls exterior_power per step, every q shares one _exterior_levels chain.
     """
     blocks = iter([args] if isinstance(args, np.ndarray) else args)
     window = next(blocks)
-    N = window.shape[0]
-    block = max(1, _BLOCK_ROWS // max(N, 1))
+    N, block, scale = window.shape[0], _width(window.shape[0]), M.max_scale
     carry = {}
     for k in range(0, n, block):
         steps = min(block, n - k)
-        while window.shape[1] < M.max_scale + steps:
+        while window.shape[1] < scale + steps:
             more = next(blocks)
             window = np.concatenate((window.T, more.T)).T if window.shape[1] else more
         factors = M.eval_args(window, 0, steps, carry)

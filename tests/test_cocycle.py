@@ -3,6 +3,7 @@ distortion bounds, and joint-period certificates."""
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -53,6 +54,7 @@ from betacocycle.multiperiodic import (
     multiperiodic_equation,
 )
 from betacocycle.pisot import _lattice_points, as_base, make_pisot
+from test_pisot import pisot_bases
 
 TWO_PI = 2 * math.pi
 GOLDEN = make_pisot([1, -1, -1])
@@ -273,6 +275,54 @@ def test_orbit_table_modes():
     C = constant_matrix(np.diag([2.0, 0.5]), GOLDEN)
     assert np.array_equal(_orbit_table(C, xs, 6), np.zeros((1, 6)))
     assert _orbit_info(C, xs, 6) == {"mode": "none"}
+
+
+@given(
+    pisot_bases(),
+    st.integers(3, 2**64).filter(lambda D: D % 2),
+    st.integers(0, 2**64),
+    st.sampled_from([0, -1, -2]),
+)
+@settings(max_examples=10, deadline=None)
+def test_orbit_fractions_match_mpmath_at_random_bases(p, D, a, shift):
+    """The trace orbit against an mpmath walk, on int64 and exact ints."""
+    x = Fraction(a % (2 * D) + 1, D)
+    assert circle_distance(orbit_fractions(p, x, 60, shift), mpmath_orbit(p, x, 60, shift)) <= 1e-12
+
+
+_STREAM_MODES = {
+    "trace-int64": (scalar_matrix(constant(2.0) + cosine(TWO_PI), GOLDEN), 0, 1),
+    "trace-object": (scalar_matrix(constant(2.0) + cosine(TWO_PI), GOLDEN), 0, 2**62 + 1),
+    "fixed-point": (scalar_matrix(constant(2.0) + cosine(TWO_PI), 2.5), 0, 1),
+    "raw-float": (beta_adapted_matrix([[cosine(1.0)]], 1.05, allow_nonperiodic=True), 0, 1),
+    "negative-shift": (bernoulli_companion(0.2), -3, 1),
+    "constant": (constant_matrix(np.diag([2.0, 0.5]), GOLDEN), 0, 1),
+}
+
+
+@pytest.mark.parametrize("N", [1, 7, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("M, shift, D", _STREAM_MODES.values(), ids=_STREAM_MODES.keys())
+def test_streamed_blocks_are_the_rows_of_orbit_fractions(M, shift, D, N):
+    """The product passes read the orbit a block of 8 _BLOCK_ROWS // N
+    columns at a time; joined, the blocks are each point's own orbit to the
+    bit, across block edges (and the head edge of a negative shift)."""
+    rows = 1 if M.is_constant else N  # a constant M reads one zero row
+    width = cocycle._width(rows, 8)
+    L = max(40, width + 5)
+    points = _sample_points(np.random.default_rng(N), N, GOLDEN)
+    points = [x + Fraction(j + 1, D) for j, x in enumerate(points)]  # D >= 2^62: object dtype
+    blocks = list(cocycle._orbit_stream(M, points, L, shift))
+    assert all(b.shape[0] == rows and 1 <= b.shape[1] <= width for b in blocks)
+    table = np.hstack(blocks)
+    assert table.shape == (rows, L)
+    for i in sorted({0, 1, rows - 1} if rows > 7 else range(rows)):
+        if M.is_constant:
+            want = np.zeros(L)
+        elif M.entries_one_periodic:
+            want = orbit_fractions(M.base, points[i], L, shift)
+        else:  # the raw powers as the whole-table code formed them
+            want = float(points[i]) * M.beta ** (np.arange(L) + shift)
+        assert np.array_equal(table[i], want), i
 
 
 # --- products --------------------------------------------------------------
@@ -925,6 +975,49 @@ def test_exterior_degree_outside_1_to_d_is_refused(monkeypatch, q):
 
 
 # --- Lyapunov estimation ---------------------------------------------------
+
+
+@pytest.mark.parametrize("fn", [lyapunov_top, lyapunov_spectrum], ids=["top", "spectrum"])
+@pytest.mark.parametrize(
+    "field, spec",
+    [
+        ("n_samples", {"n_samples": 0}),
+        ("n_ladder", {"n_ladder": ()}),
+        ("n_ladder", {"n_ladder": (0, 4)}),
+        ("n_ladder", {"n_ladder": (-2, 4)}),
+    ],
+    ids=["no-samples", "empty-ladder", "ladder-0", "ladder-negative"],
+)
+def test_estimation_refuses_no_samples_or_ladder(monkeypatch, fn, field, spec):
+    # these used to end in ValueError, IndexError or KeyError inside the
+    # orbit or the product pass; the refusal names the field, before any
+    # argument column is made
+    def no_orbit(*args):
+        raise AssertionError("an argument column was made")
+
+    for name in ("_orbit_stream", "_orbit_blocks"):
+        monkeypatch.setattr(cocycle, name, no_orbit)
+    cfg = EstimationSpec(**{"n_ladder": (4, 8), "n_samples": 4, **spec})
+    with pytest.raises(ValueError, match=field):
+        fn(SCALAR, 1, cfg) if fn is lyapunov_top else fn(SCALAR, cfg)
+
+
+def test_lyapunov_memory_does_not_grow_with_n():
+    """The orbit streams through the product pass, so the traced peak at n
+    = 4096 stays near the one at n = 128 (both read several orbit blocks of
+    16 columns); the whole (N, n) argument table took 500 x 4097 x 8 bytes
+    = 16.4 MB."""
+    run = lambda n: lyapunov_top(SCALAR, 1, EstimationSpec(n_ladder=(n,), n_samples=500))
+    run(128)  # caches and lazy set-up first
+    peaks = {}
+    for n in (128, 4096):
+        tracemalloc.start()
+        try:
+            run(n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4096] <= 1.5 * peaks[128], peaks
 
 
 def test_lyapunov_top_identity_is_zero():
