@@ -41,9 +41,8 @@ from .errors import (
 from .pisot import PisotNumber, _lattice_points, as_base, trace_power
 
 
-# rows (points x steps) of one block: _factors evaluates M over _width(N)
-# steps at a time, and _orbit_blocks makes the columns of 8 blocks at once,
-# so that finishing the trace orbit takes few numpy calls per column
+# rows (points x steps) of one block: _orbit_blocks makes, and _factors
+# evaluates M over, _width(N) columns (steps) at a time
 _BLOCK_ROWS = 1024
 
 
@@ -93,19 +92,19 @@ def orbit_fractions(base, x, length, shift=0):
     return out if np.ndim(x) == 1 else out[0]
 
 
-def _width(rows, blocks=1):
-    """Columns (steps) of that many blocks over rows points."""
-    return blocks * max(1, _BLOCK_ROWS // max(rows, 1))
+def _width(rows):
+    """Columns (steps) of one block over rows points."""
+    return max(1, _BLOCK_ROWS // max(rows, 1))
 
 
 def _orbit_blocks(base, points, length, shift=0, exact=True):
     """The columns of orbit_fractions(base, points, length, shift), or with
     exact=False the raw float x beta^(k+shift), in successive blocks of
-    _width(N, 8) columns: the producer of every argument column.  It keeps
+    _width(N) columns: the producer of every argument column.  It keeps
     only its state (the head's exponent, the recurrence window or Z).
     """
     xs = np.asarray(points, dtype=float)
-    beta, width = _beta_value(base), _width(xs.size, 8)
+    beta, width = _beta_value(base), _width(xs.size)
     head = min(max(-shift, 0), length) if exact else length
     for lo in range(shift, shift + head, width):
         ks = np.arange(lo, min(lo + width, shift + head))
@@ -118,10 +117,11 @@ def _orbit_blocks(base, points, length, shift=0, exact=True):
 
 def _trace_orbit(p, points, length, first):
     """frac(beta^(first+k) x), k = 0..length-1 and first >= 0, by the trace
-    recurrence, in blocks of _width(N, 8) columns.  The loop writes u / D
-    into its column (numpy divides int64 in float64, Python ints exactly,
-    rounding once); a full block is then moved by x sum sigma^k and reduced
-    modulo 1 in place.
+    recurrence, in blocks of _width(N) columns.  The loop writes u / D into
+    its column (numpy divides int64 in float64, Python ints exactly, rounding
+    once); a full block is then moved by x sum sigma^k and reduced modulo 1
+    in place.  A base with conjugates makes 8 blocks' columns at once, which
+    spreads the numpy calls of the drift over more columns.
     """
     a = [-c for c in p.minpoly[1:]]  # u_k = a_1 u_{k-1} + ... + a_r u_{k-r}
     r = p.degree
@@ -134,7 +134,7 @@ def _trace_orbit(p, points, length, first):
         np.array([v.numerator * t % v.denominator for v in points], dtype=dtype)
         for t in traces
     ]
-    xs, width = np.asarray(points, dtype=float), _width(len(points), 8)
+    xs, width = np.asarray(points, dtype=float), _width(len(points)) * (8 if r > 1 else 1)
     conj = np.array(p.conjugates, dtype=complex)
     for k in range(first + length):
         j, c = k - first, (k - first) % width
@@ -155,14 +155,14 @@ def _trace_orbit(p, points, length, first):
 
 def _fixed_point_orbit(beta, points, length, first):
     """frac(beta^(first+k) x), k = 0..length-1 and first >= 0, in blocks of
-    _width(N, 8) columns, for a plain float beta = m / 2^e: Z = floor(beta^k
+    _width(N) columns, for a plain float beta = m / 2^e: Z = floor(beta^k
     x 2^P) on Python ints for the whole batch, stepped as Z <- (Z m) >> e.
     Each step adds less than one unit of 2^-P to an error that grows by beta
     per step, so after length columns it is below beta^length / (beta - 1)
     2^-P <= 2^-64 (_fixed_point_bits).  A column is Z's top 53 fraction bits.
     """
     m, q = beta.as_integer_ratio()
-    e, P, width = q.bit_length() - 1, _fixed_point_bits(beta, length), _width(len(points), 8)
+    e, P, width = q.bit_length() - 1, _fixed_point_bits(beta, length), _width(len(points))
     Z = [(v.numerator * m**first << P) // (v.denominator << e * first) for v in points]
     Z = np.array(Z, dtype=object)
     for lo in range(0, length, width):
@@ -191,7 +191,7 @@ def _orbit_table(M, points, length, shift=0):
 
 
 def _orbit_info(M, points, length):
-    """How _orbit_table computes the orbit of points: {"mode": "none"} for a
+    """How _orbit_stream computes the orbit of points: {"mode": "none"} for a
     constant M, {"mode": "float"} for raw powers, {"mode": "trace",
     "denominator_bits": ...} for a Pisot beta and {"mode": "fixed", "bits":
     P} for a plain float beta (_fixed_point_bits)."""
@@ -663,7 +663,7 @@ def _factors(M, args, n, q=1):
 
     M is evaluated a block of _width(N) steps at a time, one eval_args call
     per block on a window of the max_scale + steps columns from the block's
-    first step on, so a stream holds one or two orbit blocks at any n.  The
+    first step on, so a stream holds a few orbit blocks at any n.  The
     carry shares the z of the columns that neighbouring blocks both read.  Each step is a view of its block; one q
     calls exterior_power per step, every q shares one _exterior_levels chain.
     """

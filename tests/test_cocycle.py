@@ -303,11 +303,12 @@ _STREAM_MODES = {
 @pytest.mark.parametrize("N", [1, 7, _BLOCK_ROWS + 1])
 @pytest.mark.parametrize("M, shift, D", _STREAM_MODES.values(), ids=_STREAM_MODES.keys())
 def test_streamed_blocks_are_the_rows_of_orbit_fractions(M, shift, D, N):
-    """The product passes read the orbit a block of 8 _BLOCK_ROWS // N
-    columns at a time; joined, the blocks are each point's own orbit to the
-    bit, across block edges (and the head edge of a negative shift)."""
+    """The product passes read the orbit a block of _BLOCK_ROWS // N columns
+    at a time (8 blocks' at a base with conjugates); joined, the blocks are
+    each point's own orbit to the bit, across block edges (and the head
+    edge of a negative shift)."""
     rows = 1 if M.is_constant else N  # a constant M reads one zero row
-    width = cocycle._width(rows, 8)
+    width = 8 * max(1, _BLOCK_ROWS // rows)
     L = max(40, width + 5)
     points = _sample_points(np.random.default_rng(N), N, GOLDEN)
     points = [x + Fraction(j + 1, D) for j, x in enumerate(points)]  # D >= 2^62: object dtype
@@ -1004,9 +1005,9 @@ def test_estimation_refuses_no_samples_or_ladder(monkeypatch, fn, field, spec):
 
 def test_lyapunov_memory_does_not_grow_with_n():
     """The orbit streams through the product pass, so the traced peak at n
-    = 4096 stays near the one at n = 128 (both read several orbit blocks of
-    16 columns); the whole (N, n) argument table took 500 x 4097 x 8 bytes
-    = 16.4 MB."""
+    = 4096 stays near the one at n = 128 (both read many orbit blocks of 2
+    columns); the whole (N, n) argument table took 500 x 4097 x 8 bytes =
+    16.4 MB."""
     run = lambda n: lyapunov_top(SCALAR, 1, EstimationSpec(n_ladder=(n,), n_samples=500))
     run(128)  # caches and lazy set-up first
     peaks = {}
