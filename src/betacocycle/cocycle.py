@@ -100,9 +100,9 @@ def _width(rows):
 def _orbit_blocks(base, points, length, shift=0, exact=True):
     """The columns of orbit_fractions(base, points, length, shift), or with
     exact=False the raw float x beta^(k+shift), in successive blocks of
-    _width(N) columns: the producer of every argument column.  It keeps
-    only its state (the head's exponent, the recurrence window or Z).
-    """
+    _width(N) columns (_trace_orbit's may be wider): the producer of every
+    argument column.  It keeps only its state (the head's exponent, the
+    recurrence window or Z)."""
     xs = np.asarray(points, dtype=float)
     beta, width = _beta_value(base), _width(xs.size)
     head = min(max(-shift, 0), length) if exact else length
