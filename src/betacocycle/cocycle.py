@@ -185,11 +185,6 @@ def _orbit_stream(M, points, length, shift=0):
     return _orbit_blocks(M.base, points, length, shift, M.entries_one_periodic)
 
 
-def _orbit_table(M, points, length, shift=0):
-    """The argument table of M over a batch of points: _orbit_stream joined."""
-    return np.hstack(list(_orbit_stream(M, points, length, shift)))
-
-
 def _orbit_info(M, points, length):
     """How _orbit_stream computes the orbit of points: {"mode": "none"} for a
     constant M, {"mode": "float"} for raw powers, {"mode": "trace",
@@ -318,15 +313,15 @@ class BetaAdaptedMatrix:
         cos_only = self._real and all(p._cos_only for _, _, cells in columns for _, _, p in cells)
         return min(scales), max(scales), orders, cos_only
 
-    def eval_args(self, args, k, steps=1, carry=None):
-        """Batched M at steps k..k+steps-1 from an argument table, one
+    def eval_args(self, args, steps=1, carry=None):
+        """Batched M at steps 0..steps-1 of a window of argument columns, one
         step-major (steps * N, d, d) stack: rows s N .. (s+1) N - 1 hold step
-        k + s, so steps=1 gives the (N, d, d) stack of step k.
+        s, so steps=1 gives the (N, d, d) stack of step 0.
 
         args[s, m] holds beta^m x_s (modulo 1 is fine: entries are
-        1-periodic); _factors passes its window of streamed columns, k = 0.
-        Entry (i, j) at step k reads column k + scale_ij.  Harmonic entries
-        read one window of columns, k + lo .. k + hi + steps - 1 (_window):
+        1-periodic); step k of a table is eval_args(table[:, k:]).  Entry
+        (i, j) at step s reads column s + scale_ij.  Harmonic entries read
+        one window of columns, lo .. hi + steps - 1 (_window):
         z = e(column) and its powers are computed once over the window, and
         each scale takes its slice.  carry, a dict that _factors hands from
         one block to the next, keeps the powers of the window's last hi - lo
@@ -336,8 +331,8 @@ class BetaAdaptedMatrix:
         """
         N = args.shape[0]
         lo, hi, orders, cos_only = self._window
-        window = _window_powers(args, k + lo, k + hi + steps, orders, cos_only, hi - lo, carry)
-        argument = lambda scale: args[:, k + scale : k + scale + steps].T.ravel()
+        window = _window_powers(args, lo, hi + steps, orders, cos_only, hi - lo, carry)
+        argument = lambda scale: args[:, scale : scale + steps].T.ravel()
         powers = lambda scale, _: {
             o: z[(scale - lo) * N : (scale - lo + steps) * N] for o, z in window.items()
         }
@@ -657,17 +652,18 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
 
 
 def _factors(M, args, n, q=1):
-    """M^{wedge q} at steps 0..n-1 of an argument table or of a stream of its
-    column blocks (_orbit_stream), yielded one (N, m, m) step at a time; for
-    q = None, the list of every degree q = 1..d.
+    """M^{wedge q} at steps 0..n-1 of a stream of argument column blocks
+    (_orbit_stream, _shifted_blocks, [table]), yielded one (N, m, m) step at
+    a time; for q = None, the list of every degree q = 1..d.
 
     M is evaluated a block of _width(N) steps at a time, one eval_args call
     per block on a window of the max_scale + steps columns from the block's
-    first step on, so a stream holds a few orbit blocks at any n.  The
-    carry shares the z of the columns that neighbouring blocks both read.  Each step is a view of its block; one q
-    calls exterior_power per step, every q shares one _exterior_levels chain.
+    first step on, so a stream holds a few orbit blocks at any n.  The carry
+    shares the z of the columns that neighbouring blocks both read.  Each
+    step is a view of its block; one q calls exterior_power per step, every
+    q shares one _exterior_levels chain.
     """
-    blocks = iter([args] if isinstance(args, np.ndarray) else args)
+    blocks = iter(args)
     window = next(blocks)
     N, block, scale = window.shape[0], _width(window.shape[0]), M.max_scale
     carry = {}
@@ -676,7 +672,7 @@ def _factors(M, args, n, q=1):
         while window.shape[1] < scale + steps:
             more = next(blocks)
             window = np.concatenate((window.T, more.T)).T if window.shape[1] else more
-        factors = M.eval_args(window, 0, steps, carry)
+        factors = M.eval_args(window, steps, carry)
         window = window[:, steps:]
         for s in range(steps):
             A = factors[s * N : (s + 1) * N]
@@ -684,15 +680,16 @@ def _factors(M, args, n, q=1):
 
 
 def _wedge_products(M, q, args, checkpoints):
-    """[(at, acc)] of M^{wedge q} over the rows of args (_factors): at[n] = log
-    ||P_n^{wedge q}|| at the checkpoints, acc the unit product after the last
-    step.  One pair for one q, whose bare stacks the engine takes as lists of
-    one; for q = None, d pairs, every q = 1..d from one pass; float64 for a
-    _real M at q = 1 or None, where the factors are float64."""
+    """[(at, acc)] of M^{wedge q} over the rows of a stream of column blocks
+    args (_factors): at[n] = log ||P_n^{wedge q}|| at the checkpoints, acc the
+    unit product after the last step.  One pair for one q, whose bare stacks
+    the engine takes as lists of one; for q = None, d pairs, every q = 1..d
+    from one pass; float64 for a _real M at q = 1 or None, where the factors
+    are float64."""
     qs = range(1, M.dim + 1) if q is None else [q]
     dtype = float if M._real and q in (None, 1) else complex
     eyes = [np.eye(math.comb(M.dim, r), dtype=dtype) for r in qs]
-    blocks = iter([args] if isinstance(args, np.ndarray) else args)
+    blocks = iter(args)
     first = next(blocks)  # its rows are the batch
     starts = [np.broadcast_to(eye, (first.shape[0],) + eye.shape) for eye in eyes]
     factors = _factors(M, itertools.chain([first], blocks), max(checkpoints), q)
@@ -792,7 +789,7 @@ def lyapunov_top(M, q, cfg=None):
         "per_n_std": per_n_std,
         "dispersion": per_n_std[n_max],
         "seed": cfg.seed,
-        "n_samples": res[n_max].size,
+        "n_samples": cfg.n_samples,
         "orbit": orbit,
     }
     if len(ladder) >= 2 and ladder[-1] == 2 * ladder[-2]:
@@ -1015,14 +1012,15 @@ class JointPeriodCertificate:
     c_hold: float = 0.0
 
 
-def _shifted_tables(base, base_args, coords):
-    """Orbit tables of x + tau for each tau, stacked tau-major into one
-    (len(coords) * N, L) array, from the (N, L) table base_args of x.
+def _shifted_blocks(base, base_args, coords):
+    """Orbit columns of x + tau for each tau, stacked tau-major in blocks of
+    _width(len(coords) * N) columns, from the (N, L) table base_args of x.
 
     tau in Z[beta] is given by its integer power-basis coordinates.  Since
     beta^k tau + sum_sigma sigma(tau) sigma^k is an integer trace,
     frac(beta^k (x + tau)) = frac(frac(beta^k x) - Re sum_sigma sigma(tau)
-    sigma^k): exact up to a float term that decays like rho^k.
+    sigma^k): exact up to a float term that decays like rho^k.  Each block
+    slices one drift matmul, whose rounding may depend on its shape.
     """
     conj = np.array(base.conjugates, dtype=complex)
     L = base_args.shape[1]
@@ -1030,13 +1028,11 @@ def _shifted_tables(base, base_args, coords):
     coords = np.array(coords, dtype=float).reshape(len(coords), base.degree)
     sigma_tau = coords @ sigma_pows[:, : base.degree].T
     drift = (sigma_tau @ sigma_pows[:, :L]).real  # (len(coords), L)
-    N = base_args.shape[0]
-    out = np.empty((len(coords) * N, L), order="F")  # columns are read
-    for t, row in enumerate(drift):
-        block = out[t * N : (t + 1) * N]
-        np.subtract(base_args, row, out=block)
-        block -= np.floor(block)
-    return out
+    width = _width(len(coords) * base_args.shape[0])
+    for lo in range(0, L, width):
+        cols = base_args[:, lo : lo + width] - drift[:, None, lo : lo + width]
+        cols = cols.reshape(-1, cols.shape[2])
+        yield np.subtract(cols, np.floor(cols), out=cols)
 
 
 def _digit_box_sup(z):
@@ -1055,7 +1051,7 @@ def _holder_constant(M, q, lattice_level):
     all x, k >= 0 and the lattice translations tau of level lattice_level.
 
     The orbit of x + tau is that of x moved by delta_k = Re sum_sigma
-    sigma(tau) sigma^k (_shifted_tables), and sigma(tau) = sum_i eta_i
+    sigma(tau) sigma^k (_shifted_blocks), and sigma(tau) = sum_i eta_i
     sigma^i with eta_i in {0..digit_max}, so |delta_k| <= S rho^k.  An entry
     sum c_k e(kx) at scale s reads delta_(k+s) and is Lipschitz with constant
     2 pi sum |k||c_k|.  For q > 1, ||wedge^q A - wedge^q B|| <= q ||A - B||
@@ -1137,9 +1133,9 @@ def joint_period_verify(M, q, cert, m, n_list, grid=256, max_tau=64):
     lattice translations of level m, the n in n_list and x = j/grid; raises
     CertificateViolated above 1.1 script_C.  At an integer base every tau is
     an exact period, so it returns 0.0 with no lattice, orbit or product.
-    Otherwise both orbits are exact (orbit_fractions, moved by the trace
-    shift of _shifted_tables), and the tau run in chunks of _VERIFY_ROWS //
-    grid, each one stacked (chunk * grid, L) table and one _log_norms call.
+    Otherwise both orbits are exact: the grid's orbit_fractions table, and
+    that table moved by the trace shift of _shifted_blocks, streamed for a
+    chunk of _VERIFY_ROWS // grid tau at a time into one _log_norms call.
     """
     _require_certifiable(M)
     n_list = sorted(set(int(n) for n in n_list))
@@ -1154,16 +1150,16 @@ def joint_period_verify(M, q, cert, m, n_list, grid=256, max_tau=64):
     idx = np.linspace(0, len(values) - 1, min(len(values), max_tau)).astype(int)
     coords = coords[idx][values[idx] != 0.0]
     base_args = orbit_fractions(M.base, [Fraction(j, grid) for j in range(grid)], L)
-    base_res = _log_norms(M, q, base_args, n_list)
+    base_res = _log_norms(M, q, [base_args], n_list)
     chunk = max(1, _VERIFY_ROWS // grid)
     worst = 0.0
     for lo in range(0, len(coords), chunk):
         block = coords[lo : lo + chunk]
-        res = _log_norms(M, q, _shifted_tables(M.base, base_args, block), n_list)
+        res = _log_norms(M, q, _shifted_blocks(M.base, base_args, block), n_list)
         for n in n_list:
             gap = np.abs(res[n].reshape(len(block), grid) - base_res[n])
             worst = max(worst, float(gap.max()))
-        del res  # free this chunk's checkpoints before the next table is built
+        del res  # free this chunk's checkpoints before the next chunk runs
     if worst > cert.script_C * 1.1:
         raise CertificateViolated(
             "max discrepancy %.6g exceeds script_C=%.6g by more than 10%%"

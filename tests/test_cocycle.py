@@ -28,7 +28,7 @@ from betacocycle.cocycle import (
     _log_norms,
     _opnorm,
     _orbit_info,
-    _orbit_table,
+    _orbit_stream,
     _sample_orbit,
     _sample_points,
     _wedge_products,
@@ -257,7 +257,8 @@ def test_plain_float_beta_walks_only_nonnegative_exponents(monkeypatch):
 def test_orbit_table_modes():
     xs = [Fraction(1, 3), Fraction(2, 7)]
     # 1-periodic entries: the exact orbit, shift included
-    table = _orbit_table(SCALAR, xs, 6, shift=-2)
+    joined = lambda M, length, shift=0: np.hstack(list(_orbit_stream(M, xs, length, shift)))
+    table = joined(SCALAR, 6, shift=-2)
     assert np.array_equal(table, orbit_fractions(BASE2, xs, 6, shift=-2))
     assert _orbit_info(SCALAR, xs, 6) == {"mode": "trace", "denominator_bits": 3}
     mp_scalar = scalar_matrix(constant(2.0) + cosine(TWO_PI), 2.5)
@@ -267,13 +268,13 @@ def test_orbit_table_modes():
     assert _orbit_info(near_one, xs, 2000) == {"mode": "fixed", "bits": 85}
     # other entries: raw powers beta^(m + shift) x
     M = beta_adapted_matrix([[cosine(1.0)]], GOLDEN, allow_nonperiodic=True)
-    table = _orbit_table(M, xs, 6, shift=-2)
+    table = joined(M, 6, shift=-2)
     raw = [[float(x) * GOLDEN.beta ** (m - 2) for m in range(6)] for x in xs]
     assert np.allclose(table, raw, rtol=1e-15, atol=0.0)
     assert _orbit_info(M, xs, 6) == {"mode": "float"}
     # a constant matrix: one zero row for any number of points
     C = constant_matrix(np.diag([2.0, 0.5]), GOLDEN)
-    assert np.array_equal(_orbit_table(C, xs, 6), np.zeros((1, 6)))
+    assert np.array_equal(joined(C, 6), np.zeros((1, 6)))
     assert _orbit_info(C, xs, 6) == {"mode": "none"}
 
 
@@ -496,7 +497,7 @@ def test_matrix_evaluation_paths_agree_with_entrywise_values():
     want[:, 1, 1] = harmonic(2, 0.3).evaluate(xs)
     args = xs[:, None] * beta ** np.arange(2)[None, :]
     assert np.array_equal(M.evaluate_batch(xs), want)
-    assert np.array_equal(M.eval_args(args, 0), want)
+    assert np.array_equal(M.eval_args(args), want)
     assert np.array_equal(M.evaluate(xs[1]), want[1])
 
 
@@ -527,22 +528,39 @@ def test_factors_in_blocks_equal_per_step_evaluation(name, N):
     points = _sample_points(np.random.default_rng(N), N, M.base)
     args = orbit_fractions(M.base, points, n + M.max_scale + 1)
     for q in (1, 2):
-        got = list(_factors(M, args, n, q))
+        got = list(_factors(M, [args], n, q))
         assert len(got) == n
         for k, A in enumerate(got):
-            want = M.eval_args(args, k)
+            want = M.eval_args(args[:, k:])
             if q > 1:
                 want = exterior_power(want, q)
             assert A.shape == want.shape and np.array_equal(A, want), (q, k)
 
 
+@given(pisot_bases(), st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_cocycle_identity_at_random_bases(p, n, m, seed):
+    """P_{n+m}(x) = P_m(beta^n x) P_n(x): the head's columns and then the tail's,
+    cut from one orbit table, give the product over the whole table; 100
+    points run 10 steps per block, so the cut falls inside blocks."""
+    M = bernoulli_companion(0.2, base=p)
+    points = _sample_points(np.random.default_rng(seed), 100, p)
+    table = orbit_fractions(p, points, n + m + M.max_scale)
+    start = np.broadcast_to(np.eye(2, dtype=complex), (100, 2, 2))
+    at, _, acc = _batched_cocycle(_factors(M, [table], n + m), start, [n + m])
+    _, head, unit = _batched_cocycle(_factors(M, [table[:, : n + M.max_scale]], n), start)
+    tail, _, tail_acc = _batched_cocycle(_factors(M, [table[:, n:]], m), unit, [m])
+    assert np.max(np.abs(at[n + m] - (head + tail[m]))) <= 1e-12
+    assert np.max(np.abs(acc - tail_acc)) <= 1e-12
+
+
 def test_eval_args_steps_stack_the_steps_step_major():
     M = _block_matrix("tribonacci")
     args = orbit_fractions(M.base, [Fraction(1, 3), Fraction(2, 7), 1.25], 12)
-    stack = M.eval_args(args, 2, steps=4)
+    stack = M.eval_args(args[:, 2:], steps=4)
     assert stack.shape == (12, 3, 3)
     for s in range(4):
-        assert np.array_equal(stack[3 * s : 3 * s + 3], M.eval_args(args, 2 + s))
+        assert np.array_equal(stack[3 * s : 3 * s + 3], M.eval_args(args[:, 2 + s :]))
 
 
 # --- real-valued cocycles ---------------------------------------------------
@@ -575,7 +593,7 @@ def test_cosine_series_stack_is_the_real_part_of_the_complex_stack(poly):
     M = _real_matrix(poly)
     assert poly._cos_only and M._real and M._window[3]
     args = orbit_fractions(M.base, _sample_points(np.random.default_rng(5), 300, M.base), 12)
-    got = M.eval_args(args, 0, steps=10)
+    got = M.eval_args(args, steps=10)
     want = np.concatenate([_complex_stack(M, args, k) for k in range(10)])
     assert got.dtype == np.float64
     assert np.array_equal(got, want.real) and not want.imag.any()
@@ -597,7 +615,7 @@ def test_real_entries_that_read_im_z_match_the_complex_stack(poly):
     M = _real_matrix(poly)
     assert M._real and not poly._cos_only and not M._window[3]
     args = orbit_fractions(M.base, _sample_points(np.random.default_rng(6), 300, M.base), 12)
-    got = M.eval_args(args, 0, steps=10)
+    got = M.eval_args(args, steps=10)
     want = np.concatenate([_complex_stack(M, args, k) for k in range(10)])
     assert got.dtype == np.float64
     assert np.all(np.abs(got - want.real) <= 1e-15 * np.abs(want))
@@ -611,7 +629,7 @@ def test_complex_valued_matrices_keep_complex_stacks():
     for M in (bernoulli_companion(0.2), _d4_matrix(), imaginary_constant):
         assert not M._real and not M._window[3]
         args = orbit_fractions(M.base, [Fraction(1, 3), Fraction(2, 7), 1.25], 8)
-        got = M.eval_args(args, 0, steps=3)
+        got = M.eval_args(args, steps=3)
         assert got.dtype == np.complex128
         assert np.array_equal(got, np.concatenate([_complex_stack(M, args, k) for k in range(3)]))
 
@@ -832,7 +850,7 @@ def test_spectrum_unchanged_against_det_per_minor(monkeypatch):
     monkeypatch.setattr(cocycle, "exterior_power", by_det)
     _, columns, _ = _sample_orbit(M, cfg)
     args = np.hstack(list(columns))
-    sums = [0.0] + [float(np.mean(_log_norms(M, q, args, [32])[32] / 32)) for q in range(1, 5)]
+    sums = [0.0] + [float(np.mean(_log_norms(M, q, [args], [32])[32] / 32)) for q in range(1, 5)]
     reference = _exponent_groups(sums, cfg.cluster_tol)
     assert sorted(set(degrees)) == [2, 3, 4]
     assert [m for _, m in shipped] == [m for _, m in reference]
@@ -867,15 +885,15 @@ def test_exterior_levels_are_the_exterior_powers(d):
 
 def _per_degree_products(M, q, args, checkpoints):
     """Reference for _wedge_products(M, None, ...): one engine run per degree,
-    with exterior_power taken per step, as the per-q passes ran; a stream
+    with exterior_power taken per step, as the per-q passes ran; the stream
     of argument columns is gathered into its table first."""
     assert q is None
-    args = args if isinstance(args, np.ndarray) else np.hstack(list(args))
+    args = np.hstack(list(args))
     out = []
     for r in range(1, M.dim + 1):
         eye = np.eye(math.comb(M.dim, r), dtype=complex)
         start = np.broadcast_to(eye, (args.shape[0],) + eye.shape)
-        factors = _factors(M, args, max(checkpoints), r)
+        factors = _factors(M, [args], max(checkpoints), r)
         at, logs, acc = _batched_cocycle(factors, start, checkpoints)
         if np.isneginf(logs).any():
             raise SingularFactor("product of wedge power %d vanishes" % r)
@@ -894,11 +912,11 @@ def test_every_degree_pass_equals_per_degree_passes(name, N):
     checkpoints = [1, 3 + block // 2, n]
     points = _sample_points(np.random.default_rng(N), N, M.base)
     args = orbit_fractions(M.base, points, n + M.max_scale + 1)
-    got = _wedge_products(M, None, args, checkpoints)
-    want = _per_degree_products(M, None, args, checkpoints)
+    got = _wedge_products(M, None, [args], checkpoints)
+    want = _per_degree_products(M, None, [args], checkpoints)
     assert len(got) == M.dim
     for q, ((at, acc), (ref_at, ref_acc)) in enumerate(zip(got, want), start=1):
-        ref_log_norms = _log_norms(M, q, args, checkpoints)
+        ref_log_norms = _log_norms(M, q, [args], checkpoints)
         for c in checkpoints:
             assert np.array_equal(at[c], ref_at[c]) and np.array_equal(at[c], ref_log_norms[c])
         assert np.array_equal(acc, ref_acc), q
@@ -936,7 +954,7 @@ def test_subadditive_sequence_determinant_channel():
     fr = orbit_fractions(BASE2, x, 14)
     expected = np.cumsum(
         [
-            math.log(abs(np.linalg.det(M.eval_args(fr[None, :], k)[0])))
+            math.log(abs(np.linalg.det(M.eval_args(fr[None, k:])[0])))
             for k in range(12)
         ]
     )
@@ -963,7 +981,7 @@ def test_exterior_degree_outside_1_to_d_is_refused(monkeypatch, q):
     def no_table(*args):
         raise AssertionError("an argument column was made")
 
-    for name in ("_orbit_table", "_orbit_stream", "_orbit_blocks"):
+    for name in ("_orbit_stream", "_orbit_blocks"):
         monkeypatch.setattr(cocycle, name, no_table)
     M = bernoulli_companion(0.2, BASE2)
     with pytest.raises(ValueError, match="q must satisfy 1 <= q <= d"):
@@ -1026,6 +1044,13 @@ def test_lyapunov_top_identity_is_zero():
     est, diag = lyapunov_top(M, 1, EstimationSpec(n_samples=4))
     assert est == pytest.approx(0.0, abs=1e-12)
     assert diag["dispersion"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_constant_matrix_reports_the_samples_it_was_asked_for():
+    # the orbit of a constant M is one zero row, which used to be counted
+    M = constant_matrix(np.eye(2), GOLDEN)
+    _, diag = lyapunov_top(M, 1, EstimationSpec(n_ladder=(4, 8), n_samples=4))
+    assert diag["n_samples"] == 4
 
 
 def test_lyapunov_top_constant_spectral_radius():
@@ -1377,8 +1402,8 @@ def test_log_norms_row_does_not_depend_on_its_batch(M, q):
     # 1600 rows run one step per block, the 8-row table 128
     grid = orbit_fractions(M.base, [Fraction(j, 8) for j in range(8)], 41 + M.max_scale)
     assert 200 * len(grid) > _BLOCK_ROWS
-    alone = cocycle._log_norms(M, q, grid, range(1, 41))
-    stacked = cocycle._log_norms(M, q, np.tile(grid, (200, 1)), range(1, 41))
+    alone = cocycle._log_norms(M, q, [grid], range(1, 41))
+    stacked = cocycle._log_norms(M, q, [np.tile(grid, (200, 1))], range(1, 41))
     for n in range(1, 41):
         assert np.array_equal(stacked[n], np.tile(alone[n], 200))
 
@@ -1427,8 +1452,8 @@ def test_verify_shifted_orbit_is_the_exact_orbit(monkeypatch):
     tables = []
 
     def record(M, q, args, checkpoints):
-        tables.append(args.copy())
-        return {n: np.zeros(args.shape[0]) for n in checkpoints}
+        tables.append(np.hstack(list(args)))  # the column blocks, joined
+        return {n: np.zeros(tables[-1].shape[0]) for n in checkpoints}
 
     monkeypatch.setattr(cocycle, "_log_norms", record)
     M = scalar_matrix(constant(2.0) + harmonic(1, 0.5), GOLDEN)
@@ -1444,6 +1469,36 @@ def test_verify_shifted_orbit_is_the_exact_orbit(monkeypatch):
             assert circle_distance(table[j], want) < 1e-12
 
 
+def test_verify_streams_its_shifted_orbits(monkeypatch):
+    # each chunk of translations reaches the engine as blocks of at most
+    # _width(rows) columns, not as one (rows, 202) table
+    shapes = []
+
+    def record(M, q, args, checkpoints):
+        shapes.append([block.shape for block in args])
+        return {n: np.zeros(shapes[-1][0][0]) for n in checkpoints}
+
+    monkeypatch.setattr(cocycle, "_log_norms", record)
+    M = bernoulli_companion(0.2)
+    cert = joint_period_certificate(M, q=1)
+    joint_period_verify(M, 1, cert, m=8, n_list=range(1, 201))
+    base, *chunks = shapes
+    assert base == [(256, 202)] and chunks  # the grid's orbit_fractions table
+    for blocks in chunks:
+        rows = blocks[0][0]
+        assert all(r == rows and w <= cocycle._width(rows) for r, w in blocks)
+        assert sum(w for _, w in blocks) == 202
+
+
+def test_verify_of_a_constant_matrix_is_exact():
+    # the grid's table has a row per point; the one-row orbit that a
+    # constant M streams would not reshape to (chunk, grid)
+    M = constant_matrix(np.diag([1.2, 1.0]), GOLDEN)
+    cert = joint_period_certificate(M, q=1)
+    assert cert.script_C == 0.0
+    assert joint_period_verify(M, 1, cert, m=2, n_list=[5], grid=8) == 0.0
+
+
 def _verify_per_tau(M, q, m, n_list, grid, max_tau=64):
     """The unstacked verification: one shifted table and one _log_norms call
     per lattice translation, the shift built from the conjugates directly."""
@@ -1455,7 +1510,7 @@ def _verify_per_tau(M, q, m, n_list, grid, max_tau=64):
         idx = np.linspace(0, len(taus) - 1, max_tau).astype(int)
         taus = [taus[i] for i in idx]
     base_args = orbit_fractions(M.base, [Fraction(j, grid) for j in range(grid)], L)
-    base_res = cocycle._log_norms(M, q, base_args, n_list)
+    base_res = cocycle._log_norms(M, q, [base_args], n_list)
     conj = np.array(M.base.conjugates, dtype=complex)
     worst = 0.0
     for tau, coords in taus:
@@ -1465,7 +1520,7 @@ def _verify_per_tau(M, q, m, n_list, grid, max_tau=64):
         drift = (sigma_tau[:, None] * conj[:, None] ** np.arange(L)).sum(axis=0).real
         shifted = base_args - drift
         shifted -= np.floor(shifted)
-        res = cocycle._log_norms(M, q, shifted, n_list)
+        res = cocycle._log_norms(M, q, [shifted], n_list)
         for n in n_list:
             worst = max(worst, float(np.max(np.abs(res[n] - base_res[n]))))
     return worst
@@ -1526,10 +1581,10 @@ def _sampled_holder_maxima(M, q, m, steps=20, grid=96, count=24):
     taus = [coords[i] for i in idx if values[i] != 0.0]
     points = [Fraction(j, grid) for j in range(grid)]
     base_args = orbit_fractions(M.base, points, steps + M.max_scale)
-    shifted = cocycle._shifted_tables(M.base, base_args, taus)
+    shifted = np.hstack(list(cocycle._shifted_blocks(M.base, base_args, taus)))
     maxima = []
     for k in range(steps):
-        A, B = M.eval_args(base_args, k), M.eval_args(shifted, k)
+        A, B = M.eval_args(base_args[:, k:]), M.eval_args(shifted[:, k:])
         if q > 1:
             A, B = exterior_power(A, q), exterior_power(B, q)
         diff = B.reshape((len(taus),) + A.shape) - A
