@@ -1047,7 +1047,7 @@ def test_lyapunov_top_identity_is_zero():
 
 
 def test_constant_matrix_reports_the_samples_it_was_asked_for():
-    # the orbit of a constant M is one zero row, which used to be counted
+    # the orbit of a constant M is one zero row, not a row per sample
     M = constant_matrix(np.eye(2), GOLDEN)
     _, diag = lyapunov_top(M, 1, EstimationSpec(n_ladder=(4, 8), n_samples=4))
     assert diag["n_samples"] == 4
