@@ -399,7 +399,7 @@ def _run_certify(cfg, report):
         n_list=range(1, _param(cfg, "verify_n", 40, int) + 1),
         grid=_param(cfg, "verify_grid", 256, int),
     )
-    report.summary["exact_periods"] = not M.base.conjugates
+    report.summary["exact_periods"] = not M.base.conjugates or M.is_constant
 
 
 def _run_solve(cfg, report):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -456,7 +457,8 @@ def product(M, x, n):
     if n == 0:
         return NormalizedProduct(0.0, eye, 0)
     columns = _orbit_stream(M, [x], n + M.max_scale + 1)
-    _, logs, acc = _batched_cocycle(_factors(M, columns, n), (eye.real if M._real else eye)[None])
+    start = (eye.real if M._real else eye)[None]
+    (logs,), (acc,) = deque(_batched_cocycle(zip(_factors(M, columns, n)), [start]), 1)[0]
     if logs[0] == -math.inf:
         raise SingularFactor("product P_%d vanishes" % n)
     s = _opnorm(acc[0])
@@ -565,18 +567,19 @@ def _mul2x2(A, B):
     return out
 
 
-def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
+def _batched_cocycle(factors, starts):
     """The renormalized product engine; every cocycle product runs here.
 
-    factors yields (N, m, m) stacks, step 0 first, applied to start: (N, m, m)
-    matrices or (N, m, 1) column vectors.  Each step divides the product by
-    its Frobenius norm and adds the log of that scale to logs, so the product
-    is exp(logs) * acc; a vanished row keeps acc = 0 and logs = -inf, a
-    non-finite scale raises.  Returns (at, logs, acc) after the last step,
-    with at[n] = logs + log(norm(acc)) after step n for each checkpoint n.
-    start may also be a list of stacks, accumulators run in lockstep: factors
-    then yields a list per step, one stack for each, every accumulator takes
-    the step it would take alone, and a list of (at, logs, acc) is returned.
+    starts is a list of accumulators, (N, m, m) matrices or (N, m, 1) column
+    vectors, run in lockstep: factors yields one list per step, step 0 first,
+    one (N, m, m) stack for each, and each accumulator takes the step it
+    would take alone.  Each step divides the product by its Frobenius norm
+    and adds the log of that scale to logs, so the product is exp(logs) *
+    acc; a vanished row keeps acc = 0 and logs = -inf, a non-finite scale
+    raises.  Yields the state (logs, accs), lists in the order of starts,
+    before the first step and after each, so item k is P_k.  The lists and
+    arrays belong to the engine, and the next step updates them: a reader
+    keeps only what it computes from them (_wedge_products takes a norm).
 
     The step is a product of scalars for 1 x 1, explicit entry formulas
     (_mul2x2) for a (N, 2, 2) accumulator, two float64 matmuls for a square
@@ -601,19 +604,12 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
     Every product is scaled by 1 / fro, which is what complex division by
     fro multiplies by (11.5 against 20 us at 2500 rows of 1 x 1).
     """
-    many = isinstance(start, list)
-    accs = [np.asarray(s) for s in (start if many else [start])]
-    slots = {n: i for i, n in enumerate(sorted(set(checkpoints)))}
-    # checkpoint values are rows of one table per accumulator: a small array
-    # kept per checkpoint, between the step temporaries, fragmented the heap
-    # (about 1 MB more peak RSS for 40 checkpoints at N = 2048)
-    tables = [np.empty((len(slots), acc.shape[0])) for acc in accs]
+    accs = [np.asarray(s) for s in starts]
     kinds = [acc.shape[1:] for acc in accs]
     logs = [np.zeros(acc.shape[0]) for acc in accs]
-    ats = [{} for _ in accs]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k, As in enumerate(factors if many else zip(factors), start=1):
-            slot = slots.get(k)
+    yield logs, accs
+    for k, As in enumerate(factors, start=1):
+        with np.errstate(divide="ignore", invalid="ignore"):
             for i, A in enumerate(As):
                 acc, kind = accs[i], kinds[i]
                 if kind == (1, 1):  # a product of scalars
@@ -625,7 +621,7 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
                     X[..., 0::2] -= Y[..., 1::2]  # Re A Re P - Im A Im P
                     X[..., 1::2] += Y[..., 0::2]  # Re A Im P + Im A Re P
                     acc = X.view(complex)
-                    del Y  # else it outlives the checkpoint norm and the next accumulator's step
+                    del Y  # else it lives on through the yield and the next accumulator's step
                 else:
                     acc = A @ acc
                 if kind == (1, 1):
@@ -644,11 +640,7 @@ def _batched_cocycle(factors, start, checkpoints=(), norm=_opnorm):
                 acc *= (1.0 / fro)[:, None, None]  # as complex division by fro does
                 logs[i] += step
                 accs[i] = acc
-                if slot is not None:
-                    ats[i][k] = row = tables[i][slot]
-                    np.log(norm(acc), out=row)
-                    row += logs[i]
-    return list(zip(ats, logs, accs)) if many else (ats[0], logs[0], accs[0])
+        yield logs, accs
 
 
 def _factors(M, args, n, q=1):
@@ -680,12 +672,13 @@ def _factors(M, args, n, q=1):
 
 
 def _wedge_products(M, q, args, checkpoints):
-    """[(at, acc)] of M^{wedge q} over the rows of a stream of column blocks
-    args (_factors): at[n] = log ||P_n^{wedge q}|| at the checkpoints, acc the
-    unit product after the last step.  One pair for one q, whose bare stacks
-    the engine takes as lists of one; for q = None, d pairs, every q = 1..d
-    from one pass; float64 for a _real M at q = 1 or None, where the factors
-    are float64."""
+    """Yields (n, rows, accs) at each checkpoint n, ascending, of M^{wedge q}
+    over the rows of a stream of column blocks args (_factors): rows[r] = log
+    ||P_n^{wedge q}||, the reader's own, and accs[r] the engine's unit product
+    (_batched_cocycle).  One of each for one q, d for q = None (every q =
+    1..d from one pass); float64 for a _real M at q = 1 or None, where the
+    factors are float64.  SingularFactor after the last step if a product
+    vanished."""
     qs = range(1, M.dim + 1) if q is None else [q]
     dtype = float if M._real and q in (None, 1) else complex
     eyes = [np.eye(math.comb(M.dim, r), dtype=dtype) for r in qs]
@@ -693,16 +686,21 @@ def _wedge_products(M, q, args, checkpoints):
     first = next(blocks)  # its rows are the batch
     starts = [np.broadcast_to(eye, (first.shape[0],) + eye.shape) for eye in eyes]
     factors = _factors(M, itertools.chain([first], blocks), max(checkpoints), q)
-    passes = _batched_cocycle(factors if q is None else zip(factors), starts, checkpoints)
-    for r, (_, logs, _) in zip(qs, passes):
-        if np.isneginf(logs).any():
+    wanted = set(checkpoints)
+    states = _batched_cocycle(factors if q is None else zip(factors), starts)
+    for n, (logs, accs) in enumerate(states):
+        if n in wanted:
+            with np.errstate(divide="ignore"):  # log 0 = -inf on a vanished row
+                rows = [np.log(_opnorm(acc)) + lg for acc, lg in zip(accs, logs)]
+            yield n, rows, accs
+    for r, lg in zip(qs, logs):
+        if np.isneginf(lg).any():
             raise SingularFactor("product of wedge power %d vanishes" % r)
-    return [(at, acc) for at, _, acc in passes]
 
 
 def _log_norms(M, q, args, checkpoints):
-    """{n: log ||P_n^{wedge q}||} at the checkpoints, one value per row of args."""
-    return _wedge_products(M, q, args, checkpoints)[0][0]
+    """(n, log ||P_n^{wedge q}||) at each checkpoint n, ascending, a value per row of args."""
+    return ((n, rows[0]) for n, rows, _ in _wedge_products(M, q, args, checkpoints))
 
 
 def subadditive_sequence(M, q, x, n_max):
@@ -712,8 +710,7 @@ def subadditive_sequence(M, q, x, n_max):
     if not 1 <= q <= M.dim:  # before any column is made
         raise ValueError("q must satisfy 1 <= q <= d")
     columns = _orbit_stream(M, [x], n_max + M.max_scale + 1)
-    res = _log_norms(M, q, columns, range(1, n_max + 1))
-    return np.array([res[n][0] for n in range(1, n_max + 1)])
+    return np.array([row[0] for _, row in _log_norms(M, q, columns, range(1, n_max + 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +777,7 @@ def lyapunov_top(M, q, cfg=None):
     cfg = cfg or EstimationSpec()
     ladder, columns, orbit = _sample_orbit(M, cfg)
     n_max = ladder[-1]
-    res = _log_norms(M, q, columns, ladder)
+    res = dict(_log_norms(M, q, columns, ladder))
     per_n = {n: float(np.mean(res[n] / n)) for n in ladder}
     per_n_std = {n: float(np.std(res[n] / n)) for n in ladder}
     estimate = min(per_n.values())
@@ -828,8 +825,9 @@ def lyapunov_spectrum(M, cfg=None):
     cfg = cfg or EstimationSpec()
     ladder, columns, _ = _sample_orbit(M, cfg)
     tol = cfg.cluster_tol if cfg.cluster_tol is not None else 5.0 / ladder[-1]
-    passes = _wedge_products(M, None, columns, ladder)
-    sums = [0.0] + [min(float(np.mean(at[n] / n)) for n in ladder) for at, _ in passes]
+    items = _wedge_products(M, None, columns, ladder)
+    means = [[float(np.mean(row / n)) for row in rows] for n, rows, _ in items]
+    sums = [0.0] + [min(per_q) for per_q in zip(*means)]
     return _exponent_groups(sums, tol)
 
 
@@ -873,9 +871,9 @@ def oseledec_at(M, x, n, cluster_tol=None):
     tol = cluster_tol if cluster_tol is not None else 5.0 / n
     d = M.dim
     columns = _orbit_stream(M, [x], n + M.max_scale + 1)
-    passes = _wedge_products(M, None, columns, (n,))
-    sums = [0.0] + [float(at[n][0]) / n for at, _ in passes]
-    units = [None] + [acc[0] for _, acc in passes]
+    [(_, rows, accs)] = _wedge_products(M, None, columns, (n,))
+    sums = [0.0] + [float(row[0]) / n for row in rows]
+    units = [None] + [acc[0] for acc in accs]
     exponents, multiplicities = zip(*_exponent_groups(sums, tol))
     basis = np.empty((d, 0), dtype=complex)  # slowest first, built fastest first
     for k in itertools.accumulate(reversed(multiplicities)):
@@ -982,7 +980,8 @@ def distortion_bound(M, xs, ys, v):
 
     def log_product_norm(mats):
         # mats[0] is the leftmost factor, so the engine takes them reversed
-        _, logs, w = _batched_cocycle(mats[::-1, None], v[None, :, None])
+        states = _batched_cocycle(zip(mats[::-1, None]), [v[None, :, None]])
+        (logs,), (w,) = deque(states, 1)[0]
         if logs[0] == -math.inf:
             raise SingularFactor("vector annihilated inside the product")
         return float(logs[0]) + math.log(norm(w[0, :, 0]))
@@ -1000,7 +999,7 @@ class JointPeriodCertificate:
     uniformly over the lattice translations tau of level lattice_level.  It
     is 1.01 c_hold times D / (1 - D rho) or 1 / (delta (1 - rho)), c_hold the
     closed-form Hoelder constant of _holder_constant, and exactly 0 at an
-    integer base.  rho_alpha is rho (exponent 1).
+    integer base or for a constant M.  rho_alpha is rho (exponent 1).
     """
 
     kind: str
@@ -1131,11 +1130,12 @@ def joint_period_verify(M, q, cert, m, n_list, grid=256, max_tau=64):
 
     Returns the maximum of |f_n^{(q)}(x+tau) - f_n^{(q)}(x)| over max_tau
     lattice translations of level m, the n in n_list and x = j/grid; raises
-    CertificateViolated above 1.1 script_C.  At an integer base every tau is
-    an exact period, so it returns 0.0 with no lattice, orbit or product.
-    Otherwise both orbits are exact: the grid's orbit_fractions table, and
-    that table moved by the trace shift of _shifted_blocks, streamed for a
-    chunk of _VERIFY_ROWS // grid tau at a time into one _log_norms call.
+    CertificateViolated above 1.1 script_C.  At an integer base or for a
+    constant M every tau is an exact period, so it returns 0.0 with no
+    lattice, orbit or product.  Otherwise both orbits are exact: the grid's
+    orbit_fractions table, and that table moved by the trace shift of
+    _shifted_blocks, streamed for a chunk of _VERIFY_ROWS // grid tau at a
+    time into one _log_norms call, whose rows are reduced as they arrive.
     """
     _require_certifiable(M)
     n_list = sorted(set(int(n) for n in n_list))
@@ -1143,23 +1143,21 @@ def joint_period_verify(M, q, cert, m, n_list, grid=256, max_tau=64):
         raise ValueError("n_list must hold at least one n >= 1")
     if not (1 <= q <= M.dim and m >= 0 and grid >= 1 and max_tau >= 2):
         raise ValueError("need 1 <= q <= d, m >= 0, grid >= 1 and max_tau >= 2")
-    if not M.base.conjugates:
+    if not M.base.conjugates or M.is_constant:
         return 0.0
     L = n_list[-1] + M.max_scale + 1
     values, coords = _lattice_points(M.base, m)
     idx = np.linspace(0, len(values) - 1, min(len(values), max_tau)).astype(int)
     coords = coords[idx][values[idx] != 0.0]
     base_args = orbit_fractions(M.base, [Fraction(j, grid) for j in range(grid)], L)
-    base_res = _log_norms(M, q, [base_args], n_list)
+    base_res = dict(_log_norms(M, q, [base_args], n_list))
     chunk = max(1, _VERIFY_ROWS // grid)
     worst = 0.0
     for lo in range(0, len(coords), chunk):
         block = coords[lo : lo + chunk]
-        res = _log_norms(M, q, _shifted_blocks(M.base, base_args, block), n_list)
-        for n in n_list:
-            gap = np.abs(res[n].reshape(len(block), grid) - base_res[n])
+        for n, row in _log_norms(M, q, _shifted_blocks(M.base, base_args, block), n_list):
+            gap = np.abs(row.reshape(len(block), grid) - base_res[n])
             worst = max(worst, float(gap.max()))
-        del res  # free this chunk's checkpoints before the next chunk runs
     if worst > cert.script_C * 1.1:
         raise CertificateViolated(
             "max discrepancy %.6g exceeds script_C=%.6g by more than 10%%"

@@ -13,6 +13,7 @@ G(beta^n x) = P_n(x) G(x) is propagated with renormalized products.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +172,8 @@ class SolutionEvaluator:
         # run from the right: column m holds x beta^(m - n - (d-1))
         columns = _orbit_stream(self.M, xs, n + d - 1, shift=-(n + d - 1))
         start = np.broadcast_to(self.v[:, None], (xs.size, d, 1))
-        _, logs, acc = _batched_cocycle(_factors(self.M, columns, n), start)
+        states = _batched_cocycle(zip(_factors(self.M, columns, n)), [start])
+        (logs,), (acc,) = deque(states, 1)[0]
         return np.exp(logs)[:, None] * acc[:, :, 0]
 
     def depth(self, x):
@@ -221,14 +223,13 @@ def solve(eq, tol=1e-10):
     return SolutionEvaluator(eq, tol=tol)
 
 
-def _propagate(sol, xs, g, n, norm):
-    """({k: log norm(G(beta^k x))} for k = 1..n, final log scales) from
-    g = G(x) by G(beta^k x) = P_k(x) G(x).  Argument column m
-    (_orbit_stream) is beta^(m+1-d) x."""
+def _propagate(sol, xs, g, n):
+    """The engine's states ([logs], [w]) for k = 0..n from g = G(x), where
+    G(beta^k x) = P_k(x) G(x) = exp(logs) w and w is (N, d, 1); the reader
+    takes its own norm of w.  Argument column m (_orbit_stream) is
+    beta^(m+1-d) x."""
     columns = _orbit_stream(sol.M, xs, n + sol.eq.d - 1, shift=1 - sol.eq.d)
-    return _batched_cocycle(
-        _factors(sol.M, columns, n), g[:, :, None], range(1, n + 1), norm=norm
-    )[:2]
+    return _batched_cocycle(zip(_factors(sol.M, columns, n)), [g[:, :, None]])
 
 
 def asymptotic_exponent(eq, x, n_max, solution=None):
@@ -252,10 +253,13 @@ def asymptotic_exponent(eq, x, n_max, solution=None):
         raise ZeroVector(
             "G(x) vanishes at x = %s; rate undefined" % (xs[int(np.argmax(vanished))],)
         )
-    at, logs = _propagate(sol, xs, g, n_max, lambda w: np.abs(w).sum(axis=(1, 2)))
+    h = np.empty((len(xs), n_max))
+    with np.errstate(divide="ignore"):  # log 0 = -inf where G vanished
+        for n, ((logs,), (w,)) in enumerate(_propagate(sol, xs, g, n_max)):
+            if n:
+                h[:, n - 1] = (np.log(np.abs(w).sum(axis=(1, 2))) + logs) / n
     if np.isneginf(logs).any():
         raise ZeroVector("propagated G vanished")
-    h = np.stack([at[n] / n for n in range(1, n_max + 1)], axis=1)
     if batch:
         return h, h[:, -1].copy()
     return h[0], float(h[0, -1])
@@ -367,9 +371,9 @@ def moment_growth(M, q, n_max):
         raise ValueError("n_max must be >= 2")
     nodes, weights = _beta_quadrature(M.base, n_max)
     columns = _orbit_blocks(M.base, nodes, n_max + M.max_scale + 1, exact=False)
-    res = _log_norms(M, 1, columns, range(1, n_max + 1))
     log_w = np.log(weights)
-    zs = np.array([_logsumexp(q * res[n] + log_w) for n in range(1, n_max + 1)])
+    rows = _log_norms(M, 1, columns, range(1, n_max + 1))
+    zs = np.array([_logsumexp(q * row + log_w) for _, row in rows])
     rate = {
         "fekete": float(min(zs[n - 1] / n for n in range(1, n_max + 1))),
         "last_diff": float(zs[-1] - zs[-2]),
@@ -419,18 +423,15 @@ def moment_integral_F(eq, q, n_ladder, solution=None):
     mid, half = (1.0 + beta) / 2.0, (beta - 1.0) / 2.0
     u = mid + half * gl_x
     wu = half * gl_w
-    G = sol.G_batch(u)
-    # log_F[k] = log |F(beta^k u)| for k = 0..n_max-1
-    log_F, _ = _propagate(sol, u, G, n_max - 1, lambda w: np.abs(w[:, 0, 0]))
+    states, rows = _propagate(sol, u, sol.G_batch(u), n_max - 1), []
     with np.errstate(divide="ignore"):  # log 0 = -inf where F vanishes
-        log_F[0] = np.log(np.abs(G[:, 0]))
-    rows = []
-    for k in range(n_max):
-        F_q = np.exp(q * log_F[k]) if q else 1.0  # |F|^0 = 1, also where F = 0
-        total += beta**k * float(np.sum(wu * F_q))
-        n = k + 1
-        if n in n_ladder:
-            rows.append((n, beta**n, total / (n * math.log(beta))))
+        for k, ((logs,), (w,)) in enumerate(states):
+            log_F = np.log(np.abs(w[:, 0, 0])) + logs  # log |F(beta^k u)|
+            F_q = np.exp(q * log_F) if q else 1.0  # |F|^0 = 1, also where F = 0
+            total += beta**k * float(np.sum(wu * F_q))
+            n = k + 1
+            if n in n_ladder:
+                rows.append((n, beta**n, total / (n * math.log(beta))))
     values = [value for _, _, value in rows]
     diagnostics = {"stabilized": False, "last_rel_change": math.inf}
     if len(values) >= 2 and values[-1] != 0:

@@ -194,10 +194,16 @@ def test_run_certify_integer_base_matches_its_minpoly():
 
 @pytest.mark.parametrize(
     "matrix, exact",
-    [(SCALAR_MATRIX, True), (dict(SCALAR_MATRIX, base=3), True), (BERNOULLI_MATRIX, False)],
+    [
+        (SCALAR_MATRIX, True),
+        (dict(SCALAR_MATRIX, base=3), True),
+        (BERNOULLI_MATRIX, False),
+        ({"entries": [[1.2, 0.0], [0.0, 1.0]], "base": GOLDEN_SPEC}, True),
+    ],
 )
 def test_run_certify_says_whether_the_translations_are_exact_periods(matrix, exact):
-    # at an integer base the discrepancy 0 is known, not measured
+    # at an integer base or for a constant M the discrepancy 0 is known,
+    # not measured
     params = {"lattice_level": 4, "verify_n": 10, "verify_grid": 32}
     summary = cli.run({"command": "certify", "matrix": matrix, "params": params}).summary
     assert summary["exact_periods"] is exact

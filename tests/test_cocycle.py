@@ -46,7 +46,7 @@ from betacocycle.cocycle import (
     scalar_matrix,
     subadditive_sequence,
 )
-from betacocycle.errors import CertificateViolated, NoCertificate, SingularFactor
+from betacocycle.errors import CertificateViolated, NoCertificate, NonFinite, SingularFactor
 from betacocycle.multiperiodic import (
     MultiperiodicEquation,
     companion_matrix,
@@ -388,6 +388,18 @@ def test_opnorm_matches_svd(m):
     assert np.max(np.abs(_opnorm(A) - want) / want) <= 1e-13
 
 
+def _engine(factors, start, checkpoints=()):
+    """(at, logs, acc) of one accumulator after the last step, at[n] = log
+    ||P_n|| at the checkpoints, read from the engine's states as
+    _wedge_products reads them."""
+    at = {}
+    for n, ((logs,), (acc,)) in enumerate(_batched_cocycle(zip(factors), [start])):
+        if n in checkpoints:
+            with np.errstate(divide="ignore"):
+                at[n] = np.log(_opnorm(acc)) + logs
+    return at, logs, acc
+
+
 @pytest.mark.parametrize("columns", [3, 1])
 def test_batched_cocycle_matches_naive_product(columns):
     # columns = 3: a matrix start; columns = 1: a column-vector start
@@ -395,9 +407,11 @@ def test_batched_cocycle_matches_naive_product(columns):
     A = _complex_normal(rng, (3, 3))
     start = _complex_normal(rng, (1, 3, columns))
     n = 30
-    at, logs, acc = _batched_cocycle(
-        itertools.repeat(A[None], n), start, range(1, n + 1)
-    )
+    states = _batched_cocycle(zip(itertools.repeat(A[None], n)), [start])
+    (logs,), (acc,) = next(states)  # state 0: the start, with zero logs
+    assert np.array_equal(logs, np.zeros(1)) and np.array_equal(acc, start)
+    assert sum(1 for _ in states) == n
+    at, logs, acc = _engine(itertools.repeat(A[None], n), start, range(1, n + 1))
     naive = start[0]
     for k in range(1, n + 1):
         naive = A @ naive  # never renormalized
@@ -416,7 +430,7 @@ def test_explicit_2x2_step_matches_matmul(N):
     scale = np.max(np.abs(want))
     assert np.max(np.abs(cocycle._mul2x2(A, B) - want)) <= 1e-14 * scale
     factors = _complex_normal(rng, (5, N, 2, 2))
-    _, logs, acc = _batched_cocycle(iter(factors), B)
+    _, logs, acc = _engine(iter(factors), B)
     naive = B
     for F in factors:
         naive = F @ naive
@@ -434,7 +448,7 @@ def test_float64_step_matches_complex_matmul(m, N):
     A = _complex_normal(rng, (3, N, m, m))[1]
     shared = np.broadcast_to(_complex_normal(rng, (m, m)), (N, m, m))
     for B in (shared, _complex_normal(rng, (N, m, m))):
-        _, logs, acc = _batched_cocycle(iter([A]), B)
+        _, logs, acc = _engine(iter([A]), B)
         want = A @ B
         fro = np.linalg.norm(want, axis=(1, 2))
         want /= fro[:, None, None]
@@ -450,7 +464,7 @@ def test_renormalization_equals_complex_division(shape):
     m = shape[0]
     factors = _complex_normal(rng, (20, 50, m, m))
     start = _complex_normal(rng, (50,) + shape)
-    _, logs, acc = _batched_cocycle(iter(factors), start)
+    _, logs, acc = _engine(iter(factors), start)
     want, want_logs = start, np.zeros(50)
     for F in factors:
         if shape == (1, 1):
@@ -470,7 +484,7 @@ def test_batched_cocycle_keeps_vanishing_rows():
     B = np.array([[[3.0]], [[5.0]]], dtype=complex)
     A = np.array([[[2.0]], [[0.0]]], dtype=complex)
     start = np.ones((2, 1, 1), dtype=complex)
-    at, logs, acc = _batched_cocycle([B, A, B], start, [1, 3])
+    at, logs, acc = _engine([B, A, B], start, [1, 3])
     assert np.allclose(at[1], np.log([3.0, 5.0]))
     assert at[3][0] == pytest.approx(math.log(18.0)) and at[3][1] == -math.inf
     assert logs[1] == -math.inf and acc[1, 0, 0] == 0.0
@@ -481,6 +495,19 @@ def test_product_raises_when_it_vanishes():
     M = scalar_matrix(constant(0.5) + cosine(TWO_PI, 0.5), BASE2)
     with pytest.raises(SingularFactor):
         product(M, Fraction(1, 2), 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_non_finite_factor_raises(m, bad):
+    # the step that meets the factor warns nothing: the engine's errstate
+    # holds the whole step, kernel included
+    rng = np.random.default_rng(70 + m)
+    factors = _complex_normal(rng, (3, 4, m, m))
+    factors[1, 2, 0, 0] = bad
+    start = np.broadcast_to(np.eye(m, dtype=complex), (4, m, m))
+    with pytest.raises(NonFinite, match="factor at step 1 is not finite"):
+        _engine(iter(factors), start)
 
 
 def test_matrix_evaluation_paths_agree_with_entrywise_values():
@@ -547,9 +574,9 @@ def test_cocycle_identity_at_random_bases(p, n, m, seed):
     points = _sample_points(np.random.default_rng(seed), 100, p)
     table = orbit_fractions(p, points, n + m + M.max_scale)
     start = np.broadcast_to(np.eye(2, dtype=complex), (100, 2, 2))
-    at, _, acc = _batched_cocycle(_factors(M, [table], n + m), start, [n + m])
-    _, head, unit = _batched_cocycle(_factors(M, [table[:, : n + M.max_scale]], n), start)
-    tail, _, tail_acc = _batched_cocycle(_factors(M, [table[:, n:]], m), unit, [m])
+    at, _, acc = _engine(_factors(M, [table], n + m), start, [n + m])
+    _, head, unit = _engine(_factors(M, [table[:, : n + M.max_scale]], n), start)
+    tail, _, tail_acc = _engine(_factors(M, [table[:, n:]], m), unit, [m])
     assert np.max(np.abs(at[n + m] - (head + tail[m]))) <= 1e-12
     assert np.max(np.abs(acc - tail_acc)) <= 1e-12
 
@@ -643,15 +670,15 @@ def test_a_cosine_matrix_runs_float64_and_no_sine(monkeypatch):
     seen = set()
     engine = cocycle._batched_cocycle
 
-    def spy(factors, start, *args, **kwargs):
+    def spy(factors, starts):
         def watched():
             for As in factors:
                 seen.update(A.dtype for A in As)
                 yield As
 
-        out = engine(watched(), start, *args, **kwargs)
-        seen.update(acc.dtype for _, _, acc in out)
-        return out
+        for logs, accs in engine(watched(), starts):
+            seen.update(acc.dtype for acc in accs)
+            yield logs, accs
 
     def no_sine(*args, **kwargs):
         raise AssertionError("np.sin called")
@@ -850,7 +877,7 @@ def test_spectrum_unchanged_against_det_per_minor(monkeypatch):
     monkeypatch.setattr(cocycle, "exterior_power", by_det)
     _, columns, _ = _sample_orbit(M, cfg)
     args = np.hstack(list(columns))
-    sums = [0.0] + [float(np.mean(_log_norms(M, q, [args], [32])[32] / 32)) for q in range(1, 5)]
+    sums = [0.0] + [float(np.mean(dict(_log_norms(M, q, [args], [32]))[32] / 32)) for q in range(1, 5)]
     reference = _exponent_groups(sums, cfg.cluster_tol)
     assert sorted(set(degrees)) == [2, 3, 4]
     assert [m for _, m in shipped] == [m for _, m in reference]
@@ -886,19 +913,30 @@ def test_exterior_levels_are_the_exterior_powers(d):
 def _per_degree_products(M, q, args, checkpoints):
     """Reference for _wedge_products(M, None, ...): one engine run per degree,
     with exterior_power taken per step, as the per-q passes ran; the stream
-    of argument columns is gathered into its table first."""
+    of argument columns is gathered into its table first.  Yields the same
+    (n, rows, accs) items, accs those after the last step."""
     assert q is None
     args = np.hstack(list(args))
-    out = []
+    ats, accs = [], []
     for r in range(1, M.dim + 1):
         eye = np.eye(math.comb(M.dim, r), dtype=complex)
         start = np.broadcast_to(eye, (args.shape[0],) + eye.shape)
         factors = _factors(M, [args], max(checkpoints), r)
-        at, logs, acc = _batched_cocycle(factors, start, checkpoints)
+        at, logs, acc = _engine(factors, start, checkpoints)
         if np.isneginf(logs).any():
             raise SingularFactor("product of wedge power %d vanishes" % r)
-        out.append((at, acc))
-    return out
+        ats.append(at)
+        accs.append(acc)
+    for n in sorted(set(checkpoints)):
+        yield n, [at[n] for at in ats], accs
+
+
+def _passes(items):
+    """[(at, acc)] per degree from the (n, rows, accs) items of a pass: at[n]
+    = rows[q - 1] at each checkpoint n, acc the unit product after the last."""
+    items = list(items)
+    ats = [{n: rows[r] for n, rows, _ in items} for r in range(len(items[-1][1]))]
+    return list(zip(ats, items[-1][2]))
 
 
 @pytest.mark.parametrize("name", ["d4", "golden-bernoulli", "tribonacci"])
@@ -912,11 +950,11 @@ def test_every_degree_pass_equals_per_degree_passes(name, N):
     checkpoints = [1, 3 + block // 2, n]
     points = _sample_points(np.random.default_rng(N), N, M.base)
     args = orbit_fractions(M.base, points, n + M.max_scale + 1)
-    got = _wedge_products(M, None, [args], checkpoints)
-    want = _per_degree_products(M, None, [args], checkpoints)
+    got = _passes(_wedge_products(M, None, [args], checkpoints))
+    want = _passes(_per_degree_products(M, None, [args], checkpoints))
     assert len(got) == M.dim
     for q, ((at, acc), (ref_at, ref_acc)) in enumerate(zip(got, want), start=1):
-        ref_log_norms = _log_norms(M, q, [args], checkpoints)
+        ref_log_norms = dict(_log_norms(M, q, [args], checkpoints))
         for c in checkpoints:
             assert np.array_equal(at[c], ref_at[c]) and np.array_equal(at[c], ref_log_norms[c])
         assert np.array_equal(acc, ref_acc), q
@@ -1402,8 +1440,8 @@ def test_log_norms_row_does_not_depend_on_its_batch(M, q):
     # 1600 rows run one step per block, the 8-row table 128
     grid = orbit_fractions(M.base, [Fraction(j, 8) for j in range(8)], 41 + M.max_scale)
     assert 200 * len(grid) > _BLOCK_ROWS
-    alone = cocycle._log_norms(M, q, [grid], range(1, 41))
-    stacked = cocycle._log_norms(M, q, [np.tile(grid, (200, 1))], range(1, 41))
+    alone = dict(cocycle._log_norms(M, q, [grid], range(1, 41)))
+    stacked = dict(cocycle._log_norms(M, q, [np.tile(grid, (200, 1))], range(1, 41)))
     for n in range(1, 41):
         assert np.array_equal(stacked[n], np.tile(alone[n], 200))
 
@@ -1453,7 +1491,7 @@ def test_verify_shifted_orbit_is_the_exact_orbit(monkeypatch):
 
     def record(M, q, args, checkpoints):
         tables.append(np.hstack(list(args)))  # the column blocks, joined
-        return {n: np.zeros(tables[-1].shape[0]) for n in checkpoints}
+        return {n: np.zeros(tables[-1].shape[0]) for n in checkpoints}.items()
 
     monkeypatch.setattr(cocycle, "_log_norms", record)
     M = scalar_matrix(constant(2.0) + harmonic(1, 0.5), GOLDEN)
@@ -1476,7 +1514,7 @@ def test_verify_streams_its_shifted_orbits(monkeypatch):
 
     def record(M, q, args, checkpoints):
         shapes.append([block.shape for block in args])
-        return {n: np.zeros(shapes[-1][0][0]) for n in checkpoints}
+        return {n: np.zeros(shapes[-1][0][0]) for n in checkpoints}.items()
 
     monkeypatch.setattr(cocycle, "_log_norms", record)
     M = bernoulli_companion(0.2)
@@ -1490,13 +1528,34 @@ def test_verify_streams_its_shifted_orbits(monkeypatch):
         assert sum(w for _, w in blocks) == 202
 
 
-def test_verify_of_a_constant_matrix_is_exact():
-    # the grid's table has a row per point; the one-row orbit that a
-    # constant M streams would not reshape to (chunk, grid)
+def test_verify_of_a_constant_matrix_is_exact(monkeypatch):
+    # a constant product does not depend on x, so every tau is a period
+    def refuse(*args, **kwargs):
+        raise AssertionError("verification ran work whose answer is known")
+
     M = constant_matrix(np.diag([1.2, 1.0]), GOLDEN)
     cert = joint_period_certificate(M, q=1)
+    for name in ("_lattice_points", "orbit_fractions", "_log_norms"):
+        monkeypatch.setattr(cocycle, name, refuse)
     assert cert.script_C == 0.0
     assert joint_period_verify(M, 1, cert, m=2, n_list=[5], grid=8) == 0.0
+
+
+def test_verify_holds_no_chunk_table():
+    """Golden Bernoulli at m = 8 and grid 32 runs its 63 translations in one
+    chunk of 2016 rows, whose checkpoint table at verify_n = 200 would alone
+    take 2016 x 200 x 8 bytes = 3.2 MB: each row is reduced as it arrives."""
+    M = bernoulli_companion(0.2)
+    cert = joint_period_certificate(M, q=1)
+    run = lambda: joint_period_verify(M, 1, cert, m=8, n_list=range(1, 201), grid=32)
+    run()  # caches and lazy set-up first
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2016 * 200 * 8, peak
 
 
 def _verify_per_tau(M, q, m, n_list, grid, max_tau=64):
@@ -1510,7 +1569,7 @@ def _verify_per_tau(M, q, m, n_list, grid, max_tau=64):
         idx = np.linspace(0, len(taus) - 1, max_tau).astype(int)
         taus = [taus[i] for i in idx]
     base_args = orbit_fractions(M.base, [Fraction(j, grid) for j in range(grid)], L)
-    base_res = cocycle._log_norms(M, q, [base_args], n_list)
+    base_res = dict(cocycle._log_norms(M, q, [base_args], n_list))
     conj = np.array(M.base.conjugates, dtype=complex)
     worst = 0.0
     for tau, coords in taus:
@@ -1520,7 +1579,7 @@ def _verify_per_tau(M, q, m, n_list, grid, max_tau=64):
         drift = (sigma_tau[:, None] * conj[:, None] ** np.arange(L)).sum(axis=0).real
         shifted = base_args - drift
         shifted -= np.floor(shifted)
-        res = cocycle._log_norms(M, q, [shifted], n_list)
+        res = dict(cocycle._log_norms(M, q, [shifted], n_list))
         for n in n_list:
             worst = max(worst, float(np.max(np.abs(res[n] - base_res[n]))))
     return worst
@@ -1602,6 +1661,16 @@ def test_holder_constant_bounds_the_sampled_maximum(minpoly, q):
     # 1e-9 from k = 10 on
     noise = 1e-14 / M.base.rho ** np.arange(sampled.size)
     assert np.all(sampled <= cocycle._holder_constant(M, q, 8) + noise)
+
+
+@given(pisot_bases())
+@settings(max_examples=10, deadline=None)
+def test_holder_constant_bounds_the_sampled_maximum_at_random_bases(p):
+    M = bernoulli_companion(0.2, base=p)
+    for q in (1, 2):
+        sampled = _sampled_holder_maxima(M, q, 4, steps=12, grid=32, count=12)
+        noise = 1e-14 / p.rho ** np.arange(sampled.size)
+        assert np.all(sampled <= cocycle._holder_constant(M, q, 4) + noise), q
 
 
 @pytest.mark.parametrize("minpoly", PISOT_BASES.values(), ids=PISOT_BASES.keys())
