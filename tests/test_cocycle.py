@@ -548,17 +548,26 @@ def _block_matrix(name):
 def test_factors_in_blocks_equal_per_step_evaluation(name, N):
     """_factors evaluates a block of _BLOCK_ROWS // N steps per eval_args call
     and carries the z of shared columns between blocks; step by step it
-    yields exactly the per-step factors, across several block edges."""
+    yields exactly the per-step factors, across several block edges.  For
+    q = None the Laplace chain runs once per block, and each step's levels
+    are those of a chain on that step alone."""
     M = _block_matrix(name)
     block = max(1, _BLOCK_ROWS // max(N, 1))
     n = 2 * block + 37 if N <= 7 else 5
     points = _sample_points(np.random.default_rng(N), N, M.base)
     args = orbit_fractions(M.base, points, n + M.max_scale + 1)
-    for q in (1, 2):
+    for q in (1, 2, None):
         got = list(_factors(M, [args], n, q))
         assert len(got) == n
         for k, A in enumerate(got):
             want = M.eval_args(args[:, k:])
+            if q is None:  # one chain per block, sliced per step
+                want = _exterior_levels(want, M.dim)
+                assert len(A) == len(want) == M.dim, (q, k)
+                for level, ref in zip(A, want):
+                    assert level.shape == ref.shape and level.dtype == ref.dtype, (q, k)
+                    assert np.array_equal(level, ref), (q, k)
+                continue
             if q > 1:
                 want = exterior_power(want, q)
             assert A.shape == want.shape and np.array_equal(A, want), (q, k)
@@ -897,6 +906,53 @@ def test_exterior_power_algebra(d, seed):
     assert np.allclose(exterior_power(A, d)[..., 0, 0], np.linalg.det(A), rtol=1e-12, atol=0)
     wT = exterior_power(np.swapaxes(A, -1, -2), q)
     assert np.max(np.abs(wT - np.swapaxes(wA, -1, -2))) <= 1e-13 * np.max(np.abs(wA))
+
+
+def _fancy_index_levels(A, q):
+    """Reference for _exterior_levels: the same Laplace chain on the (..., C, C)
+    stack, each term two fancy-index gathers of whole matrices."""
+    d = A.shape[-1]
+    A = A.astype(np.result_type(A.dtype, float), copy=False)
+    levels = [A]
+    for r in range(2, q + 1):
+        prev = {c: i for i, c in enumerate(itertools.combinations(range(d), r - 1))}
+        combos = list(itertools.combinations(range(d), r))
+        first = np.array([I[0] for I in combos])[:, None]
+        rest = np.array([prev[I[1:]] for I in combos])
+        cols = np.array(combos)
+        drop = np.array([[prev[J[:t] + J[t + 1 :]] for t in range(r)] for J in combos])
+        below = levels[-1][..., rest, :]
+        level = A[..., first, cols[:, 0]] * below[..., drop[:, 0]]
+        for t in range(1, r):
+            term = A[..., first, cols[:, t]] * below[..., drop[:, t]]
+            if t % 2:
+                level -= term
+            else:
+                level += term
+        levels.append(level)
+    return levels
+
+
+@pytest.mark.parametrize("complex_entries", [True, False])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_entry_major_chain_keeps_every_bit(d, complex_entries):
+    """_exterior_levels gathers rows of an entry-major copy; every level has
+    the bits, dtype and shape of the chain on whole matrices, at every
+    leading shape and for a non-contiguous input."""
+    rng = np.random.default_rng(110 + d)
+
+    def draw(shape):
+        return _complex_normal(rng, shape) if complex_entries else rng.normal(size=shape)
+
+    stacks = [draw(lead + (d, d)) for lead in [(), (0,), (7,), (3, 5)]]
+    stacks.append(np.swapaxes(draw((9, d, d)), -1, -2))  # transposed view
+    stacks.append(draw((4, 2 * d, d))[:, ::2])  # strided rows
+    for A in stacks:
+        got, want = _exterior_levels(A, d), _fancy_index_levels(A, d)
+        assert len(got) == len(want) == d
+        for level, ref in zip(got, want):
+            assert level.shape == ref.shape and level.dtype == ref.dtype, A.shape
+            assert np.array_equal(level, ref), A.shape
 
 
 @pytest.mark.parametrize("d", range(1, 7))
