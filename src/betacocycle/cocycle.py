@@ -620,7 +620,9 @@ def _batched_cocycle(factors, starts):
     kinds = [acc.shape[1:] for acc in accs]
     logs = [np.zeros(acc.shape[0]) for acc in accs]
     yield logs, accs
-    for k, As in enumerate(factors, start=1):
+    k = 0  # a counter: enumerate's cached tuple would keep the last step's factors
+    for As in factors:
+        k += 1
         with np.errstate(divide="ignore", invalid="ignore"):
             for i, A in enumerate(As):
                 acc, kind = accs[i], kinds[i]
@@ -652,6 +654,7 @@ def _batched_cocycle(factors, starts):
                 acc *= (1.0 / fro)[:, None, None]  # as complex division by fro does
                 logs[i] += step
                 accs[i] = acc
+        A = As = None  # let _factors free a block before it builds the next
         yield logs, accs
 
 
@@ -685,6 +688,7 @@ def _factors(M, args, n, q=1):
             levels = _exterior_levels(factors, M.dim)
             for s in range(steps):
                 yield [level[s * N : (s + 1) * N] for level in levels]
+            del levels  # before the next block's chain
         else:
             for s in range(steps):
                 A = factors[s * N : (s + 1) * N]
