@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from . import __version__
@@ -503,8 +502,8 @@ def run(config):
     if not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_dict(config)
     report = RunReport(config=config.to_dict(), provenance={
-        "betacocycle": __version__, "numpy": np.__version__, "mpmath": mpmath.__version__,
-        "python": platform.python_version(), "platform": platform.platform(), "seed": config.seed,
+        "betacocycle": __version__, "numpy": np.__version__, "python": platform.python_version(),
+        "platform": platform.platform(), "seed": config.seed,
     })
     start = time.perf_counter()
     try:

@@ -1,17 +1,12 @@
 """Arithmetic for Pisot-Vijayaraghavan numbers.
 
 A PV number is a real algebraic integer beta > 1 whose remaining roots
-(conjugates) all lie strictly inside the unit circle.  The module keeps two
-layers of arithmetic side by side:
-
-* exact arithmetic in Q(beta), with elements stored as rational coordinate
-  vectors in the power basis (1, beta, ..., beta^{r-1}) reduced by the
-  minimal polynomial; and
-* floating evaluation, done only at the boundary, with a high-precision
-  value of beta obtained from mpmath.
-
-The exact layer is what makes long greedy expansions and translation
-lattices drift-free.
+(conjugates) all lie strictly inside the unit circle.  Every decision is
+exact: make_pisot counts roots on Sturm and Routh-Hurwitz chains over Q, an
+element of Q(beta) is a rational coordinate vector in the power basis
+(1, beta, ..., beta^{r-1}), and its floor or float is read on a dyadic
+bracket of beta in Python ints, so greedy expansions and translation
+lattices never drift.
 """
 
 from __future__ import annotations
@@ -21,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import floordiv, truediv
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -32,7 +27,6 @@ from .errors import (
     ReduciblePolynomial,
 )
 
-_ROOT_DPS = 40
 _LATTICE_CAP = 10**6  # digit vectors _lattice_points enumerates, else samples
 _LATTICE_ROWS = 2**14  # rows per chunk of that sample: chunks of one draw
 
@@ -53,12 +47,9 @@ class PisotNumber:
 
     @property
     def digit_max(self):
-        """Largest digit usable in greedy expansions and lattices."""
-        return int(math.floor(self.beta + 1e-12))
-
-    def beta_mp(self, dps=_ROOT_DPS):
-        """High-precision value of beta as an mpmath float."""
-        return _dominant_root(self.minpoly, dps)
+        """Largest digit usable in greedy expansions and lattices: floor(beta),
+        read from its bracket (B itself at an integer base B)."""
+        return _bracket(self.minpoly, 64) >> 64
 
     def to_string(self):
         return ",".join(str(c) for c in self.minpoly)
@@ -188,60 +179,48 @@ class FieldElement:
                 shifted = shifted.times_beta()
         return acc
 
-    def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
-
-    def evaluate_mp(self, dps=_ROOT_DPS):
-        b = self.base.beta_mp(dps)
-        with mp.workdps(dps):
-            acc = mp.mpf(0)
-            power = mp.mpf(1)
-            for c in self.coords:
-                if c:
-                    acc += power * mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                power *= b
-            return acc
-
     def floor(self):
-        """Exact floor; rational fast path, mpmath otherwise.
-
-        An irrational element is never an integer, so the working precision
-        doubles until the value clears both its floor and its ceiling by
-        more than the evaluation error: below 10^(5-dps) sum |c_i| beta^i,
-        with |c_i| < 2^bits and 10^-1 < 2^-3.
-        """
-        if self.is_rational():
-            return math.floor(self.coords[0])
-        r = len(self.coords)
-        bits = max(c.numerator.bit_length() - c.denominator.bit_length() + 1 for c in self.coords)
-        dps = 60
-        while True:
-            err = mp.ldexp(r * math.ceil(self.base.beta) ** r, bits - 3 * (dps - 5))
-            with mp.workdps(dps):
-                v = self.evaluate_mp(dps)
-                n = mp.floor(v)
-                if v - n > err and n + 1 - v > err:
-                    return int(n)
-            dps *= 2
+        """Exact floor, from _settle."""
+        return _settle(self.base.minpoly, self.coords, floordiv)
 
     def __float__(self):
-        return float(self.evaluate_mp())
+        """The float nearest the value, from _settle."""
+        return _settle(self.base.minpoly, self.coords, truediv)
 
 
 @lru_cache(maxsize=None)
-def _roots_cached(minpoly, dps):
-    with mp.workdps(dps):
-        return tuple(mp.polyroots(list(minpoly), maxsteps=200, extraprec=120))
+def _bracket(minpoly, k):
+    """The integer a with a <= 2^k beta < a + 1, k = 64, 128, ...: bisection
+    on the sign of f(x / 2^k) by Horner on Python ints, as f < 0 on [1, beta)
+    and f > 0 above.  It starts from the bracket of k/2, or for k = 64 from
+    [1, 1 + max |f_i|] (Cauchy's bound)."""
+    lo, hi = 1 << k, 1 + max(abs(c) for c in minpoly) << k
+    if k > 64:
+        lo = _bracket(minpoly, k // 2) << k // 2
+        hi = lo + (1 << k // 2)
+    while hi - lo > 1:
+        mid, value = (lo + hi) // 2, 0
+        for i, c in enumerate(minpoly):  # 2^(k r) f(mid / 2^k)
+            value = value * mid + (c << k * i)
+        lo, hi = (lo, mid) if value > 0 else (mid, hi)
+    return lo
 
 
-@lru_cache(maxsize=None)
-def _dominant_root(minpoly, dps):
-    roots = _roots_cached(minpoly, dps)
-    real = [r for r in roots if abs(mp.im(r)) < mp.mpf(10) ** (-dps + 6)]
-    candidates = [mp.re(r) for r in real if mp.re(r) > 1]
-    if not candidates:
-        raise NoRealRootAboveOne("no real root above 1 in %s" % (minpoly,))
-    return max(candidates)
+def _settle(minpoly, coords, rnd):
+    """rnd(sum_i c_i beta^i), rnd floordiv (floor) or truediv (nearest float):
+    each term over a common denominator is bounded at the ends of beta's
+    bracket, and rnd of both bounds of the sum is read at k = 64, 128, ...
+    until they agree.  PV makes f irreducible, so a value that is not
+    rational is neither an integer nor a float's rounding midpoint."""
+    den = math.lcm(*(c.denominator for c in coords))
+    ts = [c.numerator * (den // c.denominator) for c in coords]
+    for k in (64 << j for j in itertools.count()):
+        a, top = _bracket(minpoly, k), k * (len(ts) - 1)
+        pows = [(a**i << top - k * i, (a + 1) ** i << top - k * i) for i in range(len(ts))]
+        ends = zip(*(sorted((t * x, t * y)) for t, (x, y) in zip(ts, pows)))
+        lo, hi = (rnd(sum(e), den << top) for e in ends)
+        if lo == hi:
+            return lo
 
 
 @lru_cache(maxsize=None)
@@ -253,20 +232,55 @@ def _inverse_beta_coords(minpoly):
     return tuple(-f * top for f in fold[1:]) + (top,)
 
 
-def _is_squarefree(coeffs):
-    """Whether gcd(f, f') is a constant, by Euclid's algorithm over Q on
-    descending coefficient lists: the exact test for a repeated root."""
-    deg = len(coeffs) - 1
-    a = [Fraction(c) for c in coeffs]
-    b = [Fraction(c * (deg - i)) for i, c in enumerate(coeffs[:-1])]
-    while b:
+def _chain(p, q):
+    """The signed remainder chain p, q, -rem(p, q), ... over Q, on descending
+    coefficient lists (p's leading one nonzero; zeros lead no other entry).
+    Its last entry is gcd(p, q) up to a constant; with q = p' its sign
+    changes count real roots (Sturm)."""
+    out, b = [[Fraction(c) for c in p]], [Fraction(c) for c in q]
+    while b := list(itertools.dropwhile(lambda c: not c, b)):
+        out.append(b)
+        a = out[-2]
         while len(a) >= len(b):  # a <- a mod b, one leading term at a time
-            q = a[0] / b[0]
-            a = [x - q * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
-        while a and a[0] == 0:
-            a = a[1:]
-        a, b = b, a
-    return len(a) == 1
+            a = [x - a[0] / b[0] * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+        b = [-x for x in a]
+    return out
+
+
+def _variations(chain, x=None):
+    """Sign changes along a chain at 1 (x None) or at x * inf, x = 1 or -1."""
+    values = (sum(c) if x is None else c[0] * x ** (len(c) - 1) for c in chain)
+    signs = [v > 0 for v in values if v]  # zeros skipped
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _cayley(f):
+    """Descending coefficients of (1 - s)^n f((1 + s) / (1 - s)): z = (1 + s)
+    / (1 - s) maps the open left half-plane onto the open unit disk."""
+    p, w = [f[0]], [1]
+    for c in f[1:]:  # p <- (s + 1) p + c (1 - s)^i
+        w = [y - x for x, y in zip(w + [0], [0] + w)]
+        p = [x + y + c * v for x, y, v in zip(p + [0], [0] + p, w)]
+    return p
+
+
+def _newton(f, z):
+    """The root of f at numpy's root z, as (complex, modulus) floats: exact
+    Newton steps on z = (X + iY) / d, f and f' by Horner on Gaussian
+    integers, until the rounding repeats.  A real z stays real."""
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    X, Y, d, prev = xn * yd, yn * xd, xd * yd, z
+    while True:
+        fr = fi = gr = gi = 0  # d^j f_j and d^(j-1) f_j' after coefficient j
+        for j, c in enumerate(f):
+            gr, gi = gr * X - gi * Y + fr, gr * Y + gi * X + fi
+            fr, fi = fr * X - fi * Y + c * d**j, fr * Y + fi * X
+        nr, ni = X * gr - Y * gi - fr, X * gi + Y * gr - fi  # z - f/f' = N / (d G)
+        X, Y, d = nr * gr + ni * gi, ni * gr - nr * gi, d * (gr * gr + gi * gi)
+        now = complex(X / d, Y / d)
+        if now == prev:
+            return now, math.isqrt(X * X + Y * Y << 128) / (d << 64)
+        prev = now
 
 
 # ---------------------------------------------------------------------------
@@ -276,47 +290,46 @@ def _is_squarefree(coeffs):
 def make_pisot(minpoly):
     """Build a PisotNumber from descending monic integer coefficients.
 
-    The PV condition proves irreducibility: if f is squarefree, f(0) != 0
-    and every root but beta lies strictly inside the unit circle, a monic
-    integer factor (Gauss's lemma) without beta would have a nonzero integer
-    constant term of modulus below 1.  So a zero constant term or a repeated
-    root raises ReduciblePolynomial, any other reducible f has a second root
-    on or outside the unit circle (NotPisot), and no real root above 1 raises
-    NoRealRootAboveOne.
+    Each decision is an exact count over Q.  ReduciblePolynomial: f(0) = 0,
+    or a nonconstant last entry of the Sturm chain _chain(f, f') (a repeated
+    root).  NoRealRootAboveOne: that chain's V(1) - V(+inf) is 0.  NotPisot
+    unless f(1) < 0, f(-1) != 0 and n - 1 roots lie in the open unit disk:
+    the roots of p(s) = (1 - s)^n f((1 + s) / (1 - s)) left of the imaginary
+    axis, (n + V(-inf) - V(+inf)) / 2 on the Routh-Hurwitz chain of p's
+    alternating even and odd parts.  The count takes a root on the unit
+    circle (on the axis) as one half, so n - 1, with beta outside, leaves
+    none there.  PV proves irreducibility: a monic integer factor without beta
+    (Gauss's lemma) would have a nonzero constant term of modulus below 1.
+    beta is the float both ends of its bracket round to; the conjugates are
+    numpy's other roots after _newton, sorted by (|Im|, Re, Im).
     """
     coeffs = tuple(int(c) for c in minpoly)
     if len(coeffs) < 2:
         raise ValueError("polynomial must have degree >= 1")
     if coeffs[0] != 1:
         raise ValueError("polynomial must be monic")
-    degree = len(coeffs) - 1
-    if degree > 1 and coeffs[-1] == 0:
+    n = len(coeffs) - 1
+    if n > 1 and coeffs[-1] == 0:
         raise ReduciblePolynomial("zero constant term: x divides the polynomial")
-    if not _is_squarefree(coeffs):
+    sturm = _chain(coeffs, [c * (n - i) for i, c in enumerate(coeffs[:-1])])
+    if len(sturm[-1]) > 1:
         raise ReduciblePolynomial("repeated root: gcd(f, f') is not constant")
-
-    beta_hp = _dominant_root(coeffs, _ROOT_DPS)
-    roots = _roots_cached(coeffs, _ROOT_DPS)
-    conj = []
-    with mp.workdps(_ROOT_DPS):
-        for root in roots:
-            if abs(root - beta_hp) < mp.mpf("1e-25"):
-                continue
-            conj.append(root)
-        for root in conj:
-            if abs(root) >= 1 - mp.mpf("1e-12"):
-                raise NotPisot(
-                    "conjugate of modulus %.6f >= 1" % float(abs(root))
-                )
-        rho = max((float(abs(r)) for r in conj), default=0.0)
-    conj_f = tuple(complex(mp.re(r), mp.im(r)) for r in conj)
-    return PisotNumber(
-        minpoly=coeffs,
-        beta=float(beta_hp),
-        conjugates=conj_f,
-        rho=rho,
-        degree=degree,
-    )
+    if _variations(sturm) == _variations(sturm, 1):
+        raise NoRealRootAboveOne("no real root above 1 in %s" % (coeffs,))
+    p = _cayley(coeffs)
+    if sum(coeffs) >= 0 or p[0] == 0:  # p[0] = (-1)^n f(-1)
+        raise NotPisot("f(1) = %d >= 0 or f(-1) = 0" % sum(coeffs))
+    parts = [[c * (-1) ** (k // 2) if k % 2 == j else 0 for k, c in enumerate(p)] for j in (0, 1)]
+    routh = _chain(*parts)
+    inside = (n + _variations(routh, -1) - _variations(routh, 1)) // 2
+    if inside != n - 1:
+        raise NotPisot("%d of %d conjugates in the unit disk" % (inside, n - 1))
+    beta = _settle(coeffs, _times_beta(coeffs)[:, 0], truediv)
+    roots = np.roots(coeffs)
+    refined = [_newton(coeffs, z) for z in np.delete(roots, np.argmin(abs(roots - beta)))]
+    conj = sorted((z for z, _ in refined), key=lambda z: (abs(z.imag), z.real, z.imag))
+    rho = max((m for _, m in refined), default=0.0)
+    return PisotNumber(minpoly=coeffs, beta=beta, conjugates=tuple(conj), rho=rho, degree=n)
 
 
 def trace_power(p, n):
@@ -495,9 +508,7 @@ def _lattice_points(p, m):
     if top * sum(abs(c) for row in rows for c in row) >= 2**63:
         raise ValueError("lattice level %d overflows int64 coordinates" % m)
     powmat = np.array(rows, dtype=np.int64)
-    with mp.workdps(_ROOT_DPS):
-        b = p.beta_mp()
-        powers = [float(b**i) for i in range(p.degree)]
+    powers = [_settle(p.minpoly, (0,) * i + (1,), truediv) for i in range(p.degree)]
 
     def sorted_unique(pts):
         values = sum(c * w for c, w in zip(pts.T, powers))

@@ -21,6 +21,7 @@ from betacocycle.apcore import (
     weyl_equidistribution_defect,
 )
 from betacocycle.pisot import make_pisot
+from test_pisot import mp_roots
 
 TWO_PI = 2 * math.pi
 GOLDEN = make_pisot([1, -1, -1])
@@ -155,7 +156,8 @@ def test_weyl_defect_golden_runs_past_5000_on_the_exact_orbit():
     # the trace orbit has no precision budget to outgrow
     x, N = Fraction(987654321987, 3**25), 6000
     defect = weyl_equidistribution_defect(GOLDEN, x, 1.0, N)
-    assert abs(defect - mpmath_weyl_defect(GOLDEN.beta_mp, x, N)) <= 1e-9
+    reference = mpmath_weyl_defect(lambda dps: mp_roots(GOLDEN.minpoly, dps)[0], x, N)
+    assert abs(defect - reference) <= 1e-9
 
 
 def test_weyl_defect_plain_float_beta_runs_past_5000():

@@ -7,7 +7,6 @@ import os
 import platform
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -370,7 +369,6 @@ def test_report_carries_its_provenance(tmp_path, config):
     assert json.loads(out.read_text())["provenance"] == {
         "betacocycle": __version__,
         "numpy": np.__version__,
-        "mpmath": mpmath.__version__,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "seed": 3,
@@ -457,8 +455,8 @@ def test_main_exit_2_on_computation_error(tmp_path, capsys):
 
 
 def test_main_exit_2_on_a_squared_minimal_polynomial(capsys):
-    # (x^3-x^2-x-1)^2 stops at the exact repeated-root test, before the
-    # root finder, which does not converge on it
+    # (x^3-x^2-x-1)^2 stops at the exact repeated-root test: the last entry
+    # of its Sturm chain is not a constant
     assert cli.main(["pisot", "--minpoly", "1,-2,-1,0,3,2,1"]) == 2
     err = capsys.readouterr().err
     assert "computation error: pisot: repeated root" in err
@@ -549,6 +547,10 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
         ("certify", {"matrix": SCALAR_MATRIX, "params": {"verify_n": 0}}, "certify"),
         ("solve", {"equation": VIETE_EQUATION, "params": {"x": [float("nan")]}}, "solve"),
         ("solve", {"equation": VIETE_EQUATION, "params": {"x": [float("inf")]}}, "solve"),
+        ("solve", {"equation": VIETE_EQUATION, "params": {"tol": -1}}, "solve"),
+        ("solve", {"equation": VIETE_EQUATION, "params": {"tol": 0}}, "solve"),
+        ("asymptotics", {"equation": VIETE_EQUATION, "params": {"tol": -1}}, "asymptotics"),
+        ("asymptotics", {"equation": VIETE_EQUATION, "params": {"tol": 0}}, "asymptotics"),
     ],
     ids=[
         "moments-n_max-1",
@@ -589,6 +591,10 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
         "certify-integer-base-verify_n-0",
         "solve-nan-x",
         "solve-infinite-x",
+        "solve-negative-tol",
+        "solve-zero-tol",
+        "asymptotics-negative-tol",
+        "asymptotics-zero-tol",
     ],
 )
 def test_main_exit_1_on_library_value_error(tmp_path, capsys, command, cfg, where):

@@ -54,7 +54,7 @@ from betacocycle.multiperiodic import (
     multiperiodic_equation,
 )
 from betacocycle.pisot import _lattice_points, as_base, make_pisot
-from test_pisot import pisot_bases
+from test_pisot import mp_roots, pisot_bases
 
 TWO_PI = 2 * math.pi
 GOLDEN = make_pisot([1, -1, -1])
@@ -95,7 +95,7 @@ def mpmath_orbit(p, x, length, shift=0, tau=()):
     plain = isinstance(p, float)
     dps = int((length + abs(shift)) * math.log10(p if plain else p.beta)) + 40
     with mp.workdps(dps):
-        b = mp.mpf(p) if plain else p.beta_mp(dps)
+        b = mp.mpf(p) if plain else mp_roots(p.minpoly, dps)[0]
         z = mp.mpf(x.numerator) / x.denominator
         z = (z + sum(c * b**i for i, c in enumerate(tau))) * b**shift
         out = []

@@ -36,6 +36,7 @@ from betacocycle.multiperiodic import (
     theoremC_gate,
 )
 from betacocycle.pisot import admissible_strings, beta_interval, make_pisot
+from test_pisot import mp_roots
 
 TWO_PI = 2 * math.pi
 GOLDEN = make_pisot([1, -1, -1])
@@ -396,8 +397,9 @@ def test_moment_growth_golden_base_runs():
 
 def test_moment_growth_validates_inputs():
     M = scalar_matrix(constant(1.0), BASE2)
-    with pytest.raises(ValueError):
-        moment_growth(M, -1, 8)
+    for q in (-1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            moment_growth(M, q, 8)
     with pytest.raises(ValueError):
         moment_growth(M, 1, 1)
     plain = scalar_matrix(constant(2.0) + cosine(TWO_PI), 2.5)
@@ -559,7 +561,7 @@ def test_moment_integral_reads_an_exact_orbit(monkeypatch):
     assert table.shape == (64, n_max)
     dps = int(n_max * math.log10(GOLDEN.beta)) + 40
     with mp.workdps(dps):
-        b = GOLDEN.beta_mp(dps)
+        b = mp_roots(GOLDEN.minpoly, dps)[0]
         for u, row in zip(nodes, table):
             z = mp.mpf(u) / b  # column m holds beta^(m-1) u
             for m in range(n_max):
@@ -569,8 +571,9 @@ def test_moment_integral_reads_an_exact_orbit(monkeypatch):
 
 
 def test_moment_integral_validates_q():
-    with pytest.raises(ValueError):
-        moment_integral_F(viete_equation(), -2, [2, 4])
+    for q in (-2, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            moment_integral_F(viete_equation(), q, [2, 4])
 
 
 # --- property-based ----------------------------------------------------------

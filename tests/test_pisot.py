@@ -1,9 +1,13 @@
 """Exact arithmetic around Pisot bases: minimal polynomials, traces,
 greedy expansions, beta-intervals, and the translation lattice."""
 
+import ast
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +19,7 @@ from betacocycle import pisot
 from betacocycle.errors import (
     BetaCocycleError,
     InadmissibleDigits,
+    NoRealRootAboveOne,
     NotPisot,
     ReduciblePolynomial,
 )
@@ -37,6 +42,16 @@ from betacocycle.pisot import (
 GOLDEN = make_pisot([1, -1, -1])
 BASE2 = make_pisot([1, -2])
 TRIBONACCI = make_pisot([1, -1, -1, -1])
+
+
+@lru_cache(maxsize=None)
+def mp_roots(minpoly, dps=40):
+    """Reference roots of a minimal polynomial, beta first, from mpmath
+    alone: polyroots at dps digits, beta the largest real root above 1."""
+    with mp.workdps(dps):
+        roots = mp.polyroots(list(minpoly), maxsteps=200, extraprec=120)
+        beta = max((r for r in roots if abs(mp.im(r)) < mp.mpf(10) ** (6 - dps) and mp.re(r) > 1), key=mp.re)
+        return [mp.re(beta)] + [r for r in roots if r is not beta]
 
 
 def test_golden_constants():
@@ -75,6 +90,64 @@ def test_reducible_rejected():
         make_pisot([1, -1, -2])
 
 
+@pytest.mark.parametrize(
+    "minpoly, error",
+    [
+        ([1, -1, -1, -1, 1], NotPisot),  # Salem: two conjugates on the unit circle
+        ([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1], NotPisot),  # Lehmer's degree-10 polynomial
+        ([1, -1], NoRealRootAboveOne),  # x - 1: the root 1 is not above 1
+        ([1, 0, -1], NoRealRootAboveOne),  # x^2 - 1: roots +-1
+        ([1, -5, 6], NotPisot),  # (x - 2)(x - 3): two roots above 1
+    ],
+    ids=["salem", "lehmer", "x-1", "x2-1", "(x-2)(x-3)"],
+)
+def test_named_polynomials_are_refused(minpoly, error):
+    with pytest.raises(error):
+        make_pisot(minpoly)
+
+
+def test_a_pair_beta_and_its_inverse_is_pisot():
+    # x^2 - 3x + 1: beta = phi^2 and its conjugate 1/beta
+    p = make_pisot([1, -3, 1])
+    assert p.beta == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-14)
+    assert p.conjugates == (pytest.approx(1 / p.beta, abs=1e-15),)
+    assert p.digit_max == 2
+
+
+def test_census_matches_mpmath_roots_to_the_bit():
+    # every monic x^r + ... with r = 2, 3 and coefficients in [-3, 3]
+    outcomes, accepted = Counter(), []
+    for r in (2, 3):
+        for tail in itertools.product(range(-3, 4), repeat=r):
+            try:
+                accepted.append(make_pisot((1,) + tail))
+                outcomes["PisotNumber"] += 1
+            except BetaCocycleError as exc:
+                outcomes[type(exc).__name__] += 1
+    assert outcomes == {
+        "PisotNumber": 44, "NoRealRootAboveOne": 203, "NotPisot": 81, "ReduciblePolynomial": 64
+    }
+    for p in accepted:
+        beta, *conjugates = mp_roots(p.minpoly)
+        assert p.beta == float(beta)
+        key = lambda z: (z.real, z.imag)
+        assert sorted(p.conjugates, key=key) == sorted(map(complex, conjugates), key=key)
+        with mp.workdps(40):
+            assert p.rho == max(float(abs(z)) for z in conjugates)
+
+
+def test_no_module_of_the_package_imports_mpmath():
+    for path in Path(pisot.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "mpmath" for n in names), path.name
+
+
 def test_reducible_quartic_without_rational_root_rejected():
     # (x^2-x-1)(x^2+1): the roots +-i of the factor without beta
     with pytest.raises(NotPisot):
@@ -94,7 +167,7 @@ monic = st.integers(1, 3).flatmap(
 
 
 @given(monic, monic)
-# squares and cubes of Pisot polynomials: mpmath's root finder did not converge
+# squares of Pisot polynomials: the exact Sturm chain must find their repeated roots
 @example([1, -1, -1, -1], [1, -1, -1, -1])
 @example([1, -1, -1], [1, -2, -1, 2, 1])
 @settings(max_examples=40, deadline=None)
@@ -125,7 +198,7 @@ def test_trace_power_tribonacci_seeds():
 
 def test_trace_approximates_beta_power():
     with mp.workdps(80):
-        beta = GOLDEN.beta_mp(80)
+        beta = mp_roots(GOLDEN.minpoly, 80)[0]
         for n in range(1, 61):
             err = abs(beta**n - trace_power(GOLDEN, n))
             assert err <= GOLDEN.rho**n * (GOLDEN.degree - 1) + 1e-60
@@ -275,7 +348,7 @@ def test_lattice_orbit_stays_near_integers():
     c_prime = GOLDEN.digit_max * (GOLDEN.degree - 1) / (1 - GOLDEN.rho)
     taus = translation_lattice(GOLDEN, 5)
     with mp.workdps(60):
-        beta = GOLDEN.beta_mp(60)
+        beta = mp_roots(GOLDEN.minpoly, 60)[0]
         for tau in taus[1:8]:
             t = mp.mpf(tau)
             for k in range(25):
@@ -295,7 +368,7 @@ def _reference_lattice(p, m, cap=10**6):
         etas = np.random.default_rng(0).integers(0, top + 1, size=(cap, m + 1)).tolist()
     uniq = {tuple(int(c) for c in row) for row in np.array(etas, dtype=object) @ powmat}
     with mp.workdps(40):
-        powers = [float(p.beta_mp() ** i) for i in range(p.degree)]
+        powers = [float(mp_roots(p.minpoly)[0] ** i) for i in range(p.degree)]
     return sorted((float(sum(c * w for c, w in zip(row, powers))), row) for row in uniq)
 
 
@@ -370,6 +443,21 @@ def test_greedy_expansion_always_admissible(x):
     assert all(0 <= e <= GOLDEN.digit_max for e in digits.digits)
 
 
+def test_floor_and_float_narrow_the_bracket_near_an_integer():
+    # beta^n - L_n = -beta'^n lies within rho^n of 0, with coordinates near
+    # F_n: at n = 199 its floor needs beta to about 2^-280
+    fib, lucas = [0, 1], [2, 1]
+    while len(fib) < 201:
+        fib.append(fib[-1] + fib[-2])
+        lucas.append(lucas[-1] + lucas[-2])
+    with mp.workdps(120):
+        conjugate = (1 - mp.sqrt(5)) / 2
+        for n in range(1, 200):
+            e = FieldElement(GOLDEN, (fib[n - 1] - lucas[n], fib[n]))
+            assert e.floor() == (-1 if n % 2 == 0 else 0)
+            assert float(e) == float(-(conjugate**n))
+
+
 # --- the integer matrix of multiplication by beta --------------------------
 
 PROPERTY_BASES = {
@@ -402,8 +490,10 @@ def test_beta_power_rows_evaluate_to_powers(p, i):
     # column 0 of _times_beta^i is beta^i applied to the coordinates of 1
     row = np.linalg.matrix_power(_times_beta(p.minpoly), i)[:, 0]
     with mp.workdps(60):
-        want = p.beta_mp(60) ** i
-        assert abs(FieldElement(p, row).evaluate_mp(60) - want) <= want * mp.mpf(10) ** -40
+        b = mp_roots(p.minpoly, 60)[0]
+        want = b**i
+        value = mp.fsum(int(c) * b**k for k, c in enumerate(row))
+        assert abs(value - want) <= want * mp.mpf(10) ** -40
 
 
 @given(
