@@ -234,9 +234,9 @@ def _inverse_beta_coords(minpoly):
 
 def _chain(p, q):
     """The signed remainder chain p, q, -rem(p, q), ... over Q, on descending
-    coefficient lists (p's leading one nonzero; zeros lead no other entry).
-    Its last entry is gcd(p, q) up to a constant; with q = p' its sign
-    changes count real roots (Sturm)."""
+    coefficient lists; p's leading coefficient must be nonzero, and the
+    later entries drop their leading zeros.  The last entry is gcd(p, q) up
+    to a constant; with q = p' the sign changes count real roots (Sturm)."""
     out, b = [[Fraction(c) for c in p]], [Fraction(c) for c in q]
     while b := list(itertools.dropwhile(lambda c: not c, b)):
         out.append(b)
@@ -248,9 +248,9 @@ def _chain(p, q):
 
 
 def _variations(chain, x=None):
-    """Sign changes along a chain at 1 (x None) or at x * inf, x = 1 or -1."""
+    """Sign changes, zeros skipped, along a chain at 1 (x None) or at x * inf."""
     values = (sum(c) if x is None else c[0] * x ** (len(c) - 1) for c in chain)
-    signs = [v > 0 for v in values if v]  # zeros skipped
+    signs = [v > 0 for v in values if v]
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 

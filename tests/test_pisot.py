@@ -50,7 +50,8 @@ def mp_roots(minpoly, dps=40):
     alone: polyroots at dps digits, beta the largest real root above 1."""
     with mp.workdps(dps):
         roots = mp.polyroots(list(minpoly), maxsteps=200, extraprec=120)
-        beta = max((r for r in roots if abs(mp.im(r)) < mp.mpf(10) ** (6 - dps) and mp.re(r) > 1), key=mp.re)
+        real = [r for r in roots if abs(mp.im(r)) < mp.mpf(10) ** (6 - dps) and mp.re(r) > 1]
+        beta = max(real, key=mp.re)
         return [mp.re(beta)] + [r for r in roots if r is not beta]
 
 
@@ -167,7 +168,7 @@ monic = st.integers(1, 3).flatmap(
 
 
 @given(monic, monic)
-# squares of Pisot polynomials: the exact Sturm chain must find their repeated roots
+# a square and a cube of Pisot polynomials: the Sturm chain finds their repeated roots
 @example([1, -1, -1, -1], [1, -1, -1, -1])
 @example([1, -1, -1], [1, -2, -1, 2, 1])
 @settings(max_examples=40, deadline=None)
