@@ -53,7 +53,7 @@ from betacocycle.multiperiodic import (
     moment_growth,
     multiperiodic_equation,
 )
-from betacocycle.pisot import _lattice_points, as_base, make_pisot
+from betacocycle.pisot import _lattice_points, as_base, make_pisot, trace_power
 from test_pisot import mp_roots, pisot_bases
 
 TWO_PI = 2 * math.pi
@@ -325,6 +325,113 @@ def test_streamed_blocks_are_the_rows_of_orbit_fractions(M, shift, D, N):
         else:  # the raw powers as the whole-table code formed them
             want = float(points[i]) * M.beta ** (np.arange(L) + shift)
         assert np.array_equal(table[i], want), i
+
+
+def one_column_trace_orbit(p, points, length, first):
+    """The trace orbit one residue column per step, as _trace_orbit ran
+    before it jumped: the reference for its blocks, widths included."""
+    a = [-c for c in p.minpoly[1:]]  # u_k = a_1 u_{k-1} + ... + a_r u_{k-r}
+    r = p.degree
+    dens = [v.denominator for v in points]
+    exact = max(dens, default=1) * sum(abs(c) for c in a) >= 2**63
+    dtype = object if exact else np.int64
+    D = np.array(dens, dtype=dtype)
+    traces = [trace_power(p, k) for k in range(r)]  # Tr(beta^0 .. beta^(r-1))
+    window = [  # u_0 .. u_{r-1} = a Tr(beta^k) mod D
+        np.array([v.numerator * t % v.denominator for v in points], dtype=dtype)
+        for t in traces
+    ]
+    xs = np.asarray(points, dtype=float)
+    width = max(1, _BLOCK_ROWS // len(points)) * (8 if r > 1 else 1)
+    conj = np.array(p.conjugates, dtype=complex)
+    for k in range(first + length):
+        j, c = k - first, (k - first) % width
+        if j >= 0:
+            if c == 0:
+                cols = np.empty((len(points), min(width, length - j)), order="F")
+            np.true_divide(window[0], D, out=cols[:, c], casting="unsafe")
+            if c == cols.shape[1] - 1:
+                if r > 1:  # sum sigma^k, one conjugate after another
+                    ks = np.arange(k - c, k + 1)
+                    cols -= xs[:, None] * sum((s**ks).real for s in conj)
+                yield np.subtract(cols, np.floor(cols), out=cols)
+        nxt = a[0] * window[-1]
+        for i in range(1, r):
+            nxt = nxt + a[i] * window[r - 1 - i]
+        window = window[1:] + [nxt % D]
+
+
+def jump_length(minpoly, D, N):
+    """J of the jumped recurrence: the most residues u_{k+r+j}, j < J, whose
+    coefficients in the window u_k .. u_{k+r-1} keep D sum|K_j| < 2^63 (any
+    count on Python ints, which take D = 1), and at most 8 blocks' columns."""
+    a = [-c for c in minpoly[1:]]
+    bound = 2**63 // (1 if D * sum(map(abs, a)) >= 2**63 else D)
+    rows = [[int(i == m) for i in range(len(a))] for m in range(len(a))]
+    while True:
+        rows.append([sum(c * row[i] for c, row in zip(a, rows[::-1])) for i in range(len(a))])
+        if sum(map(abs, rows[-1])) >= bound:
+            return max(1, min(len(rows) - 1 - len(a), 8 * max(1, _BLOCK_ROWS // N)))
+
+
+_JUMPS = {  # (minpoly, D, J at one point); the cap is 8 blocks' columns
+    "golden-J1": ([1, -1, -1], 2**61 + 1, 1),
+    "golden-J2": ([1, -1, -1], 2**61 - 1, 2),
+    "golden-small-D": ([1, -1, -1], 3, 88),
+    "tribonacci-small-D": ([1, -1, -1, -1], 3, 69),
+    "base2-small-D": ([1, -2], 3, 61),
+    "golden-object": ([1, -1, -1], 2**62 + 1, 90),
+}
+
+
+@pytest.mark.parametrize("N", [1, 7, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("minpoly, D, J", _JUMPS.values(), ids=_JUMPS.keys())
+def test_jumped_trace_orbit_equals_the_one_column_recurrence(monkeypatch, minpoly, D, J, N):
+    """_trace_orbit advances its residues J columns per matmul; every block
+    it yields, from first = 0 and from first = 5, equals the one-column
+    recurrence's to the bit, in value and width, across block edges: at J =
+    1, 2, the bound's J of a small D, the cap of 8 columns at N =
+    _BLOCK_ROWS + 1, and on Python ints (D sum|a_i| >= 2^63)."""
+    p = make_pisot(minpoly)
+    rng = np.random.default_rng(N)
+    numerators = [int(a) for a in rng.integers(1, min(2 * D, 2**62), size=4 * N)]
+    points = [Fraction(a, D) for a in numerators if math.gcd(a, D) == 1][:N]
+    assert len(points) == N
+    width = max(1, _BLOCK_ROWS // N) * (8 if p.degree > 1 else 1)
+    jumps, residues = [], cocycle._residues
+
+    def record(window, K, D):
+        jumps.append(K.shape[0])
+        return residues(window, K, D)
+
+    monkeypatch.setattr(cocycle, "_residues", record)
+    assert jump_length(minpoly, D, 1) == J
+    for first in (0, 5):
+        got = list(cocycle._trace_orbit(p, points, width + 40, first))
+        want = list(one_column_trace_orbit(p, points, width + 40, first))
+        assert [b.shape for b in got] == [b.shape for b in want]
+        assert all(np.array_equal(b, c) for b, c in zip(got, want))
+    assert jumps == [jump_length(minpoly, D, N)] * 2
+
+
+def test_golden_orbit_reads_lucas_residues_to_ten_thousand():
+    """Lucas traces L_k = Tr(phi^k) are integers, so frac(phi^k a/D) =
+    frac((a L_k mod D) / D - (a/D) (-1/phi)^k): the orbit of x = a/D against
+    those exact residues for k < 10^4, with L_k from its own recurrence,
+    on int64 and on Python ints."""
+    lucas = [2, 1]  # L_0, L_1
+    while len(lucas) < 10**4:
+        lucas.append(lucas[-1] + lucas[-2])
+    for k in (0, 1, 2, 10, 100, 1000):
+        assert trace_power(GOLDEN, k) == lucas[k]
+    sigma = -1.0 / GOLDEN.beta
+    for D in (2**40 + 15, 2**70 + 25):  # D sum|a_i| < 2^63: int64; above: Python ints
+        xs = [Fraction(a, D) for a in (1, 2**39 + 7, 2 * D - 3)]
+        table = orbit_fractions(GOLDEN, xs, 10**4)
+        for x, row in zip(xs, table):
+            drift = float(x) * sigma ** np.arange(10**4)
+            want = [x.numerator * L % D / D for L in lucas] - drift
+            assert circle_distance(row, want % 1.0) <= 1e-12
 
 
 # --- products --------------------------------------------------------------
