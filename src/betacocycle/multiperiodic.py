@@ -241,9 +241,11 @@ def _propagate(sol, xs, g, n):
     3. one (L - 1)-step pass that carries each full segment's start V_s
        through its own steps.
     So about 3 sqrt(n) engine steps replace n: for one point the per-step
-    numpy calls were the cost.  L depends on n alone and each engine row
-    runs the kernel of its own shape, so a row's values do not depend on its
-    batch.  A vanished segment product (logs -inf) zeroes every later state.
+    numpy calls were the cost.  The stack (n N d^2 entries) is the memory
+    the segments cost; passes 1 and 3 copy one step of it at a time.  L
+    depends on n alone and each engine row runs the kernel of its own shape,
+    so a row's values do not depend on its batch.  A vanished segment
+    product (logs -inf) zeroes every later state.
     """
     d, N = sol.eq.d, g.shape[0]
     logs, W = np.empty((n + 1, N)), np.empty((n + 1, N, d), dtype=complex)
@@ -251,14 +253,19 @@ def _propagate(sol, xs, g, n):
     if not n:
         return logs, W
     columns = _orbit_stream(sol.M, xs, n + d - 1, shift=1 - d)
-    F = np.stack(list(_factors(sol.M, columns, n)))
+    steps = _factors(sol.M, columns, n)
+    first = next(steps)
+    F = np.empty((n,) + first.shape, first.dtype)
+    for k, A in enumerate(itertools.chain([first], steps)):
+        F[k] = A  # the stack fills as the blocks come, not from a list of them
     F = np.broadcast_to(F, (n, N, d, d))  # a constant M reads one zero row
     L = math.isqrt(n)
     S = -(-n // L)
     full = (S - 1) * L
-    seg = F[:full].reshape(S - 1, L, N, d, d).swapaxes(0, 1).reshape(L, (S - 1) * N, d, d)
-    eye = np.broadcast_to(np.eye(d, dtype=F.dtype), seg.shape[1:])  # float64 for a _real M
-    (q_logs,), (Q,) = deque(_batched_cocycle(zip(seg), [eye]), 1)[0]
+    # step j of every full segment, segment-major
+    seg = lambda j: np.ascontiguousarray(F[j:full:L]).reshape(-1, d, d)
+    eye = np.broadcast_to(np.eye(d, dtype=F.dtype), ((S - 1) * N, d, d))  # float64 for a _real M
+    (q_logs,), (Q,) = deque(_batched_cocycle(zip(map(seg, range(L))), [eye]), 1)[0]
     before = np.cumsum(np.vstack((np.zeros(N), q_logs.reshape(S - 1, N))), axis=0)
     V, offsets = np.empty((S, N, d, 1), dtype=complex), np.empty((S, N))
     chain = itertools.chain(Q.reshape(S - 1, N, d, d), F[full:])
@@ -268,7 +275,7 @@ def _propagate(sol, xs, g, n):
         if t >= S - 1:
             logs[full + t - s], W[full + t - s] = offsets[s], w[:, :, 0]
     V, offsets = V[:-1].reshape(-1, d, 1), offsets[:-1].ravel()
-    for j, ((lg,), (w,)) in enumerate(_batched_cocycle(zip(seg[: L - 1]), [V])):
+    for j, ((lg,), (w,)) in enumerate(_batched_cocycle(zip(map(seg, range(L - 1))), [V])):
         logs[:full].reshape(S - 1, L, N)[:, j] = (lg + offsets).reshape(S - 1, N)
         W[:full].reshape(S - 1, L, N, d)[:, j] = w.reshape(S - 1, N, d)
     return logs, W
@@ -444,7 +451,10 @@ def moment_integral_F(eq, q, n_ladder, solution=None):
     propagated through the cocycle identity W(beta^(k+1) u) = M(beta^k u)
     W(beta^k u), never by direct evaluation; the orbit of the nodes is the
     one asymptotic_exponent reads (_propagate), exact for 1-periodic
-    coefficients.  Returns (rows, diagnostics); each row is (n, T, value).
+    coefficients.  The block sums are reduced from _propagate's stacked
+    states at once and accumulated in step order.  n_ladder must be a
+    non-empty list of positive integers (ValueError before any solve).
+    Returns (rows, diagnostics); each row is (n, T, value).
     """
     if not 0 <= q < math.inf:
         raise ValueError("q must be a finite number >= 0, got %r" % (q,))

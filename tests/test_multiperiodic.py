@@ -265,7 +265,11 @@ def test_constant_companion_batch_matches_pointwise():
 
 
 def test_solution_of_an_empty_batch():
-    assert solve(bernoulli_convolution(0.2, 1, 1, GOLDEN)).G_batch([]).shape == (0, 2)
+    eq = bernoulli_convolution(0.2, 1, 1, GOLDEN)
+    assert solve(eq).G_batch([]).shape == (0, 2)
+    for n_max in (1, 20):  # S = 1 and S = 5 segments of no rows
+        h, est = asymptotic_exponent(eq, [], n_max)
+        assert h.shape == (0, n_max) and est.shape == (0,)
 
 
 def test_asymptotic_exponent_batch_rejects_a_vanishing_start():
@@ -333,20 +337,23 @@ def test_segmented_propagation_matches_the_stepwise_product(eq, xs, n_max):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 49, 50, 200])
 def test_moment_integral_rows_match_the_stepwise_product(n):
-    """The row n + 1 of moment_integral_F propagates n steps; it is within
+    """The ladder's top rung n + 1 propagates n steps; every row is within
     1e-13 relative of the same quadrature over the stepwise product."""
     eq = _PROPAGATIONS["golden-bernoulli"][0]
     sol = solve(eq)
-    [(_, _, value)], _ = moment_integral_F(eq, 2, [n + 1], solution=sol)
+    ladder = sorted({1, n // 2 + 1, n + 1})
+    rows, _ = moment_integral_F(eq, 2, ladder, solution=sol)
     gl_x, gl_w = np.polynomial.legendre.leggauss(64)
     beta = GOLDEN.beta
     u, wu = (1.0 + beta) / 2.0 + (beta - 1.0) / 2.0 * gl_x, (beta - 1.0) / 2.0 * gl_w
     logs, W = stepwise_propagation(sol, u, sol.G_batch(u), n)
     F_q = np.exp(2 * (np.log(np.abs(W[:, :, 0])) + logs))
-    total = math.fsum([np.sum(0.5 * gl_w * np.abs(sol.F(0.5 + 0.5 * gl_x)) ** 2)] + [
-        beta**k * np.sum(wu * row) for k, row in enumerate(F_q)
-    ])
-    assert value == pytest.approx(total / ((n + 1) * math.log(beta)), rel=1e-13, abs=0)
+    unit = np.sum(0.5 * gl_w * np.abs(sol.F(0.5 + 0.5 * gl_x)) ** 2)
+    blocks = [beta**k * np.sum(wu * row) for k, row in enumerate(F_q)]
+    assert [m for m, _, _ in rows] == ladder
+    for m, _, value in rows:
+        want = math.fsum([unit] + blocks[:m]) / (m * math.log(beta))
+        assert value == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_solution_is_zero_where_a_factor_vanishes():
