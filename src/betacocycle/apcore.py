@@ -129,6 +129,15 @@ class TrigPolynomial:
         """Every coefficient is 0: distinct frequencies are independent."""
         return all(c == 0 for _, c in self.terms)
 
+    def _grid_min(self, count):
+        """The least value on a count-point grid of [0, 1): inf when is_zero,
+        -inf when a value has |Im| > 1e-12, else the least real part.  The
+        entry rule of _check_positivity and theoremB_gate."""
+        if self.is_zero:
+            return math.inf
+        vals = self.evaluate(np.linspace(0.0, 1.0, count, endpoint=False))
+        return -math.inf if np.max(np.abs(vals.imag)) > 1e-12 else float(np.min(vals.real))
+
     @property
     def max_frequency(self):
         return max((abs(f) for f, _ in self.terms), default=0.0)

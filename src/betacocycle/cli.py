@@ -92,10 +92,7 @@ class ExperimentConfig:
         for key in ("matrix", "equation", "estimation", "params", "output"):
             if data.get(key) is not None and not isinstance(data[key], dict):
                 raise ConfigInvalid("%s: expected a mapping" % key)
-        try:
-            seed = int(data.get("seed", 0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid("seed: %s" % exc) from exc
+        seed = _integer(data.get("seed", 0), "seed")
         cfg = cls(
             command=command,
             base=data.get("base"),
@@ -149,12 +146,23 @@ def _parse_base(spec):
         if isinstance(spec, (int, float)):
             return as_base(spec)
         if isinstance(spec, str):
-            return make_pisot([int(t) for t in spec.split(",")])
+            return make_pisot([_integer(t, "base") for t in spec.split(",")])
         if isinstance(spec, dict) and "minpoly" in spec:
-            return make_pisot([int(c) for c in spec["minpoly"]])
+            return make_pisot([_integer(c, "base") for c in spec["minpoly"]])
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid("base: %s" % exc) from exc
     raise ConfigInvalid('base: expected {"minpoly": [...]}, a comma string or a number')
+
+
+def _integer(value, key):
+    """int(value) for an integer or its string, else ConfigInvalid naming key:
+    1.7 is refused, not truncated to 1.  The config's one integer reader."""
+    try:
+        if isinstance(value, str) or int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigInvalid("%s: expected an integer, got %r" % (key, value))
 
 
 def _check_keys(block, spec, known):
@@ -206,7 +214,7 @@ def _parse_matrix(cfg):
             for item in row:
                 if isinstance(item, dict):
                     poly = _parse_poly(item.get("poly", item))
-                    packed.append((poly, int(item.get("scale", 0))))
+                    packed.append((poly, _integer(item.get("scale", 0), "matrix: scale")))
                 else:
                     packed.append((_parse_poly(item), 0))
             rows.append(packed)
@@ -250,14 +258,15 @@ def _parse_estimation(cfg):
     """EstimationSpec from the estimation block and the top-level seed."""
     est = cfg.estimation
     _check_keys("estimation", est, ("n_ladder", "n_samples", "cluster_tol"))
-    tol = est.get("cluster_tol")
+    tol, ladder = est.get("cluster_tol"), est.get("n_ladder", (2, 4, 8, 16, 32, 64))
+    samples = _integer(est.get("n_samples", 200), "estimation.n_samples")
     try:
-        ladder = tuple(int(n) for n in est.get("n_ladder", (2, 4, 8, 16, 32, 64)))
+        ladder = tuple(_integer(n, "estimation.n_ladder") for n in ladder)
         if not ladder or min(ladder) < 1:
             raise ValueError("n_ladder must be a non-empty list of positive integers")
         return EstimationSpec(
             n_ladder=ladder,
-            n_samples=_positive(est.get("n_samples", 200), int, "n_samples"),
+            n_samples=_positive(samples, int, "n_samples"),
             seed=cfg.seed,
             cluster_tol=None if tol is None else _positive(tol, float, "cluster_tol"),
         )
@@ -274,9 +283,12 @@ def _parse_point(value):
 
 def _param(cfg, key, default, kind):
     """kind(params[key]), default when the key is absent; a value kind
-    rejects is a config error naming the key."""
+    rejects is a config error naming the key.  kind int reads _integer."""
+    value = cfg.params.get(key, default)
+    if kind is int:
+        return _integer(value, "params." + key)
     try:
-        return kind(cfg.params.get(key, default))
+        return kind(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigInvalid("params.%s: %s" % (key, exc)) from exc
 

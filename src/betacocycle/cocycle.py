@@ -287,8 +287,8 @@ class BetaAdaptedMatrix:
     @cached_property
     def _split_entries(self):
         """(constant entries as a d x d array, harmonic entries grouped by
-        scale as [(scale, the powers of z they read, [(i, j, poly)])],
-        [(i, j, poly, scale)] of the other varying entries)."""
+        scale as [(scale, [(i, j, poly)])], [(i, j, poly, scale)] of the
+        other varying entries)."""
         constants = np.zeros((self.dim, self.dim), dtype=complex)
         columns = {}
         others = []
@@ -300,52 +300,26 @@ class BetaAdaptedMatrix:
                     columns.setdefault(scale, []).append((i, j, poly))
                 else:
                     others.append((i, j, poly, scale))
-        columns = [
-            (scale, frozenset().union(*(poly._orders for _, _, poly in cells)), cells)
-            for scale, cells in sorted(columns.items())
-        ]
-        return constants, columns, others
+        return constants, sorted(columns.items()), others
 
     @cached_property
     def _real(self):
         """Real constants, and varying entries all _real harmonic ones."""
         constants, columns, others = self._split_entries
-        polys = [poly for _, _, cells in columns for _, _, poly in cells]
+        polys = [poly for _, cells in columns for _, _, poly in cells]
         return not others and not constants.imag.any() and all(p._real for p in polys)
 
-    def _fill(self, count, argument, powers, real=False):
-        """count matrices; a varying entry (i, j) is read at argument(scale_ij).
-
-        Harmonic entries run the Laurent evaluator on powers(scale, orders),
-        {k: z^k} for z = e(argument(scale)) and at least the k in orders: one
-        z and its powers per distinct scale, shared by every entry that reads
-        that argument column (a diagonal c_i + e(x) reads one column d times).
-        Other entries evaluate term by term.  real (a _real M) fills float64.
-        """
-        constants, columns, others = self._split_entries
-        out = (constants.real if real else constants)[None].repeat(count, axis=0)
-        for scale, orders, cells in columns:
-            zs = powers(scale, orders)
-            for i, j, poly in cells:
-                out[:, i, j] = poly._laurent(zs, count, real)
-        for i, j, poly, scale in others:
-            out[:, i, j] = poly.evaluate(argument(scale))
-        return out
-
-    def _at_points(self, xs):
-        """M at a 1-D float array of points, arguments beta^l x taken directly."""
-        argument = lambda scale: (self.beta**scale) * xs
-        powers = lambda scale, orders: _circle_powers(argument(scale), orders)
-        return self._fill(xs.size, argument, powers)
-
     def evaluate(self, x):
-        """M(x) as a complex matrix, arguments beta^l x taken directly.
-
-        A one-point batch, so M(x) equals evaluate_batch([x])[0] to the bit."""
-        return self._at_points(np.array([x], dtype=float))[0]
+        """M(x) as a complex matrix: evaluate_batch([x])[0], to the bit."""
+        return self.evaluate_batch([x])[0]
 
     def evaluate_batch(self, xs):
-        return self._at_points(np.asarray(xs, dtype=float))
+        """M at a 1-D array of points x as a complex (N, d, d) stack:
+        eval_args on the argument columns x beta^m, m = 0..max_scale, with
+        beta^m a float power, so a non-1-periodic entry reads beta^l x."""
+        xs = np.asarray(xs, dtype=float)
+        powers = np.array([self.beta**m for m in range(self.max_scale + 1)])
+        return self.eval_args(xs[:, None] * powers).astype(complex, copy=False)
 
     @cached_property
     def _window(self):
@@ -353,35 +327,43 @@ class BetaAdaptedMatrix:
         and largest scale, every power of z that one of them reads, and
         whether M is _real and they all read Re z alone (_cos_only)."""
         columns = self._split_entries[1]
-        scales = [scale for scale, _, _ in columns] or [0]
-        orders = frozenset().union(*(orders for _, orders, _ in columns))
-        cos_only = self._real and all(p._cos_only for _, _, cells in columns for _, _, p in cells)
+        scales = [scale for scale, _ in columns] or [0]
+        polys = [poly for _, cells in columns for _, _, poly in cells]
+        orders = frozenset().union(*(poly._orders for poly in polys))
+        cos_only = self._real and all(poly._cos_only for poly in polys)
         return min(scales), max(scales), orders, cos_only
 
     def eval_args(self, args, steps=1, carry=None):
         """Batched M at steps 0..steps-1 of a window of argument columns, one
         step-major (steps * N, d, d) stack: rows s N .. (s+1) N - 1 hold step
-        s, so steps=1 gives the (N, d, d) stack of step 0.
+        s, so steps=1 gives the (N, d, d) stack of step 0.  The one evaluator
+        of M: evaluate_batch and evaluate read it.
 
-        args[s, m] holds beta^m x_s (modulo 1 is fine: entries are
-        1-periodic); step k of a table is eval_args(table[:, k:]).  Entry
+        args[s, m] holds beta^m x_s, or its fractional part when every entry
+        is 1-periodic; step k of a table is eval_args(table[:, k:]).  Entry
         (i, j) at step s reads column s + scale_ij.  Harmonic entries read
-        one window of columns, lo .. hi + steps - 1 (_window):
-        z = e(column) and its powers are computed once over the window, and
-        each scale takes its slice.  carry, a dict that _factors hands from
-        one block to the next, keeps the powers of the window's last hi - lo
-        columns, where the next window starts, so that each column's z is
-        computed once per run.  A _real M gives a float64 stack, from cos
-        alone when every entry is _cos_only (_circle_powers).
+        one window of columns, lo .. hi + steps - 1 (_window): z = e(column)
+        and its powers are computed once over the window, and each scale
+        takes its slice, shared by every entry of that scale (a diagonal
+        c_i + e(x) reads one column d times).  carry, a dict that _factors
+        hands from one block to the next, keeps the powers of the window's
+        last hi - lo columns, where the next window starts, so that each
+        column's z is computed once per run.  Other entries (allow_nonperiodic)
+        evaluate term by term on their columns.  A _real M gives a float64
+        stack, from cos alone when every entry is _cos_only (_circle_powers).
         """
         N = args.shape[0]
         lo, hi, orders, cos_only = self._window
         window = _window_powers(args, lo, hi + steps, orders, cos_only, hi - lo, carry)
-        argument = lambda scale: args[:, scale : scale + steps].T.ravel()
-        powers = lambda scale, _: {
-            o: z[(scale - lo) * N : (scale - lo + steps) * N] for o, z in window.items()
-        }
-        return self._fill(steps * N, argument, powers, self._real)
+        constants, columns, others = self._split_entries
+        out = (constants.real if self._real else constants)[None].repeat(steps * N, axis=0)
+        for scale, cells in columns:
+            zs = {o: z[(scale - lo) * N : (scale - lo + steps) * N] for o, z in window.items()}
+            for i, j, poly in cells:
+                out[:, i, j] = poly._laurent(zs, steps * N, self._real)
+        for i, j, poly, scale in others:
+            out[:, i, j] = poly.evaluate(args[:, scale : scale + steps].T.ravel())
+        return out
 
 
 def _window_powers(args, first, stop, orders, cos_only, keep, carry):
@@ -461,14 +443,10 @@ def scalar_matrix(poly, base, scale=0):
 
 def _check_positivity(M, delta):
     """ValueError unless each entry is_zero or is real and >= delta on a
-    10000-point grid of [0, 1)."""
-    xs = np.linspace(0.0, 1.0, 10000, endpoint=False)
+    10000-point grid of [0, 1): TrigPolynomial._grid_min(10000) >= delta."""
     for i, row in enumerate(M.entries):
         for j, (poly, _) in enumerate(row):
-            if poly.is_zero:
-                continue
-            vals = np.atleast_1d(poly.evaluate(xs))
-            if np.max(np.abs(vals.imag)) > 1e-12 or np.min(vals.real) < delta:
+            if poly._grid_min(10000) < delta:
                 raise ValueError(
                     "entry (%d,%d) is neither identically zero nor real and "
                     ">= delta=%g on the test grid" % (i, j, delta)

@@ -315,18 +315,10 @@ def asymptotic_exponent(eq, x, n_max, solution=None):
 
 
 def theoremB_gate(eq):
-    """True iff every f_j is_zero or is strictly positive on a 4096-point
-    grid of [0, 1), and the base is a Pisot or integer beta."""
-    if not isinstance(eq.base, PisotNumber):
-        return False
-    xs = np.linspace(0.0, 1.0, 4096, endpoint=False)
-    for f in eq.fs:
-        if f.is_zero:
-            continue
-        vals = np.atleast_1d(f.evaluate(xs))
-        if np.max(np.abs(vals.imag)) > 1e-12 or np.min(vals.real) <= 0.0:
-            return False
-    return True
+    """True iff every f_j is_zero or is real and strictly positive on a
+    4096-point grid of [0, 1) (TrigPolynomial._grid_min(4096) > 0), and the
+    base is a Pisot or integer beta."""
+    return isinstance(eq.base, PisotNumber) and all(f._grid_min(4096) > 0.0 for f in eq.fs)
 
 
 def theoremC_gate(eq):
@@ -336,23 +328,20 @@ def theoremC_gate(eq):
         * (|f_1(x)| + ... + |f_d(x/beta^{d-1})|) / |f_d(x/beta^{d-1})|
 
     holds iff its supremum over a 20000-point grid of [0, 4 max(1,
-    beta^(d-1))) is below 1/rho, always at rho = 0 (an integer base).  A
-    denominator dipping below 1e-12 reports (False, inf) rather than
-    raising.
+    beta^(d-1))) is below 1/rho, always at rho = 0 (an integer base).  The
+    moduli are those of the first row of companion_matrix(eq) at x /
+    beta^(d-1), where that row reads f_j(x / beta^j).  A denominator dipping
+    below 1e-12 reports (False, inf) rather than raising.
     """
     if not isinstance(eq.base, PisotNumber):
         raise ValueError("the gate needs a Pisot or integer base")
-    beta = eq.beta
-    d = eq.d
-    span = 4.0 * max(1.0, beta ** (d - 1))
-    xs = np.linspace(0.0, span, 20000, endpoint=False)
-    mods = [
-        np.abs(np.atleast_1d(eq.fs[j].evaluate(xs / beta**j))) for j in range(d)
-    ]
-    denom = mods[-1]
+    lift = eq.beta ** (eq.d - 1)
+    xs = np.linspace(0.0, 4.0 * max(1.0, lift), 20000, endpoint=False)
+    mods = np.abs(companion_matrix(eq).evaluate_batch(xs / lift)[:, 0])
+    denom = mods[:, -1]
     if np.min(denom) < 1e-12:
         return False, math.inf
-    quotient = (1.0 + sum(mods[:-1])) * sum(mods) / denom
+    quotient = (1.0 + mods[:, :-1].sum(axis=1)) * mods.sum(axis=1) / denom
     sup_value = float(np.max(quotient))
     return eq.base.rho == 0.0 or sup_value < 1.0 / eq.base.rho, sup_value
 

@@ -288,7 +288,8 @@ def _newton(f, z):
 
 
 def make_pisot(minpoly):
-    """Build a PisotNumber from descending monic integer coefficients.
+    """Build a PisotNumber from descending monic integer coefficients; a
+    coefficient that is not integral (2.7) is a ValueError, not truncated.
 
     Each decision is an exact count over Q.  ReduciblePolynomial: f(0) = 0,
     or a nonconstant last entry of the Sturm chain _chain(f, f') (a repeated
@@ -303,7 +304,10 @@ def make_pisot(minpoly):
     beta is the float both ends of its bracket round to; the conjugates are
     numpy's other roots after _newton, sorted by (|Im|, Re, Im).
     """
+    minpoly = tuple(minpoly)
     coeffs = tuple(int(c) for c in minpoly)
+    if coeffs != minpoly:
+        raise ValueError("coefficients must be integers, got %s" % (minpoly,))
     if len(coeffs) < 2:
         raise ValueError("polynomial must have degree >= 1")
     if coeffs[0] != 1:

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,15 @@ BERNOULLI_MATRIX = {
     ],
     "base": GOLDEN_SPEC,
 }
+
+
+def test_importing_the_cli_loads_no_test_or_multiprecision_module():
+    # a fresh interpreter: this one has pytest, hypothesis and mpmath loaded
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, betacocycle.cli; print(sorted({'mpmath', 'hypothesis', 'pytest'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # --- config validation -------------------------------------------------------
@@ -551,6 +562,17 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
         ("solve", {"equation": VIETE_EQUATION, "params": {"tol": 0}}, "solve"),
         ("asymptotics", {"equation": VIETE_EQUATION, "params": {"tol": -1}}, "asymptotics"),
         ("asymptotics", {"equation": VIETE_EQUATION, "params": {"tol": 0}}, "asymptotics"),
+        # a non-integral integer is refused, not truncated
+        ("lyapunov", {"matrix": SCALAR_MATRIX, "params": {"q": 1.7}}, "params.q"),
+        ("lyapunov", {"matrix": SCALAR_MATRIX, "estimation": {"n_ladder": [8.9, 16.2]}}, "estimation.n_ladder"),
+        ("lyapunov", {"matrix": SCALAR_MATRIX, "estimation": {"n_samples": 20.6}}, "estimation.n_samples"),
+        (
+            "lyapunov",
+            {"matrix": {"entries": [[{"poly": [[1, 0.5, 0]], "scale": 1.5}]], "base": "1,-2"}},
+            "matrix: scale",
+        ),
+        ("lyapunov", {"matrix": SCALAR_MATRIX, "seed": 1.5}, "seed"),
+        ("pisot", {"base": {"minpoly": [1, -2.7]}}, "base"),
     ],
     ids=[
         "moments-n_max-1",
@@ -595,6 +617,12 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
         "solve-zero-tol",
         "asymptotics-negative-tol",
         "asymptotics-zero-tol",
+        "lyapunov-float-q",
+        "lyapunov-float-ladder",
+        "lyapunov-float-samples",
+        "matrix-float-scale",
+        "float-seed",
+        "base-float-minpoly",
     ],
 )
 def test_main_exit_1_on_library_value_error(tmp_path, capsys, command, cfg, where):

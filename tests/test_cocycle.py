@@ -618,21 +618,42 @@ def test_a_non_finite_factor_raises(m, bad):
 
 
 def test_matrix_evaluation_paths_agree_with_entrywise_values():
-    M = beta_adapted_matrix(
-        [[(cosine(TWO_PI), 1), 0.5], [constant(1.0), (harmonic(2, 0.3), 0)]],
-        GOLDEN,
-    )
+    """evaluate_batch and evaluate read eval_args, the one evaluator of M,
+    and every path gives each entry at beta^scale x to the bit: a
+    non-harmonic entry (nonperiodic) term by term, harmonic ones at up to
+    three scales on shared powers of z.  A _real M is a real stack, so the
+    complex one has imaginary part exactly 0."""
+    matrices = {
+        "mixed": beta_adapted_matrix(
+            [[(cosine(TWO_PI), 1), 0.5], [constant(1.0), (harmonic(2, 0.3), 0)]], GOLDEN
+        ),
+        "real": beta_adapted_matrix(  # real entries that read Im z, at scales 0..2
+            [[(constant(2.0) + cosine(TWO_PI, 0.5, 0.7), 1), 0.5],
+             [(cosine(TWO_PI, 0.3), 0), (constant(1.0) + cosine(2 * TWO_PI, 0.2, -1.1), 2)]],
+            GOLDEN,
+        ),
+        "cos-only": beta_adapted_matrix(  # real, and reads Re z alone
+            [[(constant(2.0) + cosine(TWO_PI), 1), 0.5], [1.0, 0.0]], GOLDEN
+        ),
+        "nonperiodic": _block_matrix("nonperiodic"),
+        "three-scales": _block_matrix("tribonacci"),
+    }
     xs = np.array([0.1, 0.37, 1.9])
-    beta = GOLDEN.beta
-    want = np.empty((3, 2, 2), dtype=complex)
-    want[:, 0, 0] = cosine(TWO_PI).evaluate(beta * xs)
-    want[:, 0, 1] = 0.5
-    want[:, 1, 0] = 1.0
-    want[:, 1, 1] = harmonic(2, 0.3).evaluate(xs)
-    args = xs[:, None] * beta ** np.arange(2)[None, :]
-    assert np.array_equal(M.evaluate_batch(xs), want)
-    assert np.array_equal(M.eval_args(args), want)
-    assert np.array_equal(M.evaluate(xs[1]), want[1])
+    for name, M in matrices.items():
+        beta = M.beta
+        want = np.stack(
+            [np.stack([poly.evaluate(beta**s * xs) for poly, s in row], axis=1) for row in M.entries],
+            axis=1,
+        )
+        got = M.evaluate_batch(xs)
+        assert got.dtype == complex and M._real == (name in ("real", "cos-only")), name
+        if M._real:
+            assert not got.imag.any(), name
+            want = want.real
+        args = xs[:, None] * np.array([beta**m for m in range(M.max_scale + 1)])
+        assert np.array_equal(got, want), name
+        assert np.array_equal(M.eval_args(args), want), name
+        assert np.array_equal(M.evaluate(xs[1]), want[1]), name
 
 
 def _block_matrix(name):

@@ -440,6 +440,21 @@ def test_contraction_gate_phase_invariant():
     )
 
 
+@pytest.mark.parametrize(
+    "eq",
+    [bernoulli_convolution(0.2, 1, 1, GOLDEN), TRIBONACCI_EQUATION, viete_equation()],
+    ids=["golden-bernoulli", "tribonacci", "viete"],
+)
+def test_contraction_gate_reads_the_quotient_of_f_j_at_x_over_beta_j(eq):
+    # the gate reads the companion's first row at x / beta^(d-1); on the same
+    # grid, the moduli of f_j(x / beta^j) give the same supremum
+    beta, d = eq.beta, eq.d
+    xs = np.linspace(0.0, 4.0 * max(1.0, beta ** (d - 1)), 20000, endpoint=False)
+    mods = [np.abs(f.evaluate(xs / beta**j)) for j, f in enumerate(eq.fs)]
+    direct = float(np.max((1.0 + sum(mods[:-1])) * sum(mods) / mods[-1]))
+    assert theoremC_gate(eq)[1] == pytest.approx(direct, rel=1e-15, abs=0)
+
+
 # --- moment growth ----------------------------------------------------------
 
 

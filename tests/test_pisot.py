@@ -162,6 +162,14 @@ def test_zero_constant_term_and_repeated_root_are_reducible():
         make_pisot([1, -2, -1, 0, 3, 2, 1])  # (x^3-x^2-x-1)^2
 
 
+def test_non_integral_coefficients_are_refused_not_truncated():
+    # int() would read these as 1, -2 (base 2) and 1, -1, -1 (golden)
+    for minpoly in ([1, -2.7], [1.0, -1.2, -1.9]):
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            make_pisot(minpoly)
+    assert make_pisot([1.0, -1.0, -1.0]) == GOLDEN
+
+
 monic = st.integers(1, 3).flatmap(
     lambda r: st.lists(st.integers(-3, 3), min_size=r, max_size=r).map(lambda c: [1] + c)
 )
@@ -299,6 +307,17 @@ def pisot_bases(draw):
 def test_admissible_strings_match_reexpansion_at_random_bases(p, n):
     words = itertools.product(range(p.digit_max + 1), repeat=n)
     assert admissible_strings(p, n) == [w for w in words if _reexpansion_admissible(p, w)]
+
+
+@given(pisot_bases())
+@settings(max_examples=30, deadline=None)
+def test_real_conjugates_match_the_sturm_count(p):
+    # numpy's roots must not turn two close real conjugates into a complex
+    # pair: Newton keeps a real start real and a complex one complex
+    f = list(p.minpoly)
+    chain = pisot._chain(f, [c * (p.degree - i) for i, c in enumerate(f[:-1])])
+    real_roots = pisot._variations(chain, -1) - pisot._variations(chain, 1)
+    assert sum(z.imag == 0 for z in p.conjugates) == real_roots - 1
 
 
 @pytest.mark.parametrize(
