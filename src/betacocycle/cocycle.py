@@ -337,7 +337,9 @@ class BetaAdaptedMatrix:
         """Batched M at steps 0..steps-1 of a window of argument columns, one
         step-major (steps * N, d, d) stack: rows s N .. (s+1) N - 1 hold step
         s, so steps=1 gives the (N, d, d) stack of step 0.  The one evaluator
-        of M: evaluate_batch and evaluate read it.
+        of M: evaluate_batch and evaluate read it.  It is the .transpose(2, 0,
+        1) view of an entry-major (d, d, steps * N) array: each entry is
+        written, and read by _mul2x2 and _exterior_levels, as one plane.
 
         args[s, m] holds beta^m x_s, or its fractional part when every entry
         is 1-periodic; step k of a table is eval_args(table[:, k:]).  Entry
@@ -356,14 +358,14 @@ class BetaAdaptedMatrix:
         lo, hi, orders, cos_only = self._window
         window = _window_powers(args, lo, hi + steps, orders, cos_only, hi - lo, carry)
         constants, columns, others = self._split_entries
-        out = (constants.real if self._real else constants)[None].repeat(steps * N, axis=0)
+        out = (constants.real if self._real else constants)[:, :, None].repeat(steps * N, axis=2)
         for scale, cells in columns:
             zs = {o: z[(scale - lo) * N : (scale - lo + steps) * N] for o, z in window.items()}
             for i, j, poly in cells:
-                out[:, i, j] = poly._laurent(zs, steps * N, self._real)
+                out[i, j] = poly._laurent(zs, steps * N, self._real)
         for i, j, poly, scale in others:
-            out[:, i, j] = poly.evaluate(args[:, scale : scale + steps].T.ravel())
-        return out
+            out[i, j] = poly.evaluate(args[:, scale : scale + steps].T.ravel())
+        return out.transpose(2, 0, 1)
 
 
 def _window_powers(args, first, stop, orders, cos_only, keep, carry):
@@ -395,15 +397,17 @@ def beta_adapted_matrix(entries, base, positivity_delta=None, allow_nonperiodic=
     its certificates take Hoelder exponent 1.
     """
     rows = []
-    for row in entries:
+    for i, row in enumerate(entries):
         packed = []
-        for item in row:
+        for j, item in enumerate(row):
             if isinstance(item, TrigPolynomial):
                 poly, scale = item, 0
             elif isinstance(item, tuple) and isinstance(item[0], TrigPolynomial):
                 poly, scale = item
             else:
                 poly, scale = constant(item), 0
+            if scale != int(scale):
+                raise ValueError("entry (%d,%d) has a non-integral scale exponent %r" % (i, j, scale))
             if scale < 0:
                 raise ValueError(
                     "negative scale exponent %d: rescale the argument so all "
@@ -541,8 +545,9 @@ def _exterior_levels(A, q):
         det A[I, J] = sum_t (-1)^t A[I[0], J[t]] det A[I - I[0], J - J[t]]:
 
     r whole-stack products of two row gathers by the cached _laplace_tables(d,
-    r), no per-minor loop.  The chain runs entry-major: the stack is copied
-    once to (d * d, rows), and each level is a (C(d, r)^2, rows) array, the
+    r), no per-minor loop.  The chain runs entry-major on (d * d, rows)
+    planes, read in place from an entry-major stack (eval_args) and copied
+    once from any other, and each level is a (C(d, r)^2, rows) array, the
     next level's input, returned as a (..., C, C) view of its transpose.
     Every minor is the same products and sums in the same order as an
     elementwise chain on the (..., C, C) stack, so the layout changes no
@@ -588,17 +593,38 @@ def _opnorm(A):
     return np.linalg.svd(A, compute_uv=False)[..., 0]
 
 
+def _inverse_norm(A, norm):
+    """||A^-1|| of each matrix in a stack (..., m, m), in the 2-norm (norm 2)
+    or the max-row-sum norm (norm inf), by _opnorm's shape rule: 1 / |a| for
+    1 x 1; for 2 x 2, max(|d| + |b|, |c| + |a|) / |det A| and _opnorm(A) /
+    |det A| (sigma_1 sigma_2 = |det A|); LAPACK's inverse otherwise.  An
+    exactly singular matrix raises LinAlgError, as the inverse does."""
+    if A.shape[-1] > 2:
+        inv = np.linalg.inv(A)
+        return _opnorm(inv) if norm == 2 else np.abs(inv).sum(axis=-1).max(axis=-1)
+    if A.shape[-1] == 1:
+        top, det = 1.0, A[..., 0, 0]
+    else:
+        a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+        top = _opnorm(A) if norm == 2 else np.maximum(abs(d) + abs(b), abs(c) + abs(a))
+        det = a * d - b * c
+    if not det.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return top / abs(det)
+
+
 def _mul2x2(A, B):
     """A @ B for a (N, 2, 2) stack B by explicit entry formulas; A is
-    (N, 2, 2) or broadcasts against it."""
+    (N, 2, 2) or broadcasts against it.  The product is entry-major, the
+    (N, 2, 2) view of a (2, 2, N) array whose entries are contiguous planes."""
     a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
     e, f, g, h = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
-    out = np.empty(B.shape, dtype=np.result_type(A, B))
-    out[:, 0, 0] = a * e + b * g
-    out[:, 0, 1] = a * f + b * h
-    out[:, 1, 0] = c * e + d * g
-    out[:, 1, 1] = c * f + d * h
-    return out
+    out = np.empty((2, 2, B.shape[0]), dtype=np.result_type(A, B))
+    out[0, 0] = a * e + b * g
+    out[0, 1] = a * f + b * h
+    out[1, 0] = c * e + d * g
+    out[1, 1] = c * f + d * h
+    return out.transpose(2, 0, 1)
 
 
 def _batched_cocycle(factors, starts):
@@ -615,8 +641,9 @@ def _batched_cocycle(factors, starts):
     arrays belong to the engine, and the next step updates them: a reader
     keeps only what it computes from them (_wedge_products takes a norm).
 
-    The step is a product of scalars for 1 x 1, explicit entry formulas
-    (_mul2x2) for a (N, 2, 2) accumulator, two float64 matmuls for a square
+    The step is a product of scalars for 1 x 1, explicit entry formulas on
+    entry planes (_mul2x2) for a (N, 2, 2) accumulator, whose Frobenius
+    scale is then summed from the planes, two float64 matmuls for a square
     complex one with m >= 3, and batched @ for every other (columns, real).
     The kernel follows the accumulator's shape and dtype alone, so a row's
     value does not depend on the batch it runs in: joint_period_verify
@@ -626,15 +653,15 @@ def _batched_cocycle(factors, starts):
     round an ulp apart in the Frobenius scale.  The float64 kernel multiplies
     Re A and Im A into the float view of P, whose Re P and Im P columns
     alternate, and recombines the halves.  Complex m x m times m x m per
-    step, kernel / @, on a 2-core x86-64 machine:
+    step on entry-major factors, kernel / @, on a 2-core x86-64 machine:
 
         N       m = 2           m = 4           m = 6
-        1       8.9 / 1.8 us    7.7 / 2.6 us    7.6 / 2.3 us
-        256     15 / 75 us      64 / 122 us     63 / 100 us
-        2048    54 / 583 us     454 / 659 us    560 / 765 us
+        1       7.9 / 1.9 us    6.3 / 1.9 us    6.2 / 2.0 us
+        256     10 / 68 us      36 / 82 us      60 / 86 us
+        2048    29 / 549 us     586 / 656 us    1340 / 747 us
 
     numpy's complex @ pays about 0.3 us per matrix for m <= 6, float64 @
-    less; at 8192 rows of 6 x 6 the float64 kernel lost (4.6 against 2.9 ms).
+    less; at 2048 rows of 6 x 6 the float64 kernel loses.
     Every product is scaled by 1 / fro, which is what complex division by
     fro multiplies by (11.5 against 20 us at 2500 rows of 1 x 1).
     """
@@ -650,19 +677,21 @@ def _batched_cocycle(factors, starts):
                 acc, kind = accs[i], kinds[i]
                 if kind == (1, 1):  # a product of scalars
                     acc = A * acc
-                elif kind == (2, 2):
-                    acc = _mul2x2(A, acc)
-                elif kind[0] == kind[1] and acc.dtype == complex:  # float64 matmuls
-                    X, Y = A.real @ acc.view(np.float64), A.imag @ acc.view(np.float64)
-                    X[..., 0::2] -= Y[..., 1::2]  # Re A Re P - Im A Im P
-                    X[..., 1::2] += Y[..., 0::2]  # Re A Im P + Im A Re P
-                    acc = X.view(complex)
-                    del Y  # else it lives on through the yield and the next accumulator's step
-                else:
-                    acc = A @ acc
-                if kind == (1, 1):
                     fro = np.abs(acc[:, 0, 0])
+                elif kind == (2, 2):  # on the planes, whose Re and Im alternate for complex
+                    acc = _mul2x2(A, acc)
+                    parts = acc.transpose(1, 2, 0).view(np.float64)
+                    fro = np.einsum("ijn,ijn->n", parts, parts)
+                    fro = np.sqrt(fro[0::2] + fro[1::2] if acc.dtype == complex else fro)
                 else:
+                    if kind[0] == kind[1] and acc.dtype == complex:  # float64 matmuls
+                        X, Y = A.real @ acc.view(np.float64), A.imag @ acc.view(np.float64)
+                        X[..., 0::2] -= Y[..., 1::2]  # Re A Re P - Im A Im P
+                        X[..., 1::2] += Y[..., 0::2]  # Re A Im P + Im A Re P
+                        acc = X.view(complex)
+                        del Y  # else it lives on through the yield and the next accumulator's step
+                    else:
+                        acc = A @ acc
                     parts = acc.view(np.float64)  # real and imaginary parts side by side
                     fro = np.sqrt(np.einsum("nij,nij->n", parts, parts))
                 step = np.log(fro)
@@ -948,20 +977,19 @@ def oseledec_at(M, x, n, cluster_tol=None):
 def _grid_norm_constants(M, norm):
     """Suprema over a 10000-point grid of [0, 1) in the norm the caller reads:
     (sup ||M^-1||_2, sup ||M||_2 ||M^-1||_2) for norm 2, sup ||M||_inf
-    ||M^-1||_inf (max row sums, no SVD) for norm inf.  Callers inflate when
-    they need a safe side.
+    ||M^-1||_inf (max row sums) for norm inf, ||M^-1|| by _inverse_norm.
+    Callers inflate when they need a safe side.
     """
     grid = np.linspace(0.0, 1.0, 10000, endpoint=False)
     row_sums = lambda A: np.abs(A).sum(axis=2).max(axis=1)
     sups = []  # per chunk of _BLOCK_ROWS points: M, M^-1 and |M| stay small
     for lo in range(0, grid.size, _BLOCK_ROWS):
         Ms = M.evaluate_batch(grid[lo : lo + _BLOCK_ROWS])
-        inv = np.linalg.inv(Ms)
+        inv = _inverse_norm(Ms, norm)
         if norm == 2:
-            two_inv = _opnorm(inv)
-            sups.append((np.max(two_inv), np.max(_opnorm(Ms) * two_inv)))
+            sups.append((np.max(inv), np.max(_opnorm(Ms) * inv)))
         else:
-            sups.append(np.max(row_sums(Ms) * row_sums(inv)))
+            sups.append(np.max(row_sums(Ms) * inv))
     if norm == 2:
         return tuple(float(v) for v in np.max(sups, axis=0))
     return float(np.max(sups))

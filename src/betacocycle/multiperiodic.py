@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apcore import TrigPolynomial
+from .apcore import TrigPolynomial, harmonic
 from .cocycle import (
     _batched_cocycle,
     _beta_value,
@@ -93,8 +93,8 @@ def bernoulli_convolution(p, a, b, base):
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    from .apcore import harmonic
-
+    if a != int(a) or b != int(b):
+        raise ValueError("the frequencies a = %r and b = %r must be integers" % (a, b))
     return multiperiodic_equation(
         [harmonic(int(a), p), harmonic(int(b), 1.0 - p)],
         base,

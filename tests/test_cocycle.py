@@ -25,6 +25,7 @@ from betacocycle.cocycle import (
     _exterior_levels,
     _factors,
     _grid_norm_constants,
+    _inverse_norm,
     _log_norms,
     _opnorm,
     _orbit_info,
@@ -566,7 +567,9 @@ def test_float64_step_matches_complex_matmul(m, N):
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 1), (6, 1)])
 def test_renormalization_equals_complex_division(shape):
     """The engine multiplies a complex product by 1 / fro; an in-test loop
-    that divides it by fro, as the engine once did, gets the same values."""
+    that divides it by fro, as the engine once did, gets the same values.
+    A 2 x 2 product is entry-major (_mul2x2), and its fro is summed from
+    the float view of its planes, Re and Im of an entry side by side."""
     rng = np.random.default_rng(60 + sum(shape))
     m = shape[0]
     factors = _complex_normal(rng, (20, 50, m, m))
@@ -577,8 +580,13 @@ def test_renormalization_equals_complex_division(shape):
         if shape == (1, 1):
             want = F * want
             fro = np.abs(want[:, 0, 0])
+        elif shape == (2, 2):
+            want = cocycle._mul2x2(F, want)
+            parts = want.transpose(1, 2, 0).view(np.float64)  # (2, 2, 2 N)
+            squares = np.einsum("ijn,ijn->n", parts, parts)
+            fro = np.sqrt(squares[0::2] + squares[1::2])
         else:
-            want = cocycle._mul2x2(F, want) if shape == (2, 2) else F @ want
+            want = F @ want
             parts = want.view(np.float64)
             fro = np.sqrt(np.einsum("nij,nij->n", parts, parts))
         want /= fro[:, None, None]
@@ -725,6 +733,92 @@ def test_eval_args_steps_stack_the_steps_step_major():
     assert stack.shape == (12, 3, 3)
     for s in range(4):
         assert np.array_equal(stack[3 * s : 3 * s + 3], M.eval_args(args[:, 2 + s :]))
+
+
+def _layout_matrix(kind, d, rng):
+    """A d x d M of one kind: "cos" (real, reads Re z alone), "real" (reads
+    Im z too), "complex", or "nonperiodic" (one non-harmonic entry); scales
+    0..2, with a zero and a constant entry when d > 1."""
+    def entry():
+        c, a = rng.uniform(0.5, 2.0), rng.uniform(0.1, 0.5)
+        if kind == "cos":
+            return constant(c) + cosine(TWO_PI, a)
+        if kind == "real":
+            return constant(c) + cosine(TWO_PI * int(rng.integers(1, 3)), a, rng.uniform(-1, 1))
+        return constant(c) + harmonic(int(rng.integers(-2, 3)) or 1, a * np.exp(1j * rng.uniform(-1, 1)))
+
+    entries = [[(entry(), int(rng.integers(0, 3))) for _ in range(d)] for _ in range(d)]
+    if d > 1:
+        entries[0][1], entries[1][0] = 0.0, 0.75
+    if kind == "nonperiodic":
+        entries[-1][-1] = (constant(1.0) + cosine(1.0, 0.3), 1)
+    return beta_adapted_matrix(entries, GOLDEN, allow_nonperiodic=kind == "nonperiodic")
+
+
+def _row_major_stack(M, args, steps):
+    """eval_args(args, steps) built entry by entry into a row-major stack:
+    each entry on its own column's powers of z (_circle_powers) or term by
+    term, step after step."""
+    N, (_, _, orders, cos_only) = args.shape[0], M._window
+    out = np.empty((steps * N, M.dim, M.dim), dtype=float if M._real else complex)
+    for s in range(steps):
+        for i, row in enumerate(M.entries):
+            for j, (poly, scale) in enumerate(row):
+                column = args[:, s + scale]
+                if poly.max_frequency == 0.0:
+                    value = np.full(N, poly.evaluate(0.0))
+                elif poly.is_one_periodic:
+                    value = poly._laurent(_circle_powers(column, orders, cos_only), N, M._real)
+                else:
+                    value = poly.evaluate(column)
+                out[s * N : (s + 1) * N, i, j] = value.real if M._real else value
+    return out
+
+
+@pytest.mark.parametrize("kind", ["cos", "real", "complex", "nonperiodic"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_eval_args_writes_entry_planes(d, kind):
+    """eval_args is a (steps N, d, d) view of an entry-major (d, d, steps N)
+    array with the values of a row-major stack built entry by entry, and
+    _exterior_levels gives the same bits on it and on its row-major copy."""
+    rng = np.random.default_rng(10 * d + len(kind))
+    M = _layout_matrix(kind, d, rng)
+    assert M._real == (kind in ("cos", "real")) and M._window[3] == (kind == "cos")
+    args = rng.uniform(0.0, 3.0, size=(7, M.max_scale + 4))
+    got = M.eval_args(args, steps=4)
+    want = _row_major_stack(M, args, 4)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.transpose(1, 2, 0).flags.c_contiguous
+    rows = np.ascontiguousarray(got)
+    for planes, copied in zip(_exterior_levels(got, d), _exterior_levels(rows, d)):
+        assert planes.dtype == copied.dtype and np.array_equal(planes, copied)
+
+
+def _row_major_mul2x2(A, B):
+    """The 2 x 2 kernel's entry formulas writing a row-major (N, 2, 2) stack."""
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    e, f, g, h = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
+    out = np.empty(B.shape, dtype=np.result_type(A, B))
+    out[:, 0, 0] = a * e + b * g
+    out[:, 0, 1] = a * f + b * h
+    out[:, 1, 0] = c * e + d * g
+    out[:, 1, 1] = c * f + d * h
+    return out
+
+
+def test_mul2x2_writes_entry_planes_with_the_row_major_values():
+    """_mul2x2 returns an entry-major product with the bits of the row-major
+    formulas, for complex and real stacks in either layout and for a single
+    factor broadcast against the stack."""
+    rng = np.random.default_rng(90)
+    for draw in (lambda *s: _complex_normal(rng, s), lambda *s: rng.normal(size=s)):
+        A, B = draw(2, 300, 2, 2)
+        planes = np.ascontiguousarray(B.transpose(1, 2, 0)).transpose(2, 0, 1)
+        for left, right in ((A, B), (A, planes), (A[:1], B), (A[:1], planes)):
+            got = cocycle._mul2x2(left, right)
+            assert got.transpose(1, 2, 0).flags.c_contiguous
+            assert np.array_equal(got, _row_major_mul2x2(left, right))
 
 
 # --- real-valued cocycles ---------------------------------------------------
@@ -889,14 +983,82 @@ def test_grid_norm_constants_in_chunks_equal_the_whole_grid():
     )
     for M in (bernoulli_companion(0.2), _d4_matrix(), late):
         Ms = M.evaluate_batch(np.linspace(0.0, 1.0, 10000, endpoint=False))
-        inv = np.linalg.inv(Ms)
-        two_inv = _opnorm(inv)
+        two_inv = _inverse_norm(Ms, 2)
         rows = lambda A: np.abs(A).sum(axis=2).max(axis=1)
         assert _grid_norm_constants(M, 2) == (
             float(np.max(two_inv)),
             float(np.max(_opnorm(Ms) * two_inv)),
         )
-        assert _grid_norm_constants(M, math.inf) == float(np.max(rows(Ms) * rows(inv)))
+        assert _grid_norm_constants(M, math.inf) == float(np.max(rows(Ms) * _inverse_norm(Ms, math.inf)))
+
+
+def _ill_conditioned(rng, count, m, complex_):
+    """count m x m matrices whose inverse is near 1 / eps or beyond, yet
+    computed to a few ulps both in closed form and by LAPACK: rows and
+    columns scaled by up to 1e8, and (m = 2) [[1, t], [s, s t + e]] with
+    dyadic s, t and e = 2^-k, whose determinant e is exact; |s| <= 1/2 keeps
+    LAPACK's pivot on the first row, where its elimination is exact too."""
+    draw = lambda *shape: _complex_normal(rng, shape) if complex_ else rng.normal(size=shape)
+    scaled = draw(count, m, m) * 10.0 ** rng.uniform(-8, 8, (count, m, 1))
+    scaled *= 10.0 ** rng.uniform(-8, 8, (count, 1, m))
+    if m == 1:
+        return scaled
+    s = np.clip(np.round(4 * draw(count).real), -2, 2) / 4
+    if complex_:
+        s = s / 2 + 1j * np.clip(np.round(4 * draw(count).imag), -2, 2) / 8
+    t = np.round(8 * draw(count)) / 8 + 1.0
+    near = np.empty((count, 2, 2), dtype=s.dtype)
+    near[:, 0, 0], near[:, 0, 1], near[:, 1, 0] = 1.0, t, s
+    near[:, 1, 1] = s * t + 2.0 ** -rng.integers(10, 45, count)
+    return np.concatenate([scaled, near])
+
+
+@pytest.mark.parametrize("complex_", [True, False], ids=["complex", "real"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_inverse_norm_closed_forms_match_the_inverse(m, complex_):
+    """||A^-1||_2 and ||A^-1||_inf in closed form at m <= 2 agree with the
+    norms of LAPACK's inverse within 1e-13 relative, ill-conditioned
+    matrices included."""
+    rng = np.random.default_rng(80 + m + 2 * complex_)
+    draw = _complex_normal(rng, (500, m, m)) if complex_ else rng.normal(size=(500, m, m))
+    A = np.concatenate([draw, _ill_conditioned(rng, 500, m, complex_)])
+    inv = np.linalg.inv(A)
+    want_two = np.linalg.svd(inv, compute_uv=False)[:, 0]
+    want_inf = np.abs(inv).sum(axis=2).max(axis=1)
+    for got, want in ((_inverse_norm(A, 2), want_two), (_inverse_norm(A, math.inf), want_inf)):
+        assert got.shape == want.shape and np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
+def test_inverse_norm_raises_at_a_singular_matrix():
+    """An exactly singular matrix raises LinAlgError, as the inverse does, in
+    both norms and at every size, and so does a grid with a singular point:
+    -1 + cos 2 pi x is exactly 0 at x = 0."""
+    singular = [np.zeros((3, 1, 1)), np.array([[[1.0, 2.0], [2.0, 4.0]]]), np.zeros((2, 3, 3))]
+    for A in singular:
+        for norm in (2, math.inf):
+            with pytest.raises(np.linalg.LinAlgError):
+                _inverse_norm(A.astype(complex), norm)
+    vanish = constant(-1.0) + cosine(TWO_PI)
+    for M in (scalar_matrix(vanish, GOLDEN), beta_adapted_matrix([[vanish, 0.0], [0.0, 1.0]], GOLDEN)):
+        for norm in (2, math.inf):
+            with pytest.raises(np.linalg.LinAlgError):
+                _grid_norm_constants(M, norm)
+
+
+def test_certificates_at_d_le_2_take_no_inverse(monkeypatch):
+    """At d <= 2 the grid's ||M^-1|| is read in closed form: with LAPACK's
+    inverse patched to raise, the golden Bernoulli certificate and a scalar
+    one still build, and so do the 2-norm constants of distortion_bound."""
+    def no_inverse(_):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    _grid_norm_constants.cache_clear()
+    for M in (bernoulli_companion(0.2), scalar_matrix(constant(2.0) + cosine(TWO_PI), GOLDEN)):
+        assert joint_period_certificate(M).kind == "contraction"
+        c_inv, d_two = _grid_norm_constants(M, 2)
+        assert 0.0 < c_inv <= d_two
+    _grid_norm_constants.cache_clear()
 
 
 # --- exterior powers -------------------------------------------------------
@@ -1926,6 +2088,16 @@ def test_direct_construction_normalizes_the_base():
 def test_negative_scale_rejected():
     with pytest.raises(ValueError):
         beta_adapted_matrix([[(harmonic(1, 1.0), -1)]], GOLDEN)
+
+
+def test_non_integral_scale_rejected():
+    """A scale of 1.5 names its entry instead of reading as 1; 2.0 is 2."""
+    with pytest.raises(ValueError, match=r"entry \(1,0\)"):
+        beta_adapted_matrix([[1.0, 0.0], [(harmonic(1, 1.0), 1.5), 0.0]], GOLDEN)
+    with pytest.raises(ValueError, match=r"entry \(0,0\)"):
+        beta_adapted_matrix([[(harmonic(1, 1.0), 1.5)]], GOLDEN)
+    M = beta_adapted_matrix([[(harmonic(1, 1.0), 2.0)]], GOLDEN)
+    assert M.entries[0][0][1] == 2 and type(M.entries[0][0][1]) is int and M.max_scale == 2
 
 
 def test_nonperiodic_entry_rejected_by_default():

@@ -86,6 +86,15 @@ def test_bernoulli_rejects_degenerate_p():
             bernoulli_convolution(p, 1, 1, GOLDEN)
 
 
+def test_bernoulli_rejects_non_integral_frequencies():
+    """a = 1.5 or b = 2.5 is refused rather than read as 1 or 2; 1.0 and
+    2.0 are the integers they hold."""
+    for a, b in ((1.5, 1), (1, 2.5), (0.5, 0.5)):
+        with pytest.raises(ValueError, match="must be integers"):
+            bernoulli_convolution(0.2, a, b, GOLDEN)
+    assert bernoulli_convolution(0.2, 1.0, 2.0, GOLDEN) == bernoulli_convolution(0.2, 1, 2, GOLDEN)
+
+
 # --- eigenvalue structure at zero ------------------------------------------
 
 
