@@ -985,11 +985,11 @@ def _grid_norm_constants(M, norm):
     sups = []  # per chunk of _BLOCK_ROWS points: M, M^-1 and |M| stay small
     for lo in range(0, grid.size, _BLOCK_ROWS):
         Ms = M.evaluate_batch(grid[lo : lo + _BLOCK_ROWS])
-        inv = _inverse_norm(Ms, norm)
+        inv_norm = _inverse_norm(Ms, norm)
         if norm == 2:
-            sups.append((np.max(inv), np.max(_opnorm(Ms) * inv)))
+            sups.append((np.max(inv_norm), np.max(_opnorm(Ms) * inv_norm)))
         else:
-            sups.append(np.max(row_sums(Ms) * inv))
+            sups.append(np.max(row_sums(Ms) * inv_norm))
     if norm == 2:
         return tuple(float(v) for v in np.max(sups, axis=0))
     return float(np.max(sups))
