@@ -593,21 +593,68 @@ def _opnorm(A):
     return np.linalg.svd(A, compute_uv=False)[..., 0]
 
 
+def _adjugate_row_sums(A):
+    """(max row sum of |adj A|, det A) of each matrix in a stack (..., d, d),
+    d = 3 or 4, from 2 x 2 minors.  Row i of adj A holds the cofactors of
+    column i, each the minor that deletes one row j and column i: at d = 3 a
+    2 x 2 minor of the other rows and columns; at d = 4 a 3 x 3 one, expanded
+    along its one row from the pair (0, 1) or (2, 3) against the other
+    pair's 2 x 2 minors, whose products over complementary column pairs
+    also sum to det A."""
+    d = A.shape[-1]
+    m = [[A[..., i, j] for j in range(d)] for i in range(d)]
+    pairs = list(itertools.combinations(range(d), 2))
+    minors = lambda r, s: {
+        (p, q): m[r][p] * m[s][q] - m[r][q] * m[s][p] for p, q in pairs
+    }
+    sums = []
+    if d == 3:
+        drop = [minors(1, 2), minors(0, 2), minors(0, 1)]  # row j deleted
+        for p, q in reversed(pairs):  # column i = 0, 1, 2 deleted
+            sums.append(sum(abs(drop[j][p, q]) for j in range(3)))
+        det = m[0][0] * drop[0][1, 2] - m[1][0] * drop[1][1, 2] + m[2][0] * drop[2][1, 2]
+    else:
+        top, bottom = minors(0, 1), minors(2, 3)
+        # row j deleted: expand along row e, against the other pair's minors
+        expand = [(1, bottom), (0, bottom), (3, top), (2, top)]
+        for i in range(4):
+            p, q, r = (k for k in range(4) if k != i)
+            sums.append(sum(
+                abs(m[e][p] * T[q, r] - m[e][q] * T[p, r] + m[e][r] * T[p, q])
+                for e, T in expand
+            ))
+        det = (
+            top[0, 1] * bottom[2, 3] - top[0, 2] * bottom[1, 3] + top[0, 3] * bottom[1, 2]
+            + top[1, 2] * bottom[0, 3] - top[1, 3] * bottom[0, 2] + top[2, 3] * bottom[0, 1]
+        )
+    return np.maximum.reduce(sums), det
+
+
 def _inverse_norm(A, norm):
     """||A^-1|| of each matrix in a stack (..., m, m), in the 2-norm (norm 2)
-    or the max-row-sum norm (norm inf), by _opnorm's shape rule: 1 / |a| for
-    1 x 1; for 2 x 2, max(|d| + |b|, |c| + |a|) / |det A| and _opnorm(A) /
-    |det A| (sigma_1 sigma_2 = |det A|); LAPACK's inverse otherwise.  An
-    exactly singular matrix raises LinAlgError, as the inverse does."""
-    if A.shape[-1] > 2:
-        inv = np.linalg.inv(A)
-        return _opnorm(inv) if norm == 2 else np.abs(inv).sum(axis=-1).max(axis=-1)
-    if A.shape[-1] == 1:
-        top, det = 1.0, A[..., 0, 0]
-    else:
+    or the max-row-sum norm (norm inf); any other norm raises ValueError.
+    1 / |a| for 1 x 1; for 2 x 2, max(|d| + |b|, |c| + |a|) / |det A| and
+    _opnorm(A) / |det A| (sigma_1 sigma_2 = |det A|).  At m >= 3 the 2-norm
+    is 1 / sigma_min from one SVD, and the inf-norm the max row sum of
+    |adj A| over |det A| in closed form at m = 3, 4 (_adjugate_row_sums),
+    the max row sum of LAPACK's inverse at m >= 5.  An exactly singular
+    matrix (det or sigma_min exactly 0) raises LinAlgError, as the inverse
+    does."""
+    if norm not in (2, math.inf):
+        raise ValueError("norm must be 2 or math.inf, not %r" % (norm,))
+    m = A.shape[-1]
+    if m == 1:
+        top, det = 1.0, A[..., 0, 0]  # ||A^-1|| = top / |det|
+    elif m == 2:
         a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
         top = _opnorm(A) if norm == 2 else np.maximum(abs(d) + abs(b), abs(c) + abs(a))
         det = a * d - b * c
+    elif norm == 2:
+        top, det = 1.0, np.linalg.svd(A, compute_uv=False)[..., -1]  # sigma_min
+    elif m <= 4:
+        top, det = _adjugate_row_sums(A)
+    else:
+        return np.abs(np.linalg.inv(A)).sum(axis=-1).max(axis=-1)
     if not det.all():
         raise np.linalg.LinAlgError("Singular matrix")
     return top / abs(det)
@@ -977,8 +1024,11 @@ def oseledec_at(M, x, n, cluster_tol=None):
 def _grid_norm_constants(M, norm):
     """Suprema over a 10000-point grid of [0, 1) in the norm the caller reads:
     (sup ||M^-1||_2, sup ||M||_2 ||M^-1||_2) for norm 2, sup ||M||_inf
-    ||M^-1||_inf (max row sums) for norm inf, ||M^-1|| by _inverse_norm.
-    Callers inflate when they need a safe side.
+    ||M^-1||_inf (max row sums) for norm inf, and ValueError for any other
+    norm.  ||M^-1|| comes from _inverse_norm (closed forms at d <= 2, and at
+    d = 3, 4 in the inf-norm; one SVD's sigma_min at d >= 3 in the 2-norm;
+    LAPACK's inverse only at d >= 5 in the inf-norm) and ||M||_2 from
+    _opnorm.  Callers inflate when they need a safe side.
     """
     grid = np.linspace(0.0, 1.0, 10000, endpoint=False)
     row_sums = lambda A: np.abs(A).sum(axis=2).max(axis=1)

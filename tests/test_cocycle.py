@@ -1061,6 +1061,117 @@ def test_certificates_at_d_le_2_take_no_inverse(monkeypatch):
     _grid_norm_constants.cache_clear()
 
 
+def test_inverse_norm_refuses_norms_other_than_2_and_inf():
+    """Any other norm used to read as the inf-norm: ||A^-1||_1 of this A is
+    10, yet norm 1 gave its inf-norm 9, and the grid cached it under 1."""
+    A = np.array([[[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [0.0, 0.0, 1.0]]])
+    for norm in (1, -math.inf, "fro"):
+        with pytest.raises(ValueError):
+            _inverse_norm(A, norm)
+    with pytest.raises(ValueError):
+        _grid_norm_constants(bernoulli_companion(0.2), 1)
+    assert _inverse_norm(A, math.inf)[0] == 9.0
+
+
+def _mp_inverse_norm(A):
+    """||A^-1||_inf of one matrix from a 50-digit mpmath inverse."""
+    with mp.workdps(50):
+        inv = mp.inverse(mp.matrix(A.tolist()))
+        return float(max(sum(abs(v) for v in row) for row in inv.tolist()))
+
+
+@pytest.mark.parametrize("complex_", [True, False], ids=["complex", "real"])
+@pytest.mark.parametrize("m", [3, 4])
+def test_adjugate_inverse_norm_matches_a_50_digit_inverse(m, complex_):
+    """||A^-1||_inf in closed form at m = 3, 4 agrees with a 50-digit inverse
+    within 1e-12 relative, on random draws and on draws whose rows and
+    columns are scaled by up to 1e8."""
+    rng = np.random.default_rng(90 + m + 2 * complex_)
+    draw = lambda *shape: _complex_normal(rng, shape) if complex_ else rng.normal(size=shape)
+    scaled = draw(40, m, m) * 10.0 ** rng.uniform(-8, 8, (40, m, 1))
+    scaled *= 10.0 ** rng.uniform(-8, 8, (40, 1, m))
+    A = np.concatenate([draw(40, m, m), scaled])
+    want = np.array([_mp_inverse_norm(a) for a in A])
+    assert np.max(np.abs(_inverse_norm(A, math.inf) / want - 1.0)) <= 1e-12
+
+
+def test_inverse_norms_of_the_d4_grid():
+    """On the d4 matrix's grid: at the point where ||M||_inf ||M^-1||_inf
+    peaks the closed form is within 1e-13 of a 50-digit inverse, and D within
+    1e-13 of LAPACK's; sup ||M^-1||_2 is 1 / 0.3 (M is normal, and its
+    smallest singular value is |0.3 e(x)|)."""
+    M = _d4_matrix()
+    Ms = M.evaluate_batch(np.linspace(0.0, 1.0, 10000, endpoint=False))
+    ratios = np.abs(Ms).sum(axis=2).max(axis=1) * np.abs(np.linalg.inv(Ms)).sum(axis=2).max(axis=1)
+    k = np.argmax(ratios)
+    assert abs(_inverse_norm(Ms[k : k + 1], math.inf)[0] / _mp_inverse_norm(Ms[k]) - 1.0) <= 1e-13
+    assert _grid_norm_constants(M, math.inf) == pytest.approx(np.max(ratios), rel=1e-13, abs=0)
+    assert np.max(_inverse_norm(Ms, 2)) == pytest.approx(1.0 / 0.3, rel=1e-13, abs=0)
+
+
+def test_inverse_norm_raises_at_a_singular_3x3_or_4x4_matrix():
+    """A 3 x 3 or 4 x 4 stack with one exactly singular member raises
+    LinAlgError: in the inf-norm when one row is the sum of two others or
+    one column is zero (small integers, so det is exactly 0), in both norms
+    at a zero matrix (sigma_min exactly 0); and so does a d = 3 grid with a
+    -1 + cos 2 pi x entry."""
+    rng = np.random.default_rng(7)
+    for m in (3, 4):  # diagonally dominant, so every member is invertible
+        A = (rng.integers(-3, 4, (5, m, m)) + 10 * np.eye(m)).astype(complex)
+        for norm in (2, math.inf):
+            assert np.all(_inverse_norm(A, norm) > 0)
+        summed, zero_column, zero = A.copy(), A.copy(), A.copy()
+        summed[2, -1] = summed[2, 0] + summed[2, 1]
+        zero_column[3, :, 1] = 0.0
+        zero[4] = 0.0
+        for singular, norms in ((summed, [math.inf]), (zero_column, [math.inf]), (zero, [2, math.inf])):
+            for norm in norms:
+                with pytest.raises(np.linalg.LinAlgError):
+                    _inverse_norm(singular, norm)
+    vanish = constant(-1.0) + cosine(TWO_PI)
+    M = beta_adapted_matrix([[vanish, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], GOLDEN)
+    for norm in (2, math.inf):
+        with pytest.raises(np.linalg.LinAlgError):
+            _grid_norm_constants(M, norm)
+
+
+def test_inf_norm_constants_at_d_le_4_take_no_inverse(monkeypatch):
+    """At d = 3, 4 the grid's ||M^-1||_inf is read in closed form: with
+    LAPACK's inverse patched to raise, the d4 matrix and the tribonacci
+    companion of the matrix-d4 workload still build their inf-norm
+    constants, within 1e-13 of the inverse's."""
+    f = [constant(0.3) + harmonic(1, 0.1), constant(0.3), constant(0.4) + harmonic(1, -0.1)]
+    tribonacci = companion_matrix(multiperiodic_equation(f, make_pisot([1, -1, -1, -1])))
+    grid = np.linspace(0.0, 1.0, 10000, endpoint=False)
+    want = []
+    for M in (_d4_matrix(), tribonacci):
+        Ms = M.evaluate_batch(grid)
+        rows = lambda A: np.abs(A).sum(axis=2).max(axis=1)
+        want.append(np.max(rows(Ms) * rows(np.linalg.inv(Ms))))
+
+    def no_inverse(_):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    _grid_norm_constants.cache_clear()
+    for M, D in zip((_d4_matrix(), tribonacci), want):
+        assert _grid_norm_constants(M, math.inf) == pytest.approx(D, rel=1e-13, abs=0)
+    _grid_norm_constants.cache_clear()
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_opnorm_at_m_ge_3_neither_overflows_nor_underflows(m):
+    """Entries of about 1e200 or 1e-200 give the scale times the unscaled
+    norm within 1e-13, and a zero matrix gives 0."""
+    rng = np.random.default_rng(60 + m)
+    A = _complex_normal(rng, (40, m, m))
+    want = np.linalg.svd(A, compute_uv=False)[:, 0]
+    for scale in (1e200, 1e-200):
+        assert np.max(np.abs(_opnorm(A * scale) / (scale * want) - 1.0)) <= 1e-13
+    A[3] = 0.0
+    assert _opnorm(A)[3] == 0.0
+
+
 # --- exterior powers -------------------------------------------------------
 
 
