@@ -21,6 +21,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -573,7 +574,9 @@ def write_report(report, path, fmt):
     _atomic_write(path, _report_text(report, fmt))
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """Built once per cache lifetime: its ten subparsers cost about 2 ms."""
     parser = argparse.ArgumentParser(
         prog="betacocycle",
         description="Lyapunov exponents and multiperiodic equations over "

@@ -45,6 +45,8 @@ from .pisot import PisotNumber, _lattice_points, _times_beta, as_base, trace_pow
 # rows (points x steps) of one block: _orbit_blocks makes, and _factors
 # evaluates M over, _width(N) columns (steps) at a time
 _BLOCK_ROWS = 1024
+# steps per block of the segmented pass (_segmented) at any N; every benchmark n fits one
+_SEGMENT_STEPS = 8192
 
 
 def _fraction(v):
@@ -471,7 +473,8 @@ class NormalizedProduct:
 
 
 def product(M, x, n):
-    """Renormalized ordered product P_n(x) = M(beta^{n-1}x) ... M(x).
+    """Renormalized ordered product P_n(x) = M(beta^{n-1}x) ... M(x), from
+    the last-state segmented pass (_last_products).
 
     x may be a float or a Fraction; Fractions with non-dyadic denominators
     are what long products at integer beta need (a float is a dyadic
@@ -479,14 +482,9 @@ def product(M, x, n):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    eye = np.eye(M.dim, dtype=complex)
     if n == 0:
-        return NormalizedProduct(0.0, eye, 0)
-    columns = _orbit_stream(M, [x], n + M.max_scale + 1)
-    start = (eye.real if M._real else eye)[None]
-    (logs,), (acc,) = deque(_batched_cocycle(zip(_factors(M, columns, n)), [start]), 1)[0]
-    if logs[0] == -math.inf:
-        raise SingularFactor("product P_%d vanishes" % n)
+        return NormalizedProduct(0.0, np.eye(M.dim, dtype=complex), 0)
+    (logs,), (acc,) = _last_products(M, x, n, 1)
     s = _opnorm(acc[0])
     unit = (acc[0] / s).astype(complex, copy=False)  # float64 for a _real M
     return NormalizedProduct(float(logs[0]) + math.log(s), unit, n)
@@ -756,41 +754,110 @@ def _batched_cocycle(factors, starts):
         yield logs, accs
 
 
-def _factors(M, args, n, q=1):
-    """M^{wedge q} at steps 0..n-1 of a stream of argument column blocks
-    (_orbit_stream, _shifted_blocks, [table]), yielded one (N, m, m) step at
-    a time; for q = None, the list of every degree q = 1..d.
+def _segmented(blocks, starts, n, every=False):
+    """The engine's states over n steps of _factors(...).blocks(), one array
+    per start, for readers of few rows: per block of _SEGMENT_STEPS steps
+    (the last shorter), (logs, accs) in the order of starts with its states
+    on a leading axis, every one or the last alone.  Each block is copied to
+    one contiguous (K, N, m, m) stack per start (a constant M's one row
+    broadcast), which _segment_block runs from the last block's end."""
+    blocks, offsets, held = iter(blocks), [np.zeros(len(s)) for s in starts], []
+    for first in range(0, n, _SEGMENT_STEPS):
+        K, k, stacks = min(_SEGMENT_STEPS, n - first), 0, None
+        while k < K:
+            item = held or next(blocks)
+            size = min(len(item[0]), K - k)
+            stacks = stacks or [np.empty((K, len(s)) + A.shape[2:], A.dtype) for s, A in zip(starts, item)]
+            for F, A in zip(stacks, item):
+                F[k : k + size] = A[:size]
+            held, k = [A[size:] for A in item] if size < len(item[0]) else [], k + size
+        del item, F, A  # only the stacks hold the block's factors
+        logs, accs = zip(*map(_segment_block, stacks, starts, offsets, [every] * len(starts)))
+        starts, offsets = [acc[-1].copy() for acc in accs], [lg[-1].copy() for lg in logs]
+        stacks = None  # released before the next block is copied
+        yield logs, accs
 
-    M is evaluated a block of _width(N) steps at a time, one eval_args call
-    per block on a window of the max_scale + steps columns from the block's
-    first step on, so a stream holds a few orbit blocks at any n.  The carry
-    shares the z of the columns that neighbouring blocks both read.  Each
-    step is a view of its block.  For q = None one _exterior_levels chain runs
-    on the whole block, whose rows are step-major, and each step yields row
-    slices of its levels: one chain per block at every N, not one per step.
-    One q > 1 calls exterior_power per step, the call that perfbench's
-    tracer counts as one cocycle.exterior span per step.
+
+def _segment_block(F, start, offset, every):
+    """(logs, accs) of one start's states k = 1..K, or K alone, over a block's
+    stack F (K, N, m, m), start's log being offset, as S = ceil(K / L)
+    segments of L = isqrt(K) steps: 1. one L-step pass of the S - 1 full
+    segments' products Q_s from the identity, stacked as rows; 2. one chain
+    that carries start across them, V_(s+1) = Q_s V_s, and then through the
+    last segment's own steps (L or fewer, none padded); 3. for every state,
+    one (L - 1)-step pass that carries each V_s through its segment.  So 2
+    or 3 sqrt(K) engine steps replace K.  L follows K alone and each row runs
+    its shape's kernel on contiguous stacks, so its values do not depend on
+    its batch.  A vanished segment (logs -inf) zeroes every later state."""
+    (K, N), shape = F.shape[:2], F.shape[2:]
+    L = math.isqrt(K)
+    S = -(-K // L)
+    full = (S - 1) * L
+    seg = lambda j: np.ascontiguousarray(F[j:full:L]).reshape((-1,) + shape)  # step j of each
+    eye = np.broadcast_to(np.eye(shape[0], dtype=F.dtype), ((S - 1) * N,) + shape)
+    (q_logs,), (Q,) = deque(_batched_cocycle(zip(map(seg, range(L))), [eye]), 1)[0]
+    before = np.cumsum(np.vstack((offset, q_logs.reshape(S - 1, N))), axis=0)
+    chain = _batched_cocycle(zip(itertools.chain(Q.reshape((S - 1, N) + shape), F[full:])), [start])
+    states = [(lg + before[min(t, S - 1)], w) for t, ((lg,), (w,)) in enumerate(chain)]
+    if not every:
+        return states[-1][0][None], states[-1][1][None]
+    logs, accs = np.empty((K + 1, N)), np.empty((K + 1,) + start.shape, np.result_type(start, F))
+    logs[full:], accs[full:] = zip(*states[S - 1 :])  # the last segment's, from the chain
+    if S > 1:
+        offsets, V = (np.concatenate(part) for part in zip(*states[: S - 1]))
+        for j, ((lg,), (w,)) in enumerate(_batched_cocycle(zip(map(seg, range(L - 1))), [V])):
+            logs[:full].reshape(S - 1, L, N)[:, j] = (lg + offsets).reshape(S - 1, N)
+            accs[:full].reshape((S - 1, L) + start.shape)[:, j] = w.reshape((S - 1,) + start.shape)
+    return logs[1:], accs[1:]
+
+
+class _Factors:
+    """M^{wedge q} at steps 0..n-1 of a stream of argument column blocks
+    (_orbit_stream, _shifted_blocks, [table]), iterated one (N, m, m) step
+    view at a time, for q = None the tuple of every degree q = 1..d; blocks()
+    yields a block of steps at a time, a list of step-major (steps, N, m, m)
+    arrays (one, or d), which the segmented pass copies whole.
+
+    A block is one eval_args call on a window of the max_scale + _width(N)
+    columns from its first step on, so a stream holds a few orbit blocks at
+    any n; the carry shares the z of the columns that neighbouring blocks
+    both read.  For q = None one _exterior_levels chain runs on the block.
+    One q > 1 calls exterior_power per step, the call that perfbench's tracer
+    counts as one cocycle.exterior span per step.  A block is released
+    before the next one is built.
     """
-    blocks = iter(args)
-    window = next(blocks)
-    N, block, scale = window.shape[0], _width(window.shape[0]), M.max_scale
-    carry = {}
-    for k in range(0, n, block):
-        steps = min(block, n - k)
-        while window.shape[1] < scale + steps:
-            more = next(blocks)
-            window = np.concatenate((window.T, more.T)).T if window.shape[1] else more
-        factors = M.eval_args(window, steps, carry)
-        window = window[:, steps:]
-        if q is None:  # one chain for every step of the block
-            levels = _exterior_levels(factors, M.dim)
-            for s in range(steps):
-                yield [level[s * N : (s + 1) * N] for level in levels]
-            del levels  # before the next block's chain
-        else:
-            for s in range(steps):
-                A = factors[s * N : (s + 1) * N]
-                yield exterior_power(A, q) if q > 1 else A
+
+    def __init__(self, M, args, n, q=1):
+        self.M, self.args, self.n, self.q = M, args, n, q
+
+    def __iter__(self):
+        for levels in self.blocks():
+            yield from zip(*levels) if self.q is None else levels[0]
+            del levels
+
+    def blocks(self):
+        M, q, blocks = self.M, self.q, iter(self.args)
+        window = next(blocks)
+        N, block, scale = window.shape[0], _width(window.shape[0]), M.max_scale
+        carry = {}
+        for k in range(0, self.n, block):
+            steps = min(block, self.n - k)
+            while window.shape[1] < scale + steps:
+                more = next(blocks)
+                window = np.concatenate((window.T, more.T)).T if window.shape[1] else more
+            factors = M.eval_args(window, steps, carry)
+            window = window[:, steps:]
+            if q is None:  # one chain for every step of the block
+                levels = _exterior_levels(factors, M.dim)
+            elif q > 1:  # one exterior_power per step
+                levels = [np.concatenate([exterior_power(A, q) for A in np.split(factors, steps)])]
+            else:
+                levels = [factors]
+            yield [level.reshape((steps, N) + level.shape[1:]) for level in levels]
+            del factors, levels  # before the next block's chain
+
+
+_factors = _Factors
 
 
 def _wedge_products(M, q, args, checkpoints):
@@ -801,23 +868,27 @@ def _wedge_products(M, q, args, checkpoints):
     1..d from one pass); float64 for a _real M at q = 1 or None, where the
     factors are float64.  SingularFactor after the last step if a product
     vanished."""
-    qs = range(1, M.dim + 1) if q is None else [q]
-    dtype = float if M._real and q in (None, 1) else complex
-    eyes = [np.eye(math.comb(M.dim, r), dtype=dtype) for r in qs]
     blocks = iter(args)
     first = next(blocks)  # its rows are the batch
-    starts = [np.broadcast_to(eye, (first.shape[0],) + eye.shape) for eye in eyes]
     factors = _factors(M, itertools.chain([first], blocks), max(checkpoints), q)
     wanted = set(checkpoints)
-    states = _batched_cocycle(factors if q is None else zip(factors), starts)
+    states = _batched_cocycle(factors if q is None else zip(factors), _eyes(M, q, first.shape[0]))
     for n, (logs, accs) in enumerate(states):
         if n in wanted:
             with np.errstate(divide="ignore"):  # log 0 = -inf on a vanished row
                 rows = [np.log(_opnorm(acc)) + lg for acc, lg in zip(accs, logs)]
             yield n, rows, accs
-    for r, lg in zip(qs, logs):
+    for r, lg in enumerate(logs, q or 1):
         if np.isneginf(lg).any():
             raise SingularFactor("product of wedge power %d vanishes" % r)
+
+
+def _eyes(M, q, rows):
+    """Identity starts of M^{wedge q} over rows, d of them (q = 1..d) for q =
+    None: float64 for a _real M at q = 1 or None, where the factors are."""
+    dtype = float if M._real and q in (None, 1) else complex
+    eyes = [np.eye(math.comb(M.dim, r), dtype=dtype) for r in ([q] if q else range(1, M.dim + 1))]
+    return [np.broadcast_to(eye, (rows,) + eye.shape) for eye in eyes]
 
 
 def _log_norms(M, q, args, checkpoints):
@@ -825,14 +896,32 @@ def _log_norms(M, q, args, checkpoints):
     return ((n, rows[0]) for n, rows, _ in _wedge_products(M, q, args, checkpoints))
 
 
+def _last_products(M, x, n, q):
+    """(logs, accs) of P_n(x)^{wedge q}, n >= 1, from the last-state _segmented
+    pass: one item, or d for q = None (every q = 1..d, as in _wedge_products),
+    accs[r] a (1, m, m) unit product.  SingularFactor if a product vanished."""
+    factors = _factors(M, _orbit_stream(M, [x], n + M.max_scale + 1), n, q)
+    logs, accs = deque(_segmented(factors.blocks(), _eyes(M, q, 1), n), 1)[0]
+    for r, lg in enumerate(logs, q or 1):
+        if lg[-1, 0] == -math.inf:
+            raise SingularFactor("product P_%d of wedge power %d vanishes" % (n, r))
+    return [lg[-1] for lg in logs], [acc[-1] for acc in accs]
+
+
 def subadditive_sequence(M, q, x, n_max):
-    """f_n^{(q)}(x) = log ||(P_n(x))^{wedge q}|| for n = 1..n_max."""
+    """f_n^{(q)}(x) = log ||(P_n(x))^{wedge q}|| for n = 1..n_max, from the
+    every-state segmented pass (_segmented) and one _opnorm per block."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if not 1 <= q <= M.dim:  # before any column is made
         raise ValueError("q must satisfy 1 <= q <= d")
-    columns = _orbit_stream(M, [x], n_max + M.max_scale + 1)
-    return np.array([row[0] for _, row in _log_norms(M, q, columns, range(1, n_max + 1))])
+    factors = _factors(M, _orbit_stream(M, [x], n_max + M.max_scale + 1), n_max, q)
+    states = _segmented(factors.blocks(), _eyes(M, q, 1), n_max, every=True)
+    with np.errstate(divide="ignore"):  # log 0 = -inf on a vanished product
+        seq = np.concatenate([np.log(_opnorm(acc[:, 0])) + lg[:, 0] for (lg,), (acc,) in states])
+    if seq[-1] == -math.inf:
+        raise SingularFactor("product of wedge power %d vanishes" % q)
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +1068,7 @@ def oseledec_at(M, x, n, cluster_tol=None):
     """Oseledec spectrum and filtration of P_n(x) from its exterior powers.
 
     log sigma_q = log ||P_n^{wedge q}|| - log ||P_n^{wedge (q-1)}||, all norms
-    from one pass (_wedge_products); log sigma_q / n group within cluster_tol
+    from one segmented pass (_last_products); log sigma_q / n group within cluster_tol
     (default 5/n) as in lyapunov_spectrum.  No SVD of P_n, so a sigma_q far
     below eps * sigma_1 stays exact.  V^(r) is the complement of
     the fast k-space above group r: the span of the top right singular vector
@@ -992,9 +1081,8 @@ def oseledec_at(M, x, n, cluster_tol=None):
         raise ValueError("n must be >= 1")
     tol = cluster_tol if cluster_tol is not None else 5.0 / n
     d = M.dim
-    columns = _orbit_stream(M, [x], n + M.max_scale + 1)
-    [(_, rows, accs)] = _wedge_products(M, None, columns, (n,))
-    sums = [0.0] + [float(row[0]) / n for row in rows]
+    logs, accs = _last_products(M, x, n, None)
+    sums = [0.0] + [float((np.log(_opnorm(acc)) + lg)[0]) / n for acc, lg in zip(accs, logs)]
     units = [None] + [acc[0] for acc in accs]
     exponents, multiplicities = zip(*_exponent_groups(sums, tol))
     basis = np.empty((d, 0), dtype=complex)  # slowest first, built fastest first
@@ -1026,20 +1114,23 @@ def _grid_norm_constants(M, norm):
     (sup ||M^-1||_2, sup ||M||_2 ||M^-1||_2) for norm 2, sup ||M||_inf
     ||M^-1||_inf (max row sums) for norm inf, and ValueError for any other
     norm.  ||M^-1|| comes from _inverse_norm (closed forms at d <= 2, and at
-    d = 3, 4 in the inf-norm; one SVD's sigma_min at d >= 3 in the 2-norm;
-    LAPACK's inverse only at d >= 5 in the inf-norm) and ||M||_2 from
-    _opnorm.  Callers inflate when they need a safe side.
+    d = 3, 4 in the inf-norm; LAPACK's inverse only at d >= 5 in the
+    inf-norm) and ||M||_2 from _opnorm, except at d >= 3 in the 2-norm: there
+    one SVD gives sigma_max, and sigma_min, the 1 x 1 matrix _inverse_norm
+    inverts.  Callers inflate when they need a safe side.
     """
     grid = np.linspace(0.0, 1.0, 10000, endpoint=False)
     row_sums = lambda A: np.abs(A).sum(axis=2).max(axis=1)
     sups = []  # per chunk of _BLOCK_ROWS points: M, M^-1 and |M| stay small
     for lo in range(0, grid.size, _BLOCK_ROWS):
         Ms = M.evaluate_batch(grid[lo : lo + _BLOCK_ROWS])
-        inv_norm = _inverse_norm(Ms, norm)
         if norm == 2:
-            sups.append((np.max(inv_norm), np.max(_opnorm(Ms) * inv_norm)))
+            sv = np.linalg.svd(Ms, compute_uv=False) if M.dim >= 3 else None
+            top = _opnorm(Ms) if sv is None else sv[:, 0]
+            inv_norm = _inverse_norm(Ms if sv is None else sv[:, -1:, None], 2)
+            sups.append((np.max(inv_norm), np.max(top * inv_norm)))
         else:
-            sups.append(np.max(row_sums(Ms) * inv_norm))
+            sups.append(np.max(row_sums(Ms) * _inverse_norm(Ms, norm)))
     if norm == 2:
         return tuple(float(v) for v in np.max(sups, axis=0))
     return float(np.max(sups))

@@ -12,7 +12,6 @@ G(beta^n x) = P_n(x) G(x) is propagated with renormalized products.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -21,12 +20,14 @@ import numpy as np
 
 from .apcore import TrigPolynomial, harmonic
 from .cocycle import (
+    _SEGMENT_STEPS,
     _batched_cocycle,
     _beta_value,
     _factors,
     _log_norms,
     _orbit_blocks,
     _orbit_stream,
+    _segmented,
     beta_adapted_matrix,
 )
 from .errors import (
@@ -228,56 +229,15 @@ def solve(eq, tol=1e-10):
 
 def _propagate(sol, xs, g, n):
     """(logs, W) with G(beta^k x) = P_k(x) G(x) = exp(logs[k]) W[k] for
-    k = 0..n, from g = G(x): logs is (n+1, N) and W (n+1, N, d).
-
-    One _factors pass over the stream (argument column m is beta^(m+1-d) x)
-    stacks the n factors, which run through the engine as S = ceil(n / L)
-    segments of L = isqrt(n) steps, stacked as rows (segment-major):
-    1. one L-step pass of the S - 1 full segments' products Q_s from the
-       identity;
-    2. one chain that carries G(x) across them, V_(s+1) = Q_s V_s, and then
-       through the last segment's own steps (L or fewer, so no step is
-       padded);
-    3. one (L - 1)-step pass that carries each full segment's start V_s
-       through its own steps.
-    So about 3 sqrt(n) engine steps replace n: for one point the per-step
-    numpy calls were the cost.  The stack (n N d^2 entries) is the memory
-    the segments cost; passes 1 and 3 copy one step of it at a time.  L
-    depends on n alone and each engine row runs the kernel of its own shape,
-    so a row's values do not depend on its batch.  A vanished segment
-    product (logs -inf) zeroes every later state.
-    """
+    k = 0..n, from g = G(x): logs is (n+1, N) and W (n+1, N, d), by the
+    every-state _segmented pass (argument column m is beta^(m+1-d) x)."""
     d, N = sol.eq.d, g.shape[0]
-    logs, W = np.empty((n + 1, N)), np.empty((n + 1, N, d), dtype=complex)
-    logs[0], W[0] = 0.0, g
-    if not n:
-        return logs, W
+    logs, W = np.zeros((n + 1, N)), np.empty((n + 1, N, d), dtype=complex)
+    W[0] = g
     columns = _orbit_stream(sol.M, xs, n + d - 1, shift=1 - d)
-    steps = _factors(sol.M, columns, n)
-    first = next(steps)
-    F = np.empty((n,) + first.shape, first.dtype)
-    for k, A in enumerate(itertools.chain([first], steps)):
-        F[k] = A  # the stack fills as the blocks come, not from a list of them
-    F = np.broadcast_to(F, (n, N, d, d))  # a constant M reads one zero row
-    L = math.isqrt(n)
-    S = -(-n // L)
-    full = (S - 1) * L
-    # step j of every full segment, segment-major
-    seg = lambda j: np.ascontiguousarray(F[j:full:L]).reshape(-1, d, d)
-    eye = np.broadcast_to(np.eye(d, dtype=F.dtype), ((S - 1) * N, d, d))  # float64 for a _real M
-    (q_logs,), (Q,) = deque(_batched_cocycle(zip(map(seg, range(L))), [eye]), 1)[0]
-    before = np.cumsum(np.vstack((np.zeros(N), q_logs.reshape(S - 1, N))), axis=0)
-    V, offsets = np.empty((S, N, d, 1), dtype=complex), np.empty((S, N))
-    chain = itertools.chain(Q.reshape(S - 1, N, d, d), F[full:])
-    for t, ((lg,), (w,)) in enumerate(_batched_cocycle(zip(chain), [g[:, :, None]])):
-        s = min(t, S - 1)  # V_s, then the last segment's own steps
-        V[s], offsets[s] = w, lg + before[s]
-        if t >= S - 1:
-            logs[full + t - s], W[full + t - s] = offsets[s], w[:, :, 0]
-    V, offsets = V[:-1].reshape(-1, d, 1), offsets[:-1].ravel()
-    for j, ((lg,), (w,)) in enumerate(_batched_cocycle(zip(map(seg, range(L - 1))), [V])):
-        logs[:full].reshape(S - 1, L, N)[:, j] = (lg + offsets).reshape(S - 1, N)
-        W[:full].reshape(S - 1, L, N, d)[:, j] = w.reshape(S - 1, N, d)
+    states = _segmented(_factors(sol.M, columns, n).blocks(), [g[:, :, None]], n, every=True)
+    for k, ((lg,), (w,)) in zip(range(1, n + 1, _SEGMENT_STEPS), states):
+        logs[k : k + len(lg)], W[k : k + len(lg)] = lg, w[..., 0]
     return logs, W
 
 
@@ -285,7 +245,7 @@ def asymptotic_exponent(eq, x, n_max, solution=None):
     """h_n = (1/n) log |G(beta^n x)| for n = 1..n_max, plus the estimate.
 
     Uses the identity G(beta^n x) = P_n(x) G(x): the renormalized product
-    acts on the solved G(x) (_propagate, about 3 sqrt(n_max) engine steps),
+    acts on the solved G(x) (_propagate: 3 sqrt(K) engine steps per K-step block),
     and h_n reads the L1 norm of G(beta^n x) for every n at once, so no huge
     argument is ever formed.  Returns (h sequence, h_{n_max}); x may also be
     a 1-D array of points, which run as one batch and return (h table

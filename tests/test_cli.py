@@ -405,6 +405,20 @@ def test_main_pisot_minpoly_flag(capsys):
     assert out["summary"]["degree"] == 2
 
 
+def test_main_builds_its_parser_once_per_cache_lifetime(capsys):
+    """Two main calls share one parser; after cache_clear the next builds a
+    new one, as a fresh process would."""
+    cli._build_parser.cache_clear()
+    assert cli.main(["pisot", "--minpoly", GOLDEN_SPEC]) == 0
+    parser = cli._build_parser()
+    assert cli.main(["pisot", "--minpoly", "1,-2"]) == 0
+    assert cli._build_parser.cache_info().misses == 1 and cli._build_parser() is parser
+    cli._build_parser.cache_clear()
+    assert cli.main(["pisot", "--minpoly", GOLDEN_SPEC]) == 0
+    assert cli._build_parser.cache_info().misses == 1 and cli._build_parser() is not parser
+    assert '"degree": 1' in capsys.readouterr().out
+
+
 def test_main_writes_output_file(tmp_path):
     out = tmp_path / "r.json"
     code = cli.main(["pisot", "--minpoly", GOLDEN_SPEC, "--out", str(out)])

@@ -4,6 +4,7 @@ distortion bounds, and joint-period certificates."""
 import itertools
 import math
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -18,6 +19,7 @@ from betacocycle import cocycle
 from betacocycle.apcore import _circle_powers, constant, cosine, harmonic, sine
 from betacocycle.cocycle import (
     _BLOCK_ROWS,
+    _SEGMENT_STEPS,
     BetaAdaptedMatrix,
     EstimationSpec,
     _batched_cocycle,
@@ -1159,6 +1161,22 @@ def test_inf_norm_constants_at_d_le_4_take_no_inverse(monkeypatch):
     _grid_norm_constants.cache_clear()
 
 
+def test_two_norm_constants_at_d_ge_3_take_one_svd_per_chunk(monkeypatch):
+    """At d >= 3 one SVD per chunk of _BLOCK_ROWS points gives both sigma_max
+    and sigma_min: the d4 matrix's 2-norm constants are those of _opnorm and
+    _inverse_norm on the whole grid, to the bit, from 10 SVD calls."""
+    M = _d4_matrix()
+    Ms = M.evaluate_batch(np.linspace(0.0, 1.0, 10000, endpoint=False))
+    inv_norm = _inverse_norm(Ms, 2)
+    want = (float(np.max(inv_norm)), float(np.max(_opnorm(Ms) * inv_norm)))
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    _grid_norm_constants.cache_clear()
+    assert _grid_norm_constants(M, 2) == want
+    assert len(calls) == -(-10000 // _BLOCK_ROWS)
+    _grid_norm_constants.cache_clear()
+
+
 @pytest.mark.parametrize("m", [3, 4, 6])
 def test_opnorm_at_m_ge_3_neither_overflows_nor_underflows(m):
     """Entries of about 1e200 or 1e-200 give the scale times the unscaled
@@ -1388,6 +1406,21 @@ def _per_degree_products(M, q, args, checkpoints):
         yield n, [at[n] for at in ats], accs
 
 
+def _per_degree_last(M, x, n, q):
+    """Reference for _last_products(M, x, n, None): one last-state segmented
+    pass per degree, with exterior_power taken per step (_factors at that
+    degree) and a complex identity start."""
+    assert q is None
+    logs, accs = [], []
+    for r in range(1, M.dim + 1):
+        columns = _orbit_stream(M, [x], n + M.max_scale + 1)
+        start = np.eye(math.comb(M.dim, r), dtype=complex)[None]
+        (lg,), (acc,) = deque(cocycle._segmented(_factors(M, columns, n, r).blocks(), [start], n), 1)[0]
+        logs.append(lg[-1])
+        accs.append(acc[-1])
+    return logs, accs
+
+
 def _passes(items):
     """[(at, acc)] per degree from the (n, rows, accs) items of a pass: at[n]
     = rows[q - 1] at each checkpoint n, acc the unit product after the last."""
@@ -1424,6 +1457,7 @@ def test_spectrum_and_oseledec_equal_the_per_degree_passes(monkeypatch, name):
     x = Fraction(123, 457)
     spectrum, spec = lyapunov_spectrum(M, cfg), oseledec_at(M, x, 50)
     monkeypatch.setattr(cocycle, "_wedge_products", _per_degree_products)
+    monkeypatch.setattr(cocycle, "_last_products", _per_degree_last)
     assert lyapunov_spectrum(M, cfg) == spectrum
     want = oseledec_at(M, x, 50)
     assert spec.exponents == want.exponents
@@ -1437,6 +1471,97 @@ def test_spectrum_of_a_rank_one_matrix_raises():
     M = constant_matrix(rank_one, BASE2)
     with pytest.raises(SingularFactor, match="product of wedge power 2 vanishes"):
         lyapunov_spectrum(M, EstimationSpec(n_ladder=(4, 8), n_samples=4))
+
+
+# --- segmented products ---------------------------------------------------
+
+
+def stepwise_log_norms(M, q, x, n, every=True):
+    """log ||P_k(x)^{wedge q}||, k = 1..n (or n alone), from one factor step
+    at a time as the single-point readers ran before they were segmented:
+    w <- A w / |A w|_F on the same factors, the per-step log scales and the
+    last norm (an SVD) summed exactly."""
+    columns = _orbit_stream(M, [x], n + M.max_scale + 1)
+    w, total, out = np.eye(math.comb(M.dim, q), dtype=complex), Fraction(0), []
+    for k, A in enumerate(_factors(M, columns, n, q), 1):
+        w = A[0] @ w
+        fro = math.sqrt(float(np.sum(np.abs(w) ** 2)))
+        w, total = w / fro, total + Fraction(math.log(fro))
+        if every or k == n:
+            out.append(float(total + Fraction(math.log(np.linalg.norm(w, 2)))))
+    return np.array(out)
+
+
+def _close(got, want, tol=1e-13):
+    """Relative agreement, against 1 below it: the readers sum about sqrt(n)
+    rounded segment logs where the reference rounds once."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= tol
+
+
+# n = 1, 2 (L = 1), L^2 and L^2 + 1 at L = 7, and two blocks of segments
+SEGMENT_NS = [1, 2, 49, 50, _SEGMENT_STEPS + 50]
+
+
+@pytest.mark.parametrize("n", SEGMENT_NS)
+def test_segmented_product_matches_the_stepwise_product(n):
+    M, x = bernoulli_companion(0.2), Fraction(123, 457)
+    assert _close(product(M, x, n).log_norm, stepwise_log_norms(M, 1, x, n, every=False)[-1])
+
+
+@pytest.mark.parametrize("n", SEGMENT_NS)
+@pytest.mark.parametrize("M, q", [(bernoulli_companion(0.2), 1), (bernoulli_companion(0.2), 2), (SCALAR, 1)],
+                         ids=["golden-q1", "golden-q2", "scalar"])
+def test_segmented_subadditive_sequence_matches_the_stepwise_product(M, q, n):
+    """subadditive_sequence reads every state of the segmented pass."""
+    x = Fraction(123, 457)
+    seq = subadditive_sequence(M, q, x, n)
+    assert seq.shape == (n,) and _close(seq, stepwise_log_norms(M, q, x, n))
+
+
+@pytest.mark.parametrize("n", SEGMENT_NS)
+def test_segmented_oseledec_matches_the_stepwise_product(n):
+    """Every degree's log norm, and so each n lambda, agrees with the
+    stepwise product's."""
+    M, x = _d4_matrix(), Fraction(123, 457)
+    tol = 1e-6  # clusters only the exact pair log 0.3, log 0.3
+    spec = oseledec_at(M, x, n, cluster_tol=tol)
+    norms = [stepwise_log_norms(M, q, x, n, every=False)[-1] for q in range(1, M.dim + 1)]
+    want = _exponent_groups([0.0] + [v / n for v in norms], tol)
+    assert spec.multiplicities == tuple(m for _, m in want)
+    scale = max(1.0, *map(abs, norms))
+    assert np.max(np.abs(np.array(spec.exponents) - [lam for lam, _ in want])) * n <= 1e-13 * scale
+
+
+def test_segmented_products_raise_when_they_vanish():
+    # cos^2(pi y) is exactly 0 at y = 1/2: at base 2 the orbit of 1/4 meets
+    # it at step 1, inside the first segment, and the product stays 0
+    M = scalar_matrix(constant(0.5) + cosine(TWO_PI, 0.5), BASE2)
+    x = Fraction(1, 4)
+    for n in (2, 50, _SEGMENT_STEPS + 50):
+        with pytest.raises(SingularFactor):
+            product(M, x, n)
+        with pytest.raises(SingularFactor):
+            subadditive_sequence(M, 1, x, n)
+    # diag(f, 1) keeps norm 1, and its determinant vanishes with f
+    with pytest.raises(SingularFactor, match="wedge power 2"):
+        oseledec_at(beta_adapted_matrix([[M.entries[0][0][0], 0.0], [0.0, 1.0]], BASE2), x, 50)
+
+
+@pytest.mark.parametrize("every", [False, True])
+def test_segmented_constant_matrix_broadcasts_its_one_row(every):
+    """A constant M's stream is one zero row, whose factors broadcast against
+    every start: each row of a 5-row batch is the one-row run of its start."""
+    M = constant_matrix([[0.6, 0.3], [0.2, 0.7j]], GOLDEN)
+    n = _SEGMENT_STEPS + 50
+    rng = np.random.default_rng(5)
+    starts = rng.normal(size=(5, 2, 1)) + 1j * rng.normal(size=(5, 2, 1))
+    run = lambda start: list(cocycle._segmented(_factors(M, _orbit_stream(M, [0.3] * len(start), n), n).blocks(), [start], n, every))
+    batch = run(starts)
+    for i in range(5):
+        for ((lg,), (acc,)), ((lg_i,), (acc_i,)) in zip(batch, run(starts[i : i + 1])):
+            assert lg.shape[0] == (1 if not every else lg.shape[0]) and lg.shape[1] == 5
+            assert np.array_equal(lg[:, i], lg_i[:, 0]) and np.array_equal(acc[:, i], acc_i[:, 0])
 
 
 # --- subadditive sequences -------------------------------------------------
