@@ -672,16 +672,18 @@ def _mul2x2(A, B):
     return out.transpose(2, 0, 1)
 
 
-def _batched_cocycle(factors, starts):
+def _batched_cocycle(blocks, starts):
     """The renormalized product engine; every cocycle product runs here.
 
     starts is a list of accumulators, (N, m, m) matrices or (N, m, 1) column
-    vectors, run in lockstep: factors yields one list per step, step 0 first,
-    one (N, m, m) stack for each, and each accumulator takes the step it
-    would take alone.  Each step divides the product by its Frobenius norm
-    and adds the log of that scale to logs, so the product is exp(logs) *
-    acc; a vanished row keeps acc = 0 and logs = -inf, a non-finite scale
-    raises.  Yields the state (logs, accs), lists in the order of starts,
+    vectors, run in lockstep.  blocks yields blocks of steps (_factors), of
+    any sizes: a list with one step-major (steps, N, m, m) array per start.
+    The engine walks a block's steps in order, and drops it before it reads
+    the next.  Each accumulator takes the step it would take alone.  Each
+    step divides the product by its Frobenius norm and adds the log of that
+    scale to logs, so the product is exp(logs) * acc; a vanished row keeps
+    acc = 0 and logs = -inf, a non-finite scale raises, naming its step in
+    the run.  Yields the state (logs, accs), lists in the order of starts,
     before the first step and after each, so item k is P_k.  The lists and
     arrays belong to the engine, and the next step updates them: a reader
     keeps only what it computes from them (_wedge_products takes a norm).
@@ -714,90 +716,85 @@ def _batched_cocycle(factors, starts):
     kinds = [acc.shape[1:] for acc in accs]
     logs = [np.zeros(acc.shape[0]) for acc in accs]
     yield logs, accs
-    k = 0  # a counter: enumerate's cached tuple would keep the last step's factors
-    for As in factors:
-        k += 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i, A in enumerate(As):
-                acc, kind = accs[i], kinds[i]
-                if kind == (1, 1):  # a product of scalars
-                    acc = A * acc
-                    fro = np.abs(acc[:, 0, 0])
-                elif kind == (2, 2):  # on the planes, whose Re and Im alternate for complex
-                    acc = _mul2x2(A, acc)
-                    parts = acc.transpose(1, 2, 0).view(np.float64)
-                    fro = np.einsum("ijn,ijn->n", parts, parts)
-                    fro = np.sqrt(fro[0::2] + fro[1::2] if acc.dtype == complex else fro)
-                else:
-                    if kind[0] == kind[1] and acc.dtype == complex:  # float64 matmuls
-                        X, Y = A.real @ acc.view(np.float64), A.imag @ acc.view(np.float64)
-                        X[..., 0::2] -= Y[..., 1::2]  # Re A Re P - Im A Im P
-                        X[..., 1::2] += Y[..., 0::2]  # Re A Im P + Im A Re P
-                        acc = X.view(complex)
-                        del Y  # else it lives on through the yield and the next accumulator's step
+    k = 0  # the step's place in the run, across blocks
+    for block in blocks:
+        for s in range(len(block[0])):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for i, F in enumerate(block):
+                    A, acc, kind = F[s], accs[i], kinds[i]
+                    if kind == (1, 1):  # a product of scalars
+                        acc = A * acc
+                        fro = np.abs(acc[:, 0, 0])
+                    elif kind == (2, 2):  # on the planes, whose Re and Im alternate for complex
+                        acc = _mul2x2(A, acc)
+                        parts = acc.transpose(1, 2, 0).view(np.float64)
+                        fro = np.einsum("ijn,ijn->n", parts, parts)
+                        fro = np.sqrt(fro[0::2] + fro[1::2] if acc.dtype == complex else fro)
                     else:
-                        acc = A @ acc
-                    parts = acc.view(np.float64)  # real and imaginary parts side by side
-                    fro = np.sqrt(np.einsum("nij,nij->n", parts, parts))
-                step = np.log(fro)
-                total = np.add.reduce(step)
-                if not total < math.inf:  # an inf or nan scale
-                    if not np.isfinite(A).all():
-                        raise NonFinite("factor at step %d is not finite" % (k - 1))
-                    raise SingularFactor("product norm degenerate at step %d" % (k - 1))
-                if total == -math.inf:  # a vanished row keeps acc = 0
-                    fro[fro == 0.0] = 1.0
-                acc *= (1.0 / fro)[:, None, None]  # as complex division by fro does
-                logs[i] += step
-                accs[i] = acc
-        A = As = None  # let _factors free a block before it builds the next
-        yield logs, accs
+                        if kind[0] == kind[1] and acc.dtype == complex:  # float64 matmuls
+                            X, Y = A.real @ acc.view(np.float64), A.imag @ acc.view(np.float64)
+                            X[..., 0::2] -= Y[..., 1::2]  # Re A Re P - Im A Im P
+                            X[..., 1::2] += Y[..., 0::2]  # Re A Im P + Im A Re P
+                            acc = X.view(complex)
+                            del Y  # else it lives on through the yield and the next accumulator's step
+                        else:
+                            acc = A @ acc
+                        parts = acc.view(np.float64)  # real and imaginary parts side by side
+                        fro = np.sqrt(np.einsum("nij,nij->n", parts, parts))
+                    step = np.log(fro)
+                    total = np.add.reduce(step)
+                    if not total < math.inf:  # an inf or nan scale
+                        if not np.isfinite(A).all():
+                            raise NonFinite("factor at step %d is not finite" % k)
+                        raise SingularFactor("product norm degenerate at step %d" % k)
+                    if total == -math.inf:  # a vanished row keeps acc = 0
+                        fro[fro == 0.0] = 1.0
+                    acc *= (1.0 / fro)[:, None, None]  # as complex division by fro does
+                    logs[i] += step
+                    accs[i] = acc
+            k += 1
+            yield logs, accs
+        block = F = A = None  # let _factors free a block before it builds the next
 
 
-def _segmented(blocks, starts, n, every=False):
-    """The engine's states over n steps of _factors(...).blocks(), one array
-    per start, for readers of few rows: per block of _SEGMENT_STEPS steps
-    (the last shorter), (logs, accs) in the order of starts with its states
-    on a leading axis, every one or the last alone.  Each block is copied to
-    one contiguous (K, N, m, m) stack per start (a constant M's one row
-    broadcast), which _segment_block runs from the last block's end."""
-    blocks, offsets, held = iter(blocks), [np.zeros(len(s)) for s in starts], []
-    for first in range(0, n, _SEGMENT_STEPS):
-        K, k, stacks = min(_SEGMENT_STEPS, n - first), 0, None
-        while k < K:
-            item = held or next(blocks)
-            size = min(len(item[0]), K - k)
-            stacks = stacks or [np.empty((K, len(s)) + A.shape[2:], A.dtype) for s, A in zip(starts, item)]
-            for F, A in zip(stacks, item):
-                F[k : k + size] = A[:size]
-            held, k = [A[size:] for A in item] if size < len(item[0]) else [], k + size
-        del item, F, A  # only the stacks hold the block's factors
-        logs, accs = zip(*map(_segment_block, stacks, starts, offsets, [every] * len(starts)))
+def _segmented(M, args, starts, n, q=1, every=False):
+    """The engine's states over n steps of M^{wedge q} on a stream of column
+    blocks args, for readers of few rows: per _factors block of
+    _SEGMENT_STEPS steps (the last shorter), which _segment_block runs as it
+    comes from the last block's end, (logs, accs) in the order of starts
+    with the states on a leading axis, every one or the last alone."""
+    offsets = [np.zeros(len(s)) for s in starts]
+    for block in _factors(M, args, n, q, _SEGMENT_STEPS):
+        logs, accs = zip(*map(_segment_block, block, starts, offsets, [every] * len(starts)))
+        block = None  # released before the next block is made
         starts, offsets = [acc[-1].copy() for acc in accs], [lg[-1].copy() for lg in logs]
-        stacks = None  # released before the next block is copied
         yield logs, accs
 
 
 def _segment_block(F, start, offset, every):
     """(logs, accs) of one start's states k = 1..K, or K alone, over a block's
-    stack F (K, N, m, m), start's log being offset, as S = ceil(K / L)
-    segments of L = isqrt(K) steps: 1. one L-step pass of the S - 1 full
-    segments' products Q_s from the identity, stacked as rows; 2. one chain
-    that carries start across them, V_(s+1) = Q_s V_s, and then through the
-    last segment's own steps (L or fewer, none padded); 3. for every state,
-    one (L - 1)-step pass that carries each V_s through its segment.  So 2
-    or 3 sqrt(K) engine steps replace K.  L follows K alone and each row runs
-    its shape's kernel on contiguous stacks, so its values do not depend on
-    its batch.  A vanished segment (logs -inf) zeroes every later state."""
-    (K, N), shape = F.shape[:2], F.shape[2:]
+    step-major stack F (K, N, m, m), start's log being offset, as S = ceil(K
+    / L) segments of L = isqrt(K) steps: 1. one L-step pass of the S - 1
+    full segments' products Q_s from the identity, stacked as rows; 2. one
+    chain that carries start across them, V_(s+1) = Q_s V_s, and then
+    through the last segment's own steps (L or fewer, none padded); 3. for
+    every state, one (L - 1)-step pass that carries each V_s through its
+    segment.  So 2 or 3 sqrt(K) engine steps replace K.  A constant M's one
+    row of F is broadcast to start's N rows.  L follows K alone, so a row's
+    values do not depend on its batch.  Every pass reads contiguous stacks,
+    the chain's last segment copied too, since numpy's @ rounds strided
+    rows in another loop.  A vanished segment (logs -inf) zeroes every
+    later state."""
+    K, N, shape = F.shape[0], start.shape[0], F.shape[2:]
     L = math.isqrt(K)
+    F = np.broadcast_to(F, (K, N) + shape)
     S = -(-K // L)
     full = (S - 1) * L
-    seg = lambda j: np.ascontiguousarray(F[j:full:L]).reshape((-1,) + shape)  # step j of each
+    seg = lambda j: [np.ascontiguousarray(F[j:full:L]).reshape((1, -1) + shape)]  # step j of each, one block
     eye = np.broadcast_to(np.eye(shape[0], dtype=F.dtype), ((S - 1) * N,) + shape)
-    (q_logs,), (Q,) = deque(_batched_cocycle(zip(map(seg, range(L))), [eye]), 1)[0]
+    (q_logs,), (Q,) = deque(_batched_cocycle(map(seg, range(L)), [eye]), 1)[0]
     before = np.cumsum(np.vstack((offset, q_logs.reshape(S - 1, N))), axis=0)
-    chain = _batched_cocycle(zip(itertools.chain(Q.reshape((S - 1, N) + shape), F[full:])), [start])
+    chain = _batched_cocycle([[Q.reshape((S - 1, N) + shape)], [np.ascontiguousarray(F[full:])]], [start])
     states = [(lg + before[min(t, S - 1)], w) for t, ((lg,), (w,)) in enumerate(chain)]
     if not every:
         return states[-1][0][None], states[-1][1][None]
@@ -805,20 +802,21 @@ def _segment_block(F, start, offset, every):
     logs[full:], accs[full:] = zip(*states[S - 1 :])  # the last segment's, from the chain
     if S > 1:
         offsets, V = (np.concatenate(part) for part in zip(*states[: S - 1]))
-        for j, ((lg,), (w,)) in enumerate(_batched_cocycle(zip(map(seg, range(L - 1))), [V])):
+        for j, ((lg,), (w,)) in enumerate(_batched_cocycle(map(seg, range(L - 1)), [V])):
             logs[:full].reshape(S - 1, L, N)[:, j] = (lg + offsets).reshape(S - 1, N)
             accs[:full].reshape((S - 1, L) + start.shape)[:, j] = w.reshape((S - 1,) + start.shape)
     return logs[1:], accs[1:]
 
 
-class _Factors:
+def _factors(M, args, n, q=1, width=None):
     """M^{wedge q} at steps 0..n-1 of a stream of argument column blocks
-    (_orbit_stream, _shifted_blocks, [table]), iterated one (N, m, m) step
-    view at a time, for q = None the tuple of every degree q = 1..d; blocks()
-    yields a block of steps at a time, a list of step-major (steps, N, m, m)
-    arrays (one, or d), which the segmented pass copies whole.
+    (_orbit_stream, _shifted_blocks, [table]) in blocks of width steps,
+    _width(N) unless given (the segmented pass asks for _SEGMENT_STEPS): a
+    block is a list of step-major (steps, N, m, m) arrays, one for a single
+    q and d for q = None (every degree q = 1..d), as _batched_cocycle walks
+    them.  At n = 0 it yields nothing and reads no column.
 
-    A block is one eval_args call on a window of the max_scale + _width(N)
+    A block is one eval_args call on a window of the max_scale + width
     columns from its first step on, so a stream holds a few orbit blocks at
     any n; the carry shares the z of the columns that neighbouring blocks
     both read.  For q = None one _exterior_levels chain runs on the block.
@@ -826,38 +824,27 @@ class _Factors:
     counts as one cocycle.exterior span per step.  A block is released
     before the next one is built.
     """
-
-    def __init__(self, M, args, n, q=1):
-        self.M, self.args, self.n, self.q = M, args, n, q
-
-    def __iter__(self):
-        for levels in self.blocks():
-            yield from zip(*levels) if self.q is None else levels[0]
-            del levels
-
-    def blocks(self):
-        M, q, blocks = self.M, self.q, iter(self.args)
-        window = next(blocks)
-        N, block, scale = window.shape[0], _width(window.shape[0]), M.max_scale
-        carry = {}
-        for k in range(0, self.n, block):
-            steps = min(block, self.n - k)
-            while window.shape[1] < scale + steps:
-                more = next(blocks)
-                window = np.concatenate((window.T, more.T)).T if window.shape[1] else more
-            factors = M.eval_args(window, steps, carry)
-            window = window[:, steps:]
-            if q is None:  # one chain for every step of the block
-                levels = _exterior_levels(factors, M.dim)
-            elif q > 1:  # one exterior_power per step
-                levels = [np.concatenate([exterior_power(A, q) for A in np.split(factors, steps)])]
-            else:
-                levels = [factors]
-            yield [level.reshape((steps, N) + level.shape[1:]) for level in levels]
-            del factors, levels  # before the next block's chain
-
-
-_factors = _Factors
+    if not n:
+        return
+    blocks = iter(args)
+    window = next(blocks)
+    N, scale, carry = window.shape[0], M.max_scale, {}
+    width = width or _width(N)
+    for k in range(0, n, width):
+        steps = min(width, n - k)
+        while window.shape[1] < scale + steps:
+            more = next(blocks)
+            window = np.concatenate((window.T, more.T)).T if window.shape[1] else more
+        factors = M.eval_args(window, steps, carry)
+        window = window[:, steps:]
+        if q is None:  # one chain for every step of the block
+            levels = _exterior_levels(factors, M.dim)
+        elif q > 1:  # one exterior_power per step
+            levels = [np.concatenate([exterior_power(A, q) for A in np.split(factors, steps)])]
+        else:
+            levels = [factors]
+        yield [level.reshape((steps, N) + level.shape[1:]) for level in levels]
+        del factors, levels  # before the next block's chain
 
 
 def _wedge_products(M, q, args, checkpoints):
@@ -872,7 +859,7 @@ def _wedge_products(M, q, args, checkpoints):
     first = next(blocks)  # its rows are the batch
     factors = _factors(M, itertools.chain([first], blocks), max(checkpoints), q)
     wanted = set(checkpoints)
-    states = _batched_cocycle(factors if q is None else zip(factors), _eyes(M, q, first.shape[0]))
+    states = _batched_cocycle(factors, _eyes(M, q, first.shape[0]))
     for n, (logs, accs) in enumerate(states):
         if n in wanted:
             with np.errstate(divide="ignore"):  # log 0 = -inf on a vanished row
@@ -900,8 +887,8 @@ def _last_products(M, x, n, q):
     """(logs, accs) of P_n(x)^{wedge q}, n >= 1, from the last-state _segmented
     pass: one item, or d for q = None (every q = 1..d, as in _wedge_products),
     accs[r] a (1, m, m) unit product.  SingularFactor if a product vanished."""
-    factors = _factors(M, _orbit_stream(M, [x], n + M.max_scale + 1), n, q)
-    logs, accs = deque(_segmented(factors.blocks(), _eyes(M, q, 1), n), 1)[0]
+    columns = _orbit_stream(M, [x], n + M.max_scale + 1)
+    logs, accs = deque(_segmented(M, columns, _eyes(M, q, 1), n, q), 1)[0]
     for r, lg in enumerate(logs, q or 1):
         if lg[-1, 0] == -math.inf:
             raise SingularFactor("product P_%d of wedge power %d vanishes" % (n, r))
@@ -915,8 +902,8 @@ def subadditive_sequence(M, q, x, n_max):
         raise ValueError("n_max must be >= 1")
     if not 1 <= q <= M.dim:  # before any column is made
         raise ValueError("q must satisfy 1 <= q <= d")
-    factors = _factors(M, _orbit_stream(M, [x], n_max + M.max_scale + 1), n_max, q)
-    states = _segmented(factors.blocks(), _eyes(M, q, 1), n_max, every=True)
+    columns = _orbit_stream(M, [x], n_max + M.max_scale + 1)
+    states = _segmented(M, columns, _eyes(M, q, 1), n_max, q, every=True)
     with np.errstate(divide="ignore"):  # log 0 = -inf on a vanished product
         seq = np.concatenate([np.log(_opnorm(acc[:, 0])) + lg[:, 0] for (lg,), (acc,) in states])
     if seq[-1] == -math.inf:
@@ -1195,7 +1182,7 @@ def distortion_bound(M, xs, ys, v):
 
     def log_product_norm(mats):
         # mats[0] is the leftmost factor, so the engine takes them reversed
-        states = _batched_cocycle(zip(mats[::-1, None]), [v[None, :, None]])
+        states = _batched_cocycle([[mats[::-1, None]]], [v[None, :, None]])
         (logs,), (w,) = deque(states, 1)[0]
         if logs[0] == -math.inf:
             raise SingularFactor("vector annihilated inside the product")

@@ -20,7 +20,6 @@ import numpy as np
 
 from .apcore import TrigPolynomial, harmonic
 from .cocycle import (
-    _SEGMENT_STEPS,
     _batched_cocycle,
     _beta_value,
     _factors,
@@ -176,7 +175,7 @@ class SolutionEvaluator:
         # run from the right: column m holds x beta^(m - n - (d-1))
         columns = _orbit_stream(self.M, xs, n + d - 1, shift=-(n + d - 1))
         start = np.broadcast_to(self.v[:, None], (xs.size, d, 1))
-        states = _batched_cocycle(zip(_factors(self.M, columns, n)), [start])
+        states = _batched_cocycle(_factors(self.M, columns, n), [start])
         (logs,), (acc,) = deque(states, 1)[0]
         return np.exp(logs)[:, None] * acc[:, :, 0]
 
@@ -228,28 +227,25 @@ def solve(eq, tol=1e-10):
 
 
 def _propagate(sol, xs, g, n):
-    """(logs, W) with G(beta^k x) = P_k(x) G(x) = exp(logs[k]) W[k] for
-    k = 0..n, from g = G(x): logs is (n+1, N) and W (n+1, N, d), by the
-    every-state _segmented pass (argument column m is beta^(m+1-d) x)."""
-    d, N = sol.eq.d, g.shape[0]
-    logs, W = np.zeros((n + 1, N)), np.empty((n + 1, N, d), dtype=complex)
-    W[0] = g
-    columns = _orbit_stream(sol.M, xs, n + d - 1, shift=1 - d)
-    states = _segmented(_factors(sol.M, columns, n).blocks(), [g[:, :, None]], n, every=True)
-    for k, ((lg,), (w,)) in zip(range(1, n + 1, _SEGMENT_STEPS), states):
-        logs[k : k + len(lg)], W[k : k + len(lg)] = lg, w[..., 0]
-    return logs, W
+    """(logs, W) per block of the every-state _segmented pass from g = G(x):
+    G(beta^k x) = P_k(x) G(x) = exp(logs[j]) W[j], k running on from block to
+    block over 1..n (no block at n = 0); logs is (K, N), W (K, N, d).
+    Argument column m is beta^(m+1-d) x."""
+    columns = _orbit_stream(sol.M, xs, n + sol.eq.d - 1, shift=1 - sol.eq.d)
+    for (logs,), (W,) in _segmented(sol.M, columns, [g[:, :, None]], n, every=True):
+        yield logs, W[..., 0]
 
 
 def asymptotic_exponent(eq, x, n_max, solution=None):
     """h_n = (1/n) log |G(beta^n x)| for n = 1..n_max, plus the estimate.
 
     Uses the identity G(beta^n x) = P_n(x) G(x): the renormalized product
-    acts on the solved G(x) (_propagate: 3 sqrt(K) engine steps per K-step block),
-    and h_n reads the L1 norm of G(beta^n x) for every n at once, so no huge
-    argument is ever formed.  Returns (h sequence, h_{n_max}); x may also be
-    a 1-D array of points, which run as one batch and return (h table
-    (N, n_max), estimates (N,)).
+    acts on the solved G(x) (_propagate: 3 sqrt(K) engine steps per K-step
+    block), and each block of states is reduced to n h_n = log ||G(beta^n
+    x)||_1 as it arrives, so neither a huge argument nor every state's
+    vector is ever held.  Returns (h sequence, h_{n_max}); x may also be a
+    1-D array of points, which run as one batch and return (h table (N,
+    n_max), estimates (N,)).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -263,11 +259,11 @@ def asymptotic_exponent(eq, x, n_max, solution=None):
         raise ZeroVector(
             "G(x) vanishes at x = %s; rate undefined" % (xs[int(np.argmax(vanished))],)
         )
-    logs, W = _propagate(sol, xs, g, n_max)
-    if np.isneginf(logs[-1]).any():
-        raise ZeroVector("propagated G vanished")
     with np.errstate(divide="ignore"):  # log 0 = -inf where G vanished
-        h = (np.log(np.abs(W[1:]).sum(axis=2)) + logs[1:]) / np.arange(1, n_max + 1)[:, None]
+        nh = [np.log(np.abs(W).sum(axis=2)) + logs for logs, W in _propagate(sol, xs, g, n_max)]
+    h = np.concatenate(nh) / np.arange(1, n_max + 1)[:, None]
+    if np.isneginf(h[-1]).any():
+        raise ZeroVector("propagated G vanished")
     h = np.ascontiguousarray(h.T)
     if batch:
         return h, h[:, -1].copy()
@@ -400,9 +396,10 @@ def moment_integral_F(eq, q, n_ladder, solution=None):
     propagated through the cocycle identity W(beta^(k+1) u) = M(beta^k u)
     W(beta^k u), never by direct evaluation; the orbit of the nodes is the
     one asymptotic_exponent reads (_propagate), exact for 1-periodic
-    coefficients.  The block sums are reduced from _propagate's stacked
-    states at once and accumulated in step order.  n_ladder must be a
-    non-empty list of positive integers (ValueError before any solve).
+    coefficients.  Each of _propagate's blocks is reduced to log |F| as it
+    arrives (k = 0 from G(u) itself), and the block sums are accumulated in
+    step order.  n_ladder must be a non-empty list of positive integers
+    (ValueError before any solve).
     Returns (rows, diagnostics); each row is (n, T, value).
     """
     if not 0 <= q < math.inf:
@@ -426,9 +423,11 @@ def moment_integral_F(eq, q, n_ladder, solution=None):
     mid, half = (1.0 + beta) / 2.0, (beta - 1.0) / 2.0
     u = mid + half * gl_x
     wu = half * gl_w
-    logs, W = _propagate(sol, u, sol.G_batch(u), n_max - 1)
+    g = sol.G_batch(u)
     with np.errstate(divide="ignore"):  # log 0 = -inf where F vanishes
-        log_F = np.log(np.abs(W[:, :, 0])) + logs  # log |F(beta^k u)|, k = 0..n_max-1
+        log_F = np.concatenate([np.log(np.abs(g[None, :, 0]))] + [  # log |F(beta^k u)|, k = 0..n_max-1
+            np.log(np.abs(W[:, :, 0])) + logs for logs, W in _propagate(sol, u, g, n_max - 1)
+        ])
     F_q = np.exp(q * log_F) if q else np.ones_like(log_F)  # |F|^0 = 1, also where F = 0
     blocks = beta ** np.arange(n_max) * (wu * F_q).sum(axis=1)
     totals = np.cumsum(np.append(total, blocks))  # totals[n]: the blocks k < n, in order

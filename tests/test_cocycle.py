@@ -501,13 +501,20 @@ def test_opnorm_matches_svd(m):
 def _engine(factors, start, checkpoints=()):
     """(at, logs, acc) of one accumulator after the last step, at[n] = log
     ||P_n|| at the checkpoints, read from the engine's states as
-    _wedge_products reads them."""
+    _wedge_products reads them; each (N, m, m) factor runs as a one-step
+    block."""
     at = {}
-    for n, ((logs,), (acc,)) in enumerate(_batched_cocycle(zip(factors), [start])):
+    for n, ((logs,), (acc,)) in enumerate(_batched_cocycle(([A[None]] for A in factors), [start])):
         if n in checkpoints:
             with np.errstate(divide="ignore"):
                 at[n] = np.log(_opnorm(acc)) + logs
     return at, logs, acc
+
+
+def _per_step(blocks):
+    """The (N, m, m) factor of each step of _factors blocks of one degree."""
+    for (F,) in blocks:
+        yield from F
 
 
 @pytest.mark.parametrize("columns", [3, 1])
@@ -517,7 +524,7 @@ def test_batched_cocycle_matches_naive_product(columns):
     A = _complex_normal(rng, (3, 3))
     start = _complex_normal(rng, (1, 3, columns))
     n = 30
-    states = _batched_cocycle(zip(itertools.repeat(A[None], n)), [start])
+    states = _batched_cocycle(itertools.repeat([A[None, None]], n), [start])
     (logs,), (acc,) = next(states)  # state 0: the start, with zero logs
     assert np.array_equal(logs, np.zeros(1)) and np.array_equal(acc, start)
     assert sum(1 for _ in states) == n
@@ -614,17 +621,41 @@ def test_product_raises_when_it_vanishes():
         product(M, Fraction(1, 2), 3)
 
 
+def _cut(factors, sizes):
+    """factors (K, N, m, m) as one-degree engine blocks of the given sizes."""
+    return [[F] for F in np.split(factors, np.cumsum(sizes)[:-1])]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (4, 4), (4, 1)])
+def test_engine_states_do_not_depend_on_the_blocks(shape):
+    """One K-step block, K one-step blocks and uneven blocks give the same
+    states to the bit: the engine walks each block's steps in order."""
+    rng = np.random.default_rng(80 + sum(shape))
+    factors = _complex_normal(rng, (9, 5, shape[0], shape[0]))
+    start = _complex_normal(rng, (5,) + shape)
+    runs = []
+    for sizes in ([9], [1] * 9, [3, 1, 5]):
+        states = _batched_cocycle(_cut(factors, sizes), [start])
+        runs.append([(lg.copy(), acc.copy()) for (lg,), (acc,) in states])
+    assert len(runs[0]) == 10
+    for run in runs[1:]:
+        for (lg, acc), (ref_lg, ref_acc) in zip(run, runs[0], strict=True):
+            assert np.array_equal(lg, ref_lg) and np.array_equal(acc, ref_acc)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_a_non_finite_factor_raises(m, bad):
     # the step that meets the factor warns nothing: the engine's errstate
-    # holds the whole step, kernel included
+    # holds the whole step, kernel included; in one block, one-step blocks
+    # or a later block, the factor is named by its step in the whole run
     rng = np.random.default_rng(70 + m)
     factors = _complex_normal(rng, (3, 4, m, m))
     factors[1, 2, 0, 0] = bad
     start = np.broadcast_to(np.eye(m, dtype=complex), (4, m, m))
-    with pytest.raises(NonFinite, match="factor at step 1 is not finite"):
-        _engine(iter(factors), start)
+    for sizes in ([3], [1, 1, 1], [1, 2]):
+        with pytest.raises(NonFinite, match="factor at step 1 is not finite"):
+            deque(_batched_cocycle(_cut(factors, sizes), [start]), 0)
 
 
 def test_matrix_evaluation_paths_agree_with_entrywise_values():
@@ -684,31 +715,38 @@ def _block_matrix(name):
 @pytest.mark.parametrize("name", ["golden-bernoulli", "tribonacci", "nonperiodic"])
 @pytest.mark.parametrize("N", [0, 1, 7, _BLOCK_ROWS + 1])
 def test_factors_in_blocks_equal_per_step_evaluation(name, N):
-    """_factors evaluates a block of _BLOCK_ROWS // N steps per eval_args call
-    and carries the z of shared columns between blocks; step by step it
-    yields exactly the per-step factors, across several block edges.  For
-    q = None the Laplace chain runs once per block, and each step's levels
-    are those of a chain on that step alone."""
+    """_factors evaluates a block of _BLOCK_ROWS // N steps, or of the width
+    asked for, per eval_args call and carries the z of shared columns
+    between blocks; step by step it yields exactly the per-step factors,
+    across several block edges.  For q = None the Laplace chain runs once
+    per block, and each step's levels are those of a chain on that step
+    alone.  One _SEGMENT_STEPS block is the _width(N) blocks joined, to the
+    bit."""
     M = _block_matrix(name)
     block = max(1, _BLOCK_ROWS // max(N, 1))
     n = 2 * block + 37 if N <= 7 else 5
     points = _sample_points(np.random.default_rng(N), N, M.base)
     args = orbit_fractions(M.base, points, n + M.max_scale + 1)
-    for q in (1, 2, None):
-        got = list(_factors(M, [args], n, q))
+    for q, width in itertools.product((1, 2, None), (None, _SEGMENT_STEPS)):
+        blocks = list(_factors(M, [args], n, q, width))
+        if width:  # one block of every step, and the narrow blocks joined
+            (one,) = blocks
+            joined = [np.concatenate(levels) for levels in zip(*_factors(M, [args], n, q))]
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(one, joined, strict=True))
+        got = [step for b in blocks for step in zip(*b)] if q is None else list(_per_step(blocks))
         assert len(got) == n
         for k, A in enumerate(got):
             want = M.eval_args(args[:, k:])
             if q is None:  # one chain per block, sliced per step
                 want = _exterior_levels(want, M.dim)
-                assert len(A) == len(want) == M.dim, (q, k)
+                assert len(A) == len(want) == M.dim, (q, width, k)
                 for level, ref in zip(A, want):
-                    assert level.shape == ref.shape and level.dtype == ref.dtype, (q, k)
-                    assert np.array_equal(level, ref), (q, k)
+                    assert level.shape == ref.shape and level.dtype == ref.dtype, (q, width, k)
+                    assert np.array_equal(level, ref), (q, width, k)
                 continue
             if q > 1:
                 want = exterior_power(want, q)
-            assert A.shape == want.shape and np.array_equal(A, want), (q, k)
+            assert A.shape == want.shape and np.array_equal(A, want), (q, width, k)
 
 
 @given(pisot_bases(), st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
@@ -721,9 +759,9 @@ def test_cocycle_identity_at_random_bases(p, n, m, seed):
     points = _sample_points(np.random.default_rng(seed), 100, p)
     table = orbit_fractions(p, points, n + m + M.max_scale)
     start = np.broadcast_to(np.eye(2, dtype=complex), (100, 2, 2))
-    at, _, acc = _engine(_factors(M, [table], n + m), start, [n + m])
-    _, head, unit = _engine(_factors(M, [table[:, : n + M.max_scale]], n), start)
-    tail, _, tail_acc = _engine(_factors(M, [table[:, n:]], m), unit, [m])
+    at, _, acc = _engine(_per_step(_factors(M, [table], n + m)), start, [n + m])
+    _, head, unit = _engine(_per_step(_factors(M, [table[:, : n + M.max_scale]], n)), start)
+    tail, _, tail_acc = _engine(_per_step(_factors(M, [table[:, n:]], m)), unit, [m])
     assert np.max(np.abs(at[n + m] - (head + tail[m]))) <= 1e-12
     assert np.max(np.abs(acc - tail_acc)) <= 1e-12
 
@@ -1396,7 +1434,7 @@ def _per_degree_products(M, q, args, checkpoints):
     for r in range(1, M.dim + 1):
         eye = np.eye(math.comb(M.dim, r), dtype=complex)
         start = np.broadcast_to(eye, (args.shape[0],) + eye.shape)
-        factors = _factors(M, [args], max(checkpoints), r)
+        factors = _per_step(_factors(M, [args], max(checkpoints), r))
         at, logs, acc = _engine(factors, start, checkpoints)
         if np.isneginf(logs).any():
             raise SingularFactor("product of wedge power %d vanishes" % r)
@@ -1415,7 +1453,7 @@ def _per_degree_last(M, x, n, q):
     for r in range(1, M.dim + 1):
         columns = _orbit_stream(M, [x], n + M.max_scale + 1)
         start = np.eye(math.comb(M.dim, r), dtype=complex)[None]
-        (lg,), (acc,) = deque(cocycle._segmented(_factors(M, columns, n, r).blocks(), [start], n), 1)[0]
+        (lg,), (acc,) = deque(cocycle._segmented(M, columns, [start], n, r), 1)[0]
         logs.append(lg[-1])
         accs.append(acc[-1])
     return logs, accs
@@ -1483,7 +1521,7 @@ def stepwise_log_norms(M, q, x, n, every=True):
     last norm (an SVD) summed exactly."""
     columns = _orbit_stream(M, [x], n + M.max_scale + 1)
     w, total, out = np.eye(math.comb(M.dim, q), dtype=complex), Fraction(0), []
-    for k, A in enumerate(_factors(M, columns, n, q), 1):
+    for k, A in enumerate(_per_step(_factors(M, columns, n, q)), 1):
         w = A[0] @ w
         fro = math.sqrt(float(np.sum(np.abs(w) ** 2)))
         w, total = w / fro, total + Fraction(math.log(fro))
@@ -1556,12 +1594,30 @@ def test_segmented_constant_matrix_broadcasts_its_one_row(every):
     n = _SEGMENT_STEPS + 50
     rng = np.random.default_rng(5)
     starts = rng.normal(size=(5, 2, 1)) + 1j * rng.normal(size=(5, 2, 1))
-    run = lambda start: list(cocycle._segmented(_factors(M, _orbit_stream(M, [0.3] * len(start), n), n).blocks(), [start], n, every))
+    run = lambda start: list(cocycle._segmented(M, _orbit_stream(M, [0.3] * len(start), n), [start], n, every=every))
     batch = run(starts)
     for i in range(5):
         for ((lg,), (acc,)), ((lg_i,), (acc_i,)) in zip(batch, run(starts[i : i + 1])):
             assert lg.shape[0] == (1 if not every else lg.shape[0]) and lg.shape[1] == 5
             assert np.array_equal(lg[:, i], lg_i[:, 0]) and np.array_equal(acc[:, i], acc_i[:, 0])
+
+
+def test_segmented_values_do_not_depend_on_the_factor_layout():
+    """_factors hands a block over as entry-major views, and the segmented
+    pass gives the values of the same factors in one contiguous stack: every
+    pass reads contiguous rows, where numpy's @ rounds strided ones in
+    another loop."""
+    M = bernoulli_companion(0.2)
+    points = _sample_points(np.random.default_rng(9), 40, M.base)
+    n = 60  # L = 7: eight full segments and a last one of four steps
+    start = np.ones((40, 2, 1), dtype=complex)
+    columns = orbit_fractions(M.base, points, n + M.max_scale + 1)
+    (block,) = _factors(M, [columns], n, 1, _SEGMENT_STEPS)
+    assert not block[0].flags.c_contiguous
+    for every in (False, True):
+        ((logs,), (accs,)), = cocycle._segmented(M, [columns], [start], n, every=every)
+        want_logs, want_accs = cocycle._segment_block(np.ascontiguousarray(block[0]), start, np.zeros(40), every)
+        assert np.array_equal(logs, want_logs) and np.array_equal(accs, want_accs), every
 
 
 # --- subadditive sequences -------------------------------------------------

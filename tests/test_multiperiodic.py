@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betacocycle import multiperiodic, pisot
+from betacocycle import cocycle, multiperiodic, pisot
 from betacocycle.apcore import constant, cosine, harmonic, sine
 from betacocycle.cocycle import EstimationSpec, lyapunov_top, scalar_matrix
 from betacocycle.errors import (
@@ -308,7 +308,7 @@ def stepwise_propagation(sol, xs, g, n):
     d = sol.eq.d
     columns = multiperiodic._orbit_stream(sol.M, xs, n + d - 1, shift=1 - d)
     w, scales, W = g[:, :, None], [], [g]
-    for A in multiperiodic._factors(sol.M, columns, n):
+    for A in (A for (F,) in cocycle._factors(sol.M, columns, n) for A in F):
         w = A @ w
         fro = np.sqrt((np.abs(w) ** 2).sum(axis=(1, 2)))
         w = w / fro[:, None, None]
@@ -346,10 +346,11 @@ def test_segmented_propagation_matches_the_stepwise_product(eq, xs, n_max):
 
 
 def test_asymptotic_exponent_at_a_long_n_holds_one_block():
-    """The propagation holds one block of segmented factors, not all n: at
-    one tribonacci point and n = 80000 (10 blocks) the traced peak is at most
-    8.2 MB, half of the 16.3 MB the whole factor stack took, most of it the
-    returned states and h's temporaries."""
+    """The propagation holds one block of segmented factors and states, not
+    all n: at one tribonacci point and n = 80000 (10 blocks) each block is
+    reduced to its n h_n as it arrives, and the traced peak is at most 4 MB
+    (7.0 MB when every state's vector was kept, 16.3 MB with the whole
+    factor stack)."""
     sol = solve(TRIBONACCI_EQUATION)
     asymptotic_exponent(TRIBONACCI_EQUATION, Fraction(3, 2), 100, solution=sol)  # set-up first
     tracemalloc.start()
@@ -358,7 +359,7 @@ def test_asymptotic_exponent_at_a_long_n_holds_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert h.shape == (80000,) and peak <= 8.2e6, peak
+    assert h.shape == (80000,) and peak <= 4e6, peak
 
 
 def test_truncated_row_does_not_depend_on_its_batch():
@@ -391,6 +392,28 @@ def test_moment_integral_rows_match_the_stepwise_product(n):
     for m, _, value in rows:
         want = math.fsum([unit] + blocks[:m]) / (m * math.log(beta))
         assert value == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("base", [GOLDEN, BASE2], ids=["golden", "base2"])
+def test_moment_integral_of_a_first_order_equation_at_its_first_rungs(base):
+    """d = 1 and n_ladder [1] propagate no step, and read no orbit column:
+    the row is the quadrature of |F|^q over [0, 1] and [1, beta]; [1, 2]
+    adds the one propagated block [beta, beta^2]."""
+    eq = multiperiodic_equation([constant(0.5) + cosine(TWO_PI, 0.5)], base)
+    sol, beta = solve(eq), base.beta
+    assert list(cocycle._factors(sol.M, iter(()), 0)) == []
+    gl_x, gl_w = np.polynomial.legendre.leggauss(64)
+    u, wu = (1.0 + beta) / 2.0 + (beta - 1.0) / 2.0 * gl_x, (beta - 1.0) / 2.0 * gl_w
+    unit = np.sum(0.5 * gl_w * np.abs(sol.F(0.5 + 0.5 * gl_x)) ** 2)
+    first = unit + np.sum(wu * np.abs(sol.F(u)) ** 2)
+    rows, _ = moment_integral_F(eq, 2, [1], solution=sol)
+    assert [(n, T) for n, T, _ in rows] == [(1, beta)]
+    assert rows[0][2] == pytest.approx(first / math.log(beta), rel=1e-12, abs=0)
+    rows, _ = moment_integral_F(eq, 2, [1, 2], solution=sol)
+    second = first + beta * np.sum(wu * np.abs(sol.F(beta * u)) ** 2)
+    assert [(n, T) for n, T, _ in rows] == [(1, beta), (2, beta**2)]
+    assert rows[0][2] == pytest.approx(first / math.log(beta), rel=1e-12, abs=0)
+    assert rows[1][2] == pytest.approx(second / (2 * math.log(beta)), rel=1e-8, abs=0)
 
 
 def test_solution_is_zero_where_a_factor_vanishes():
@@ -668,14 +691,14 @@ def test_moment_integral_reads_an_exact_orbit(monkeypatch):
         GOLDEN,
     )
     tables = []
-    factors = multiperiodic._factors
+    factors = cocycle._factors
 
-    def record(M, args, n, q=1):
+    def record(M, args, n, q=1, width=None):
         blocks = list(args)  # the streamed column blocks, gathered
         tables.append(np.hstack(blocks))
-        return factors(M, iter(blocks), n, q)
+        return factors(M, iter(blocks), n, q, width)
 
-    monkeypatch.setattr(multiperiodic, "_factors", record)
+    monkeypatch.setattr(cocycle, "_factors", record)
     n_max = 80
     moment_integral_F(eq, 2, [n_max])
     table = tables[-1]  # the propagation runs after the solver's tables
