@@ -3,13 +3,11 @@ certificates, and multiperiodic functional equations."""
 
 from .apcore import (
     TrigPolynomial,
-    bohr_mean_exact,
     constant,
     cosine,
     harmonic,
     sine,
     trig_poly,
-    weyl_equidistribution_defect,
 )
 from .cocycle import (
     BetaAdaptedMatrix,
@@ -43,8 +41,6 @@ from .multiperiodic import (
     moment_integral_F,
     multiperiodic_equation,
     solve,
-    theoremB_gate,
-    theoremC_gate,
 )
 from .pisot import (
     BetaDigits,

@@ -1,4 +1,4 @@
-"""Trigonometric polynomials and Bohr-mean diagnostics.
+"""Trigonometric polynomials, the package's almost periodic functions.
 
 Uniformly almost periodic functions are represented throughout the package
 as finite sums  sum_n A_n exp(i L_n x).  That makes the Bohr mean exact (the
@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -129,15 +128,6 @@ class TrigPolynomial:
         """Every coefficient is 0: distinct frequencies are independent."""
         return all(c == 0 for _, c in self.terms)
 
-    def _grid_min(self, count):
-        """The least value on a count-point grid of [0, 1): inf when is_zero,
-        -inf when a value has |Im| > 1e-12, else the least real part.  The
-        entry rule of _check_positivity and theoremB_gate."""
-        if self.is_zero:
-            return math.inf
-        vals = self.evaluate(np.linspace(0.0, 1.0, count, endpoint=False))
-        return -math.inf if np.max(np.abs(vals.imag)) > 1e-12 else float(np.min(vals.real))
-
     @property
     def max_frequency(self):
         return max((abs(f) for f, _ in self.terms), default=0.0)
@@ -221,28 +211,3 @@ def harmonic(k, coefficient=1.0):
     """coefficient * exp(2*pi*i*k*x): the 1-periodic building block."""
     return trig_poly([(TWO_PI * k, complex(coefficient))])
 
-
-def bohr_mean_exact(f):
-    """Bohr mean of a trigonometric polynomial: its frequency-0 coefficient."""
-    for freq, coeff in f.terms:
-        if freq == 0.0:
-            return coeff
-    return 0j
-
-
-def weyl_equidistribution_defect(p, x, modulus, N):
-    """Max Weyl-sum modulus over harmonics h = 1..20 for (beta^n x mod modulus).
-
-    Small values certify approximate equidistribution of the orbit, which
-    comes from orbit_fractions at any N: the exact trace orbit for a Pisot or
-    integer beta, the fixed-point walk (within 2^-64) for a plain float beta.
-    """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    from .cocycle import orbit_fractions  # cocycle imports this module
-
-    fracs = orbit_fractions(p, Fraction(x) / Fraction(modulus), N)
-    h = np.arange(1, 21)[:, None]
-    return float(np.abs(np.mean(np.exp(2j * math.pi * h * fracs), axis=1)).max())

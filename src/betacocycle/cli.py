@@ -17,7 +17,6 @@ import math
 import os
 import platform
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -173,17 +172,21 @@ def _check_keys(block, spec, known):
         raise ConfigInvalid("%s: unknown keys %s, accepted %s" % (block, unknown, known))
 
 
-def _parse_poly(spec):
+def _parse_poly(spec, extra=()):
     """TrigPolynomial from a triple list [[freq, re, im], ...].
 
     Frequencies are integer harmonics of 2*pi by default; a {"harmonic":
     false, "terms": [...]} wrapper switches to raw frequencies (needed for
-    coefficients like cos x).
+    coefficients like cos x).  The wrapper accepts those two keys and the
+    extra ones its caller reads; harmonic must be a JSON boolean.
     """
     harmonic_units = True
     terms = spec
     if isinstance(spec, dict):
-        harmonic_units = bool(spec.get("harmonic", True))
+        _check_keys("polynomial", spec, ("harmonic", "terms") + extra)
+        harmonic_units = spec.get("harmonic", True)
+        if not isinstance(harmonic_units, bool):
+            raise ConfigInvalid("polynomial: harmonic: expected true or false, got %r" % (harmonic_units,))
         terms = spec.get("terms")
     if isinstance(terms, (int, float)):
         return trig_poly([(0.0, complex(terms))])
@@ -214,7 +217,10 @@ def _parse_matrix(cfg):
             packed = []
             for item in row:
                 if isinstance(item, dict):
-                    poly = _parse_poly(item.get("poly", item))
+                    wrapped = "poly" in item
+                    if wrapped:
+                        _check_keys("matrix entry", item, ("poly", "scale"))
+                    poly = _parse_poly(item["poly"]) if wrapped else _parse_poly(item, ("scale",))
                     packed.append((poly, _integer(item.get("scale", 0), "matrix: scale")))
                 else:
                     packed.append((_parse_poly(item), 0))
@@ -418,8 +424,7 @@ def _run_solve(cfg, report):
     eq = _parse_equation(cfg)
     tol = _param(cfg, "tol", 1e-10, float)
     sol = mpq.solve(eq, tol=tol)
-    queries = cfg.params.get("x", [1.0])
-    xs = np.array(queries if isinstance(queries, list) else [queries], dtype=float)
+    xs = _param(cfg, "x", [1.0], lambda v: np.array(v if isinstance(v, list) else [v], dtype=float))
     values, residuals = sol.F(xs), sol.residual(xs)
     report.series["F"] = [
         {"x": float(x), "F_re": v.real, "F_im": v.imag, "residual": float(r)}
@@ -550,8 +555,12 @@ def emit_plot_data(report, series):
 
 
 def _atomic_write(path, text):
+    """Write text to a temp file beside path and rename it onto path.  The
+    temp file is created with mode 0o666 less the umask, as open(path, "w")
+    creates a file (mkstemp's would be 0o600)."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    tmp = os.path.join(directory, ".report-" + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -568,10 +577,6 @@ def _report_text(report, fmt):
         return json.dumps(report.to_dict(), indent=2, sort_keys=True, default=str)
     name = next(iter(sorted(report.series)), None)
     return emit_plot_data(report, name) if name else ""
-
-
-def write_report(report, path, fmt):
-    _atomic_write(path, _report_text(report, fmt))
 
 
 @lru_cache(maxsize=None)

@@ -448,11 +448,15 @@ def scalar_matrix(poly, base, scale=0):
 
 
 def _check_positivity(M, delta):
-    """ValueError unless each entry is_zero or is real and >= delta on a
-    10000-point grid of [0, 1): TrigPolynomial._grid_min(10000) >= delta."""
+    """ValueError unless delta is positive and finite and each entry is_zero
+    or is real (|Im| <= 1e-12) and >= delta on a 10000-point grid of [0, 1)."""
+    if not 0 < delta < math.inf:
+        raise ValueError("positivity_delta must be a positive finite number, got %r" % delta)
+    grid = np.linspace(0.0, 1.0, 10000, endpoint=False)
     for i, row in enumerate(M.entries):
         for j, (poly, _) in enumerate(row):
-            if poly._grid_min(10000) < delta:
+            vals = poly.evaluate(grid)
+            if not poly.is_zero and (np.max(np.abs(vals.imag)) > 1e-12 or np.min(vals.real) < delta):
                 raise ValueError(
                     "entry (%d,%d) is neither identically zero nor real and "
                     ">= delta=%g on the test grid" % (i, j, delta)
@@ -1046,9 +1050,6 @@ class OseledecSpectrum:
     @property
     def s(self):
         return len(self.exponents)
-
-    def weighted_sum(self):
-        return sum(m * lam for lam, m in zip(self.exponents, self.multiplicities))
 
 
 def oseledec_at(M, x, n, cluster_tol=None):

@@ -270,38 +270,6 @@ def asymptotic_exponent(eq, x, n_max, solution=None):
     return h[0], float(h[0, -1])
 
 
-def theoremB_gate(eq):
-    """True iff every f_j is_zero or is real and strictly positive on a
-    4096-point grid of [0, 1) (TrigPolynomial._grid_min(4096) > 0), and the
-    base is a Pisot or integer beta."""
-    return isinstance(eq.base, PisotNumber) and all(f._grid_min(4096) > 0.0 for f in eq.fs)
-
-
-def theoremC_gate(eq):
-    """(holds, sup_value) for the contraction quotient
-
-        (1 + |f_1(x)| + ... + |f_{d-1}(x/beta^{d-2})|)
-        * (|f_1(x)| + ... + |f_d(x/beta^{d-1})|) / |f_d(x/beta^{d-1})|
-
-    holds iff its supremum over a 20000-point grid of [0, 4 max(1,
-    beta^(d-1))) is below 1/rho, always at rho = 0 (an integer base).  The
-    moduli are those of the first row of companion_matrix(eq) at x /
-    beta^(d-1), where that row reads f_j(x / beta^j).  A denominator dipping
-    below 1e-12 reports (False, inf) rather than raising.
-    """
-    if not isinstance(eq.base, PisotNumber):
-        raise ValueError("the gate needs a Pisot or integer base")
-    lift = eq.beta ** (eq.d - 1)
-    xs = np.linspace(0.0, 4.0 * max(1.0, lift), 20000, endpoint=False)
-    mods = np.abs(companion_matrix(eq).evaluate_batch(xs / lift)[:, 0])
-    denom = mods[:, -1]
-    if np.min(denom) < 1e-12:
-        return False, math.inf
-    quotient = (1.0 + mods[:, :-1].sum(axis=1)) * mods.sum(axis=1) / denom
-    sup_value = float(np.max(quotient))
-    return eq.base.rho == 0.0 or sup_value < 1.0 / eq.base.rho, sup_value
-
-
 def _logsumexp(values):
     m = float(np.max(values))
     return m + math.log(float(np.sum(np.exp(values - m))))

@@ -28,6 +28,13 @@ VIETE_EQUATION = {
     "base": "1,-2",
 }
 
+# entries >= 0.3 with D rho >= 1 on the golden base: only a positivity
+# floor certifies it
+POSITIVE_MATRIX = {
+    "entries": [[0.5, 0.45], [0.4, [[0, 0.35, 0], [1, 0.025, 0], [-1, 0.025, 0]]]],
+    "base": GOLDEN_SPEC,
+}
+
 BERNOULLI_MATRIX = {
     "entries": [
         [
@@ -314,7 +321,7 @@ def test_emit_plot_data_unknown_series():
 def test_write_report_json(tmp_path):
     report = cli.run({"command": "pisot", "base": GOLDEN_SPEC})
     path = tmp_path / "report.json"
-    cli.write_report(report, str(path), "json")
+    cli._atomic_write(str(path), cli._report_text(report, "json"))
     loaded = json.loads(path.read_text())
     assert loaded["summary"]["degree"] == 2
     # atomic write leaves no temp droppings behind
@@ -324,8 +331,19 @@ def test_write_report_json(tmp_path):
 def test_write_report_csv(tmp_path):
     report = cli.run({"command": "pisot", "base": GOLDEN_SPEC})
     path = tmp_path / "report.csv"
-    cli.write_report(report, str(path), "csv")
+    cli._atomic_write(str(path), cli._report_text(report, "csv"))
     assert path.read_text().startswith("index,")
+
+
+def test_out_report_takes_the_mode_of_a_plain_open(tmp_path):
+    # a report renamed from a mkstemp temp file would be 0o600
+    umask = os.umask(0o022)
+    try:
+        assert cli.main(["pisot", "--minpoly", GOLDEN_SPEC, "--out", str(tmp_path / "r.json")]) == 0
+        open(tmp_path / "plain.json", "w").close()
+    finally:
+        os.umask(umask)
+    assert os.stat(tmp_path / "r.json").st_mode == os.stat(tmp_path / "plain.json").st_mode == 0o100644
 
 
 # --- command-line entry point --------------------------------------------------
@@ -587,6 +605,40 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
         ),
         ("lyapunov", {"matrix": SCALAR_MATRIX, "seed": 1.5}, "seed"),
         ("pisot", {"base": {"minpoly": [1, -2.7]}}, "base"),
+        ("certify", {"matrix": dict(POSITIVE_MATRIX, positivity_delta=0)}, "matrix"),
+        ("certify", {"matrix": dict(POSITIVE_MATRIX, positivity_delta=-1)}, "matrix"),
+        ("certify", {"matrix": dict(POSITIVE_MATRIX, positivity_delta=float("nan"))}, "matrix"),
+        (
+            "solve",
+            {"equation": {"f": [dict(VIETE_EQUATION["f"][0], harmonc=False)], "base": "1,-2"}},
+            "polynomial",
+        ),
+        (
+            "solve",
+            {"equation": {"f": [dict(VIETE_EQUATION["f"][0], harmonic="false")], "base": "1,-2"}},
+            "polynomial",
+        ),
+        (
+            "lyapunov",
+            {"matrix": {"entries": [[{"poly": [[0, 2, 0]], "scael": 3}]], "base": "1,-2"}},
+            "matrix entry",
+        ),
+        (
+            "lyapunov",
+            {"matrix": {"entries": [[{"poly": [[0, 2, 0]], "harmonic": True}]], "base": "1,-2"}},
+            "matrix entry",
+        ),
+        (
+            "lyapunov",
+            {"matrix": {"entries": [[{"terms": [[0, 2, 0]], "scael": 3}]], "base": "1,-2"}},
+            "polynomial",
+        ),
+        (
+            "lyapunov",
+            {"matrix": {"entries": [[{"poly": {"terms": [[0, 2, 0]], "scale": 1}}]], "base": "1,-2"}},
+            "polynomial",
+        ),
+        ("solve", {"equation": VIETE_EQUATION, "params": {"x": {"a": 1}}}, "params.x"),
     ],
     ids=[
         "moments-n_max-1",
@@ -637,6 +689,16 @@ def test_main_exit_2_when_moments_exceed_the_quadrature(tmp_path, capsys):
         "matrix-float-scale",
         "float-seed",
         "base-float-minpoly",
+        "certify-positivity_delta-0",
+        "certify-negative-positivity_delta",
+        "certify-nan-positivity_delta",
+        "equation-polynomial-harmonc",
+        "equation-string-harmonic",
+        "matrix-entry-scael",
+        "matrix-entry-harmonic-beside-poly",
+        "matrix-polynomial-entry-scael",
+        "matrix-poly-with-scale-inside",
+        "solve-mapping-x",
     ],
 )
 def test_main_exit_1_on_library_value_error(tmp_path, capsys, command, cfg, where):

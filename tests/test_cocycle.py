@@ -1816,7 +1816,8 @@ def test_oseledec_constant_diag():
     # V^(1) is the slow axis e2
     v1 = spec.filtration[0][:, 0]
     assert abs(abs(v1[1]) - 1.0) < 1e-9
-    assert spec.weighted_sum() == pytest.approx(0.0, abs=1e-9)
+    weighted_sum = sum(m * lam for lam, m in zip(spec.exponents, spec.multiplicities))
+    assert weighted_sum == pytest.approx(0.0, abs=1e-9)
 
 
 def test_oseledec_filtration_is_nested():
@@ -1889,7 +1890,8 @@ def test_oseledec_lowest_exponents_below_machine_epsilon(n):
     for k in range(n):
         y = Fraction(3**k * x.numerator % x.denominator, x.denominator)
         birkhoff += math.log(abs(np.linalg.det(M.evaluate(float(y)))))
-    assert spec.weighted_sum() == pytest.approx(birkhoff / n, abs=1e-12)
+    weighted_sum = sum(m * lam for lam, m in zip(spec.exponents, spec.multiplicities))
+    assert weighted_sum == pytest.approx(birkhoff / n, abs=1e-12)
     kernel = np.linalg.qr(np.array([[1.0, -2.0, 1.0, 0.0], [0.0, 1.0, -2.0, 1.0]]).T)[0]
     assert _sine_angle(spec.filtration[0], kernel) <= 1e-10
 
@@ -2005,6 +2007,19 @@ def test_certificate_positive_fallback():
     cert = joint_period_certificate(M, q=1)
     assert cert.kind == "positivity"
     assert cert.delta == pytest.approx(0.29)
+
+
+@pytest.mark.parametrize("delta", [0, -1, float("nan"), float("inf")])
+def test_positivity_delta_must_be_a_positive_finite_number(delta):
+    # the entries of test_certificate_positive_fallback (D rho >= 1) pass the
+    # grid test at any such floor, and the certificate would divide by it
+    # (0: ZeroDivisionError; -1: script_C < 0; nan: a nan script_C)
+    entries = [
+        [constant(0.5), constant(0.45)],
+        [constant(0.4), constant(0.35) + cosine(TWO_PI, 0.05)],
+    ]
+    with pytest.raises(ValueError, match="positivity_delta must be a positive finite number"):
+        beta_adapted_matrix(entries, GOLDEN, positivity_delta=delta)
 
 
 def test_certificate_requires_pisot_base():

@@ -1,5 +1,5 @@
 """Multiperiodic functional equations: companion reduction, infinite-product
-solutions, growth exponents, moment integrals, and applicability gates."""
+solutions, growth exponents, moment integrals, and contraction certificates."""
 
 import itertools
 import math
@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from betacocycle import cocycle, multiperiodic, pisot
 from betacocycle.apcore import constant, cosine, harmonic, sine
-from betacocycle.cocycle import EstimationSpec, lyapunov_top, scalar_matrix
+from betacocycle.cocycle import EstimationSpec, joint_period_certificate, lyapunov_top, scalar_matrix
 from betacocycle.errors import (
+    NoCertificate,
     NotPrimitive,
     NotSimpleEigenvalue,
     QuadratureLevelExceeded,
@@ -33,8 +34,6 @@ from betacocycle.multiperiodic import (
     moment_integral_F,
     multiperiodic_equation,
     solve,
-    theoremB_gate,
-    theoremC_gate,
 )
 from betacocycle.pisot import admissible_strings, beta_interval, make_pisot
 from test_pisot import mp_roots
@@ -426,93 +425,44 @@ def test_solution_is_zero_where_a_factor_vanishes():
     assert sol.residual(2.0) < 1e-12
 
 
-# --- gates ------------------------------------------------------------------
+# --- contraction certificates on the companion ------------------------------
+# Theorem C's decision is the certificate's: D rho < 1, D the inf-norm
+# supremum of ||M|| ||M^-1|| over the companion's grid.
 
 
-def test_positivity_gate_accepts_strictly_positive():
-    eq = multiperiodic_equation(
-        [constant(0.3), constant(0.7) + sine(TWO_PI, 0.1)], GOLDEN
-    )
-    assert theoremB_gate(eq)
-
-
-def test_positivity_gate_rejects_touching_zero():
-    eq = multiperiodic_equation(
-        [cosine(TWO_PI, 0.5) + constant(0.5), constant(0.0)], GOLDEN
-    )
-    assert not theoremB_gate(eq)
-
-
-def test_positivity_gate_needs_pisot_structure():
-    eq = multiperiodic_equation([constant(1.0)], 2.5)
-    assert not theoremB_gate(eq)
+def companion_D(eq):
+    return joint_period_certificate(companion_matrix(eq)).D
 
 
 def test_contraction_gate_single_coefficient():
-    eq = multiperiodic_equation([constant(1.0)], GOLDEN)
-    holds, sup_value = theoremC_gate(eq)
-    assert holds
-    assert sup_value == pytest.approx(1.0, abs=1e-12)
+    assert companion_D(multiperiodic_equation([constant(1.0)], GOLDEN)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_contraction_gate_bernoulli_threshold():
-    holds, sup_value = theoremC_gate(bernoulli_convolution(0.2, 1, 1, GOLDEN))
-    assert holds
-    assert sup_value == pytest.approx(1.5, abs=1e-9)
-    holds, sup_value = theoremC_gate(bernoulli_convolution(0.3, 1, 1, GOLDEN))
-    assert not holds
-    assert sup_value == pytest.approx(1.3 / 0.7, abs=1e-9)
+    assert companion_D(bernoulli_convolution(0.2, 1, 1, GOLDEN)) == pytest.approx(1.5, abs=1e-9)
+    # D = 1.3 / 0.7, and D rho = 1.148 >= 1
+    with pytest.raises(NoCertificate, match="D\\*rho\\^alpha = 1.148 >= 1"):
+        companion_D(bernoulli_convolution(0.3, 1, 1, GOLDEN))
 
 
 def test_contraction_gate_integer_base_holds():
-    # rho = 0 at an integer base, so 1/rho is infinite and the gate holds
-    holds, sup_value = theoremC_gate(bernoulli_convolution(0.2, 1, 1, BASE2))
-    assert holds
-    assert sup_value == pytest.approx(1.5, abs=1e-9)
+    # rho = 0 at an integer base, so any D certifies
+    assert companion_D(bernoulli_convolution(0.2, 1, 1, BASE2)) == pytest.approx(1.5, abs=1e-9)
 
 
 def test_gates_accept_a_bare_integer_base():
     # the bare number 2 is the degree-1 Pisot base, as "1,-2" is
-    assert theoremB_gate(multiperiodic_equation([constant(0.3), constant(0.7)], 2))
-    holds, sup_value = theoremC_gate(bernoulli_convolution(0.2, 1, 1, 2))
-    assert holds
-    assert sup_value == pytest.approx(1.5, abs=1e-9)
-
-
-def test_contraction_gate_vanishing_denominator():
-    eq = multiperiodic_equation(
-        [constant(0.0), constant(0.5) + cosine(TWO_PI, 0.5)], GOLDEN
-    )
-    holds, sup_value = theoremC_gate(eq)
-    assert not holds
-    assert sup_value == math.inf
+    assert companion_D(bernoulli_convolution(0.2, 1, 1, 2)) == pytest.approx(1.5, abs=1e-9)
 
 
 def test_contraction_gate_phase_invariant():
-    # the quotient uses moduli only, so a common unimodular phase is inert;
-    # phased coefficients fail the zero-value validation, so build directly
+    # D reads moduli only, so a common unimodular phase is inert; phased
+    # coefficients fail the zero-value validation, so build directly
     eq = bernoulli_convolution(0.2, 1, 1, GOLDEN)
     phased = MultiperiodicEquation(
         fs=tuple(f * complex(0.0, 1.0) for f in eq.fs), base=GOLDEN
     )
-    assert theoremC_gate(phased)[1] == pytest.approx(
-        theoremC_gate(eq)[1], abs=1e-12
-    )
-
-
-@pytest.mark.parametrize(
-    "eq",
-    [bernoulli_convolution(0.2, 1, 1, GOLDEN), TRIBONACCI_EQUATION, viete_equation()],
-    ids=["golden-bernoulli", "tribonacci", "viete"],
-)
-def test_contraction_gate_reads_the_quotient_of_f_j_at_x_over_beta_j(eq):
-    # the gate reads the companion's first row at x / beta^(d-1); on the same
-    # grid, the moduli of f_j(x / beta^j) give the same supremum
-    beta, d = eq.beta, eq.d
-    xs = np.linspace(0.0, 4.0 * max(1.0, beta ** (d - 1)), 20000, endpoint=False)
-    mods = [np.abs(f.evaluate(xs / beta**j)) for j, f in enumerate(eq.fs)]
-    direct = float(np.max((1.0 + sum(mods[:-1])) * sum(mods) / mods[-1]))
-    assert theoremC_gate(eq)[1] == pytest.approx(direct, rel=1e-15, abs=0)
+    assert companion_D(phased) == pytest.approx(companion_D(eq), abs=1e-12)
 
 
 # --- moment growth ----------------------------------------------------------
